@@ -15,7 +15,6 @@ from .arith import (
     from_hex,
     max_index,
     mod_mul,
-    mod_pow_general,
     mod_square_chain,
     reduce_fold,
     to_hex,
@@ -38,7 +37,7 @@ from .factors import (
     lucas_search,
     validate_divisor_form,
 )
-from .orders import OrderResult, euler_phi_prime_power, order_alpha
+from .orders import OrderResult, order_alpha
 from .primality import (
     PEPIN_ADMISSIBLE_BASES,
     Classification,
@@ -83,7 +82,6 @@ __all__ = [
     "cofactor",
     "default_audit_bases",
     "divides_fermat",
-    "euler_phi_prime_power",
     "fermat_congruence",
     "fermat_is_prime",
     "fermat_value",
@@ -91,7 +89,6 @@ __all__ = [
     "lucas_search",
     "max_index",
     "mod_mul",
-    "mod_pow_general",
     "mod_square_chain",
     "order_alpha",
     "pepin_test",

@@ -199,25 +199,3 @@ def mod_square_chain(a: FermatResidue, count: int,
             v = _mulmod(v, v, width, top, mask)
             observer(i, v)
     return FermatResidue(a.n, v)
-
-
-def mod_pow_general(a: FermatResidue, e: int) -> FermatResidue:
-    """a^e mod F_n by square-and-multiply, for arbitrary exponents.
-
-    Only cross-checks and experiments need this; the tests themselves never
-    materialise their power-of-two exponents (see mod_square_chain).
-    """
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
-    width = 1 << a.n
-    top = 1 << width
-    mask = top - 1
-    result = 1
-    sq = a.value
-    while e:
-        if e & 1:
-            result = _mulmod(result, sq, width, top, mask)
-        e >>= 1
-        if e:
-            sq = _mulmod(sq, sq, width, top, mask)
-    return FermatResidue(a.n, result)

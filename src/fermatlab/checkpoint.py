@@ -7,9 +7,10 @@ resuming from garbage.  Writes go to a temp file in the same directory
 followed by an atomic rename; there is never a moment where the real
 filename holds a partial file.
 
-One file per (kind, n, base): the filename bakes in the kind and index
-directly and an 8-hex-digit hash of the base, so concurrent runs on
-different chains never collide.
+Only the half-residue chain of the pepin command is checkpointed, so
+chain_kind is always "pepin".  One file per (n, base): the filename
+bakes in the kind and index directly and an 8-hex-digit hash of the
+base, so concurrent runs on different chains never collide.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .arith import check_index, from_hex, to_hex
 from .errors import CheckpointError
 
 CHECKPOINT_FORMAT_VERSION = 1
-CHAIN_KINDS = ("pepin", "classify", "order")
+CHAIN_KIND = "pepin"
 DEFAULT_EVERY_SQUARINGS = 1 << 10
 DEFAULT_EVERY_SECONDS = 30.0
 
@@ -38,9 +39,9 @@ def payload_digest(n: int, base_hex: str, index: int, residue_hex: str) -> str:
     return hashlib.sha256(blob).digest()[:8].hex()
 
 
-def checkpoint_filename(kind: str, n: int, base: int) -> str:
+def checkpoint_filename(n: int, base: int) -> str:
     tag = hashlib.sha256(to_hex(base).encode("ascii")).hexdigest()[:8]
-    return f"{kind}_n{n}_b{tag}.ckpt.json"
+    return f"{CHAIN_KIND}_n{n}_b{tag}.ckpt.json"
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +81,7 @@ class Checkpoint:
 def save_checkpoint(cp: Checkpoint, directory: Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / checkpoint_filename(cp.chain_kind, cp.n, cp.base)
+    path = directory / checkpoint_filename(cp.n, cp.base)
     tmp = directory / f".{path.name}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(cp.to_json())
@@ -125,7 +126,7 @@ def load_checkpoint(path: Path) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint {path} has unsupported format_version {version}")
     kind = field("chain_kind", str)
-    if kind not in CHAIN_KINDS:
+    if kind != CHAIN_KIND:
         raise CheckpointError(
             f"checkpoint {path} has unknown chain_kind {kind!r}")
     n = field("n", int)
@@ -134,7 +135,8 @@ def load_checkpoint(path: Path) -> Checkpoint:
     except ValueError as err:
         raise CheckpointError(f"checkpoint {path}: {err}") from err
     index = field("squaring_index", int)
-    if not 0 <= index <= (1 << n):
+    # the half-residue chain is 2^n - 1 squarings long
+    if not 0 <= index <= (1 << n) - 1:
         raise CheckpointError(
             f"checkpoint {path} squaring_index {index} out of range")
     base_hex = field("base", str)
@@ -159,29 +161,26 @@ def load_checkpoint(path: Path) -> Checkpoint:
                       format_version=version)
 
 
-def find_checkpoint(directory: Path, kind: str, n: int,
-                    base: int) -> Optional[Path]:
-    path = Path(directory) / checkpoint_filename(kind, n, base)
+def find_checkpoint(directory: Path, n: int, base: int) -> Optional[Path]:
+    path = Path(directory) / checkpoint_filename(n, base)
     return path if path.exists() else None
 
 
-def load_matching(directory: Path, kind: str, n: int,
-                  base: int) -> Optional[Checkpoint]:
-    """Load the checkpoint for (kind, n, base) if one exists.
+def load_matching(directory: Path, n: int, base: int) -> Optional[Checkpoint]:
+    """Load the checkpoint for (n, base) if one exists.
 
     The loaded payload must agree with what the caller is about to run;
     a file that parses but describes a different chain is treated as
     corrupt (someone renamed or swapped files).
     """
-    path = find_checkpoint(directory, kind, n, base)
+    path = find_checkpoint(directory, n, base)
     if path is None:
         return None
     cp = load_checkpoint(path)
-    if (cp.chain_kind, cp.n, cp.base) != (kind, n, base):
+    if (cp.n, cp.base) != (n, base):
         raise CheckpointError(
             f"checkpoint {path} describes chain "
-            f"({cp.chain_kind}, n={cp.n}, base={cp.base}), "
-            f"expected ({kind}, n={n}, base={base})")
+            f"(n={cp.n}, base={cp.base}), expected (n={n}, base={base})")
     return cp
 
 
@@ -208,15 +207,12 @@ class CheckpointWriter:
     checkpoint of a finished run would otherwise shadow future runs.
     """
 
-    def __init__(self, kind: str, n: int, base: int, directory: Path,
+    def __init__(self, n: int, base: int, directory: Path,
                  every_squarings: int = DEFAULT_EVERY_SQUARINGS,
                  every_seconds: float = DEFAULT_EVERY_SECONDS,
                  stop_after: Optional[int] = None):
-        if kind not in CHAIN_KINDS:
-            raise ValueError(f"unknown chain kind {kind!r}")
         if every_squarings < 1:
             raise ValueError("checkpoint cadence must be >= 1 squaring")
-        self.kind = kind
         self.n = n
         self.base = base
         self.directory = Path(directory)
@@ -234,7 +230,7 @@ class CheckpointWriter:
             due = time.monotonic() - self._last_time >= self.every_seconds
         if not due:
             return
-        cp = Checkpoint.capture(self.kind, self.n, self.base, index, value)
+        cp = Checkpoint.capture(CHAIN_KIND, self.n, self.base, index, value)
         self.path = save_checkpoint(cp, self.directory)
         self.last_index = index
         self._last_time = time.monotonic()
@@ -242,8 +238,7 @@ class CheckpointWriter:
             raise ChainPaused(index, self.path)
 
     def finished(self) -> None:
-        path = self.directory / checkpoint_filename(self.kind, self.n,
-                                                    self.base)
+        path = self.directory / checkpoint_filename(self.n, self.base)
         try:
             path.unlink()
         except FileNotFoundError:

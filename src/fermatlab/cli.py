@@ -105,14 +105,14 @@ def cmd_pepin(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if args.checkpoint_dir is not None:
         directory = Path(args.checkpoint_dir)
-        cp = load_matching(directory, "pepin", args.n, args.base)
+        cp = load_matching(directory, args.n, args.base)
         if cp is not None:
             resume_index = cp.squaring_index
             resume_value = cp.residue
             _log(f"resuming n={args.n} base={args.base} from squaring "
                  f"{resume_index} (checkpoint of {cp.created_at})")
         writer = CheckpointWriter(
-            "pepin", args.n, args.base, directory,
+            args.n, args.base, directory,
             every_squarings=args.checkpoint_every,
             every_seconds=args.checkpoint_seconds,
             stop_after=args.stop_after)

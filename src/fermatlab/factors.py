@@ -13,7 +13,7 @@ machine arithmetic mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .arith import check_index, fermat_value
@@ -58,21 +58,14 @@ class CandidateDivisor:
                    prime=prime)
 
 
-def divides_fermat(p: int, n: int,
-                   transcript: Optional[List[int]] = None) -> bool:
-    """Whether p divides F_n, via 2^(2^n) = -1 (mod p).
-
-    n squarings mod p, nothing more.  When a transcript list is passed,
-    each intermediate 2^(2^i) mod p is appended to it (i = 1..n).
-    """
+def divides_fermat(p: int, n: int) -> bool:
+    """Whether p divides F_n, via 2^(2^n) = -1 (mod p): n squarings mod p."""
     check_index(n)
     if p <= 1 or p % 2 == 0:
         raise ValueError(f"p must be odd and > 1, got {p}")
     v = 2 % p
     for _ in range(n):
         v = (v * v) % p
-        if transcript is not None:
-            transcript.append(v)
     return v == p - 1
 
 
@@ -137,30 +130,3 @@ def cofactor(d: CandidateDivisor) -> int:
         raise NotADivisorError(
             f"claimed divisor p={d.p} leaves remainder {r} on F_{d.n}")
     return q
-
-
-def search_with_transcripts(n: int, k_max: int, prime_filter: bool = False):
-    """lucas_search plus the squaring transcript of each found divisor."""
-    out = []
-    for d in lucas_search(n, k_max, prime_filter):
-        transcript: List[int] = []
-        divides_fermat(d.p, n, transcript)
-        out.append((d, tuple(transcript)))
-    return out
-
-
-def divisor_form_violations(found: List[CandidateDivisor]
-                            ) -> List[CandidateDivisor]:
-    """Found prime divisors whose k degenerates (impossible if theory holds).
-
-    Only verified-prime divisors count: the structural claim is about
-    prime divisors of a composite F_n, and any entry in `found` already
-    certifies compositeness (p is a proper divisor).
-    """
-    return [d for d in found
-            if d.prime is True and not validate_divisor_form(d)]
-
-
-def replace_divides(d: CandidateDivisor, divides: bool) -> CandidateDivisor:
-    """Copy with the divides flag forced (for synthetic violation tests)."""
-    return replace(d, divides=divides)

@@ -2,9 +2,10 @@
 
 Whenever base^(F_n - 1) = 1 the order of the base divides 2^(2^n) and
 is therefore itself a power of two, 2^alpha.  order_alpha finds alpha
-by squaring upward: one squaring per candidate alpha, and the first hit
-is minimal by construction.  If 2^n squarings never reach 1 the order
-has an odd part and the marker result NotTotallyEven is returned.
+by squaring upward on one chain that stops at the first residue equal
+to 1, which is minimal by construction.  If 2^n squarings never reach
+1 the order has an odd part and the marker result NotTotallyEven is
+returned.
 
 On a composite F_n whose congruence holds, alpha is provably at most
 2^n - 2; order_alpha records whether that bound held in bound_satisfied
@@ -16,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import check_index, mod_mul
-from .oracle import is_probable_prime
+from .arith import mod_square_chain
 from .primality import fermat_is_prime, require_coprime
 
 ORDER_BOUND_SLACK = 2  # composite + congruence: alpha <= 2^n - 2
@@ -51,28 +51,36 @@ class OrderResult:
         return 1 << self.alpha
 
 
+class _ReachedOne(Exception):
+    """Raised out of the chain observer at the first residue equal to 1."""
+
+    def __init__(self, index: int):
+        super().__init__(f"residue 1 after squaring {index}")
+        self.index = index
+
+
+def _stop_at_one(index: int, value: int) -> None:
+    if value == 1:
+        raise _ReachedOne(index)
+
+
 def order_alpha(n: int, base: int) -> OrderResult:
     """Least alpha with base^(2^alpha) = 1 mod F_n, or NotTotallyEven.
 
-    At most 2^n squarings.  Minimality needs no extra check: the scan
-    goes upward and keeps the previous residue, which by loop exit is
-    never 1 when a hit occurs at alpha > 0.
+    One chain of at most 2^n squarings, stopped at the first residue
+    equal to 1; the base itself is the chain's entry at index 0.
+    Minimality needs no extra check: 1 is a fixed point of squaring, so
+    every entry past alpha is 1 and none before it is.
     """
-    check_index(n)
-    v = require_coprime(n, base)
-    if v.is_one:
-        return OrderResult(n=n, base=base, alpha=0, squarings_used=0,
-                           bound_satisfied=_bound(n, 0))
+    start = require_coprime(n, base)
     limit = 1 << n
-    prev = v
-    for alpha in range(1, limit + 1):
-        v = mod_mul(prev, prev)
-        if v.is_one:
-            assert not prev.is_one
-            return OrderResult(n=n, base=base, alpha=alpha,
-                               squarings_used=alpha,
-                               bound_satisfied=_bound(n, alpha))
-        prev = v
+    try:
+        _stop_at_one(0, start.value)
+        mod_square_chain(start, limit, _stop_at_one)
+    except _ReachedOne as hit:
+        return OrderResult(n=n, base=base, alpha=hit.index,
+                           squarings_used=hit.index,
+                           bound_satisfied=_bound(n, hit.index))
     return OrderResult(n=n, base=base, alpha=None, squarings_used=limit)
 
 
@@ -80,49 +88,3 @@ def _bound(n: int, alpha: int) -> Optional[bool]:
     if fermat_is_prime(n):
         return None
     return alpha <= (1 << n) - ORDER_BOUND_SLACK
-
-
-def euler_phi_prime_power(p: int, e: int) -> int:
-    """phi(p^e) = p^(e-1) * (p - 1) for an odd prime p.
-
-    Primality of p is actually verified below 2^64 (the check is exact
-    there); larger p is the caller's assertion to make.
-    """
-    if e < 1:
-        raise ValueError(f"exponent must be >= 1, got {e}")
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if p < (1 << 64) and not is_probable_prime(p):
-        raise ValueError(f"p must be prime, got composite {p}")
-    return p ** (e - 1) * (p - 1)
-
-
-def order_in_prime_power(base: int, p: int, e: int) -> int:
-    """ord(base) modulo p^e by factoring it out of phi(p^e) = 2^s * odd.
-
-    Only meaningful when a factorization of F_n is in hand; the
-    modulus-level alpha from order_alpha is the default observable.
-    """
-    phi = euler_phi_prime_power(p, e)
-    m = p ** e
-    if base % p == 0:
-        raise ValueError(f"base {base} is not a unit mod {p}^{e}")
-    order = phi
-    for q in _prime_factors(phi):
-        while order % q == 0 and pow(base, order // q, m) == 1:
-            order //= q
-    return order
-
-
-def _prime_factors(x: int):
-    seen = set()
-    d = 2
-    while d * d <= x:
-        while x % d == 0:
-            if d not in seen:
-                seen.add(d)
-                yield d
-            x //= d
-        d += 1 if d == 2 else 2
-    if x > 1 and x not in seen:
-        yield x

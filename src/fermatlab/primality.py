@@ -129,28 +129,13 @@ class ChainTaps:
     full: FermatResidue
 
 
-def chain_taps(n: int, base: int,
-               observer: Optional[Observer] = None) -> ChainTaps:
-    """Run one chain of 2^n squarings and record the three tap points."""
+def chain_taps(n: int, base: int) -> ChainTaps:
+    """Run one chain of 2^n squarings, read at its three tap points."""
     _require_quarter_index(n)
-    check_index(n)
-    start = require_coprime(n, base)
-    total = 1 << n
-    taps: Dict[int, int] = {}
-    want = (total - 2, total - 1)
-
-    def tap(i: int, value: int) -> None:
-        if i in want:
-            taps[i] = value
-        if observer is not None:
-            observer(i, value)
-
-    full = mod_square_chain(start, total, tap)
-    return ChainTaps(
-        quarter=FermatResidue(n, taps[total - 2]),
-        half=FermatResidue(n, taps[total - 1]),
-        full=full,
-    )
+    quarter = mod_square_chain(require_coprime(n, base), (1 << n) - 2)
+    half = mod_square_chain(quarter, 1)
+    return ChainTaps(quarter=quarter, half=half,
+                     full=mod_square_chain(half, 1))
 
 
 def pepin_test(n: int, base: int = 3,
@@ -288,17 +273,14 @@ def _audit_rules(n: int, base: int, pepin_prime: bool, congruence: bool,
     return out
 
 
-def classify_report(n: int, base: int,
-                    observer: Optional[Observer] = None,
-                    ) -> Tuple[Verdict, List[Violation]]:
+def classify_report(n: int, base: int) -> Tuple[Verdict, List[Violation]]:
     """classify(), but returning violations instead of raising.
 
     The audit front end wants every row even when a row fails; the
     plain classify() entry point below is for callers who treat a
     violation as the exceptional event it is.
     """
-    _require_quarter_index(n)
-    taps = chain_taps(n, base, observer)
+    taps = chain_taps(n, base)
     squarings = 1 << n
     if base == 3:
         # the requested chain is the primality chain; reuse its half tap
@@ -410,16 +392,20 @@ def audit_range(n_values, bases) -> AuditReport:
     all_passed false; the caller decides how loud to be about it.
     """
     rows: List[AuditRow] = []
+    # Base 3's chain also decides primality; running it first fills the
+    # prime cache that every other base of the same n reads.
+    order = sorted(dict.fromkeys(bases), key=lambda base: base != 3)
     for n in n_values:
         _require_quarter_index(n)
-        for base in bases:
-            try:
-                verdict, violations = classify_report(n, base)
-            except BaseNotCoprimeError as err:
-                rows.append(AuditRow(n=n, base=base, coprime=False,
-                                     gcd=err.gcd))
-                continue
-            rows.append(AuditRow(n=n, base=base, coprime=True,
-                                 verdict=verdict,
-                                 violations=tuple(violations)))
+        by_base = {base: _audit_row(n, base) for base in order}
+        rows.extend(by_base[base] for base in bases)
     return AuditReport(tuple(rows))
+
+
+def _audit_row(n: int, base: int) -> AuditRow:
+    try:
+        verdict, violations = classify_report(n, base)
+    except BaseNotCoprimeError as err:
+        return AuditRow(n=n, base=base, coprime=False, gcd=err.gcd)
+    return AuditRow(n=n, base=base, coprime=True, verdict=verdict,
+                    violations=tuple(violations))

@@ -116,23 +116,6 @@ def _check_square_chains(rng: random.Random) -> List[oracle.OracleReport]:
     return out
 
 
-def _check_general_pow(rng: random.Random) -> List[oracle.OracleReport]:
-    out = []
-    for n in range(0, 6):
-        m = arith.fermat_value(n)
-        for _ in range(20):
-            base = rng.randrange(0, 1 << 16)
-            e = rng.randrange(0, 1 << 24)
-            got = arith.mod_pow_general(arith.reduce_fold(base, n), e).value
-            want = oracle.naive_pow(base, e, m)
-            if got != want:
-                out.append(_report("general-pow-vs-pow",
-                                   f"n={n} base={base} e={e}", want, got))
-    out.append(_report("general-pow-vs-pow", "random sweep complete",
-                       True, True))
-    return out
-
-
 def _check_pepin_verdicts() -> List[oracle.OracleReport]:
     out = []
     for n, want in [(2, True), (3, True), (4, True), (5, False)]:
@@ -243,7 +226,6 @@ def run_selftest() -> SelftestResult:
         ("oracle-self-consistency",
          lambda: _check_oracle_self_consistency(rng)),
         ("square-chains", lambda: _check_square_chains(rng)),
-        ("general-pow", lambda: _check_general_pow(rng)),
         ("pepin-verdicts", _check_pepin_verdicts),
         ("quarter-and-congruence", _check_quarter_and_congruence),
         ("orders", _check_orders),

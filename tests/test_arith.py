@@ -9,7 +9,6 @@ from fermatlab.arith import (
     fermat_value,
     from_hex,
     mod_mul,
-    mod_pow_general,
     mod_square_chain,
     reduce_fold,
     to_hex,
@@ -200,34 +199,3 @@ class TestSquareChain:
         count = data.draw(st.integers(min_value=0, max_value=40))
         got = mod_square_chain(reduce_fold(base, n), count).value
         assert got == oracle.naive_pow(base, 1 << count, fermat_value(n))
-
-
-class TestGeneralPow:
-    def test_fixtures(self):
-        x = FermatResidue(5, 98765)
-        assert mod_pow_general(x, 1).value == x.value
-        assert mod_pow_general(reduce_fold(3, 2), 8).value == 16
-        assert mod_pow_general(reduce_fold(2, 5), 1 << 32).value == 1
-        assert mod_pow_general(x, 0).value == 1
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            mod_pow_general(FermatResidue(2, 3), -1)
-
-    @given(st.data())
-    def test_power_of_two_exponents_match_chains(self, data):
-        n = data.draw(st.integers(min_value=0, max_value=8))
-        top = 1 << (1 << n)
-        a = FermatResidue(n, data.draw(
-            st.integers(min_value=0, max_value=top)))
-        k = data.draw(st.integers(min_value=0, max_value=20))
-        assert mod_pow_general(a, 1 << k).value == \
-            mod_square_chain(a, k).value
-
-    @given(st.data())
-    def test_matches_pow_oracle(self, data):
-        n = data.draw(st.integers(min_value=0, max_value=6))
-        base = data.draw(st.integers(min_value=0, max_value=1 << 24))
-        e = data.draw(st.integers(min_value=0, max_value=1 << 24))
-        got = mod_pow_general(reduce_fold(base, n), e).value
-        assert got == oracle.naive_pow(base, e, fermat_value(n))

@@ -62,31 +62,30 @@ class TestDigestAndFilename:
         assert payload_digest(10, "3", 100, "303a") != ref
 
     def test_filename_shape(self):
-        name = checkpoint_filename("pepin", 10, 3)
+        name = checkpoint_filename(10, 3)
         assert re.fullmatch(r"pepin_n10_b[0-9a-f]{8}\.ckpt\.json", name)
 
     def test_filename_separates_chains(self):
         names = {
-            checkpoint_filename("pepin", 10, 3),
-            checkpoint_filename("classify", 10, 3),
-            checkpoint_filename("pepin", 11, 3),
-            checkpoint_filename("pepin", 10, 5),
+            checkpoint_filename(10, 3),
+            checkpoint_filename(11, 3),
+            checkpoint_filename(10, 5),
         }
-        assert len(names) == 4
+        assert len(names) == 3
 
 
 class TestRoundTrip:
     def test_save_load(self, tmp_path):
         cp = make_checkpoint()
         path = save_checkpoint(cp, tmp_path)
-        assert path.name == checkpoint_filename("pepin", 10, 3)
+        assert path.name == checkpoint_filename(10, 3)
         loaded = load_checkpoint(path)
         assert loaded == cp
 
     def test_no_temp_leftovers(self, tmp_path):
         save_checkpoint(make_checkpoint(), tmp_path)
         assert [p.name for p in tmp_path.iterdir()] \
-            == [checkpoint_filename("pepin", 10, 3)]
+            == [checkpoint_filename(10, 3)]
 
     def test_overwrite_same_chain(self, tmp_path):
         save_checkpoint(make_checkpoint(index=100), tmp_path)
@@ -97,7 +96,7 @@ class TestRoundTrip:
     def test_creates_directory(self, tmp_path):
         target = tmp_path / "deep" / "nested"
         save_checkpoint(make_checkpoint(), target)
-        assert find_checkpoint(target, "pepin", 10, 3) is not None
+        assert find_checkpoint(target, 10, 3) is not None
 
     def test_file_matches_schema(self, tmp_path, checkpoint_validator):
         path = save_checkpoint(make_checkpoint(), tmp_path)
@@ -145,12 +144,15 @@ class TestLoadRejections:
             load_checkpoint(write_doc(tmp_path, doc))
 
     def test_unknown_kind(self, tmp_path):
-        doc = valid_doc(chain_kind="mystery")
-        with pytest.raises(CheckpointError, match="chain_kind"):
-            load_checkpoint(write_doc(tmp_path, doc))
+        # only the pepin chain is ever checkpointed
+        for kind in ("mystery", "classify", "order"):
+            doc = valid_doc(chain_kind=kind)
+            with pytest.raises(CheckpointError, match="chain_kind"):
+                load_checkpoint(write_doc(tmp_path, doc))
 
     def test_index_out_of_range(self, tmp_path):
-        for index in (-1, (1 << 10) + 1):
+        # the n=10 half chain ends at squaring 2^10 - 1
+        for index in (-1, 1 << 10):
             doc = valid_doc(squaring_index=index)
             doc["digest"] = payload_digest(10, "3", index, doc["residue"])
             with pytest.raises(CheckpointError, match="out of range"):
@@ -185,80 +187,78 @@ class TestLoadRejections:
 
 class TestLoadMatching:
     def test_absent_is_none(self, tmp_path):
-        assert load_matching(tmp_path, "pepin", 10, 3) is None
+        assert load_matching(tmp_path, 10, 3) is None
 
     def test_present_loads(self, tmp_path):
         cp = make_checkpoint()
         save_checkpoint(cp, tmp_path)
-        assert load_matching(tmp_path, "pepin", 10, 3) == cp
+        assert load_matching(tmp_path, 10, 3) == cp
 
     def test_swapped_file_rejected(self, tmp_path):
         # a file renamed onto another chain's slot must not be trusted
         path = save_checkpoint(make_checkpoint(), tmp_path)
-        target = tmp_path / checkpoint_filename("pepin", 10, 5)
+        target = tmp_path / checkpoint_filename(10, 5)
         path.rename(target)
         with pytest.raises(CheckpointError, match="describes chain"):
-            load_matching(tmp_path, "pepin", 10, 5)
+            load_matching(tmp_path, 10, 5)
 
 
 class TestCheckpointWriter:
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            CheckpointWriter("mystery", 10, 3, tmp_path)
-        with pytest.raises(ValueError):
-            CheckpointWriter("pepin", 10, 3, tmp_path, every_squarings=0)
+            CheckpointWriter(10, 3, tmp_path, every_squarings=0)
 
     def test_squaring_cadence(self, tmp_path):
         # the n=6 half chain is 63 squarings, so the last write lands at 48
-        writer = CheckpointWriter("pepin", 6, 3, tmp_path,
+        writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=16, every_seconds=0)
         pepin_test(6, observer=writer)
         assert writer.last_index == 48
-        cp = load_matching(tmp_path, "pepin", 6, 3)
+        cp = load_matching(tmp_path, 6, 3)
         assert cp.squaring_index == 48
 
     def test_no_write_before_cadence(self, tmp_path):
-        writer = CheckpointWriter("pepin", 6, 3, tmp_path,
+        writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=1000, every_seconds=0)
         pepin_test(6, observer=writer)
         assert writer.last_index is None
         assert list(tmp_path.iterdir()) == []
 
     def test_time_cadence(self, tmp_path):
-        writer = CheckpointWriter("pepin", 6, 3, tmp_path,
+        writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=10 ** 9,
                                   every_seconds=1e-9)
         pepin_test(6, observer=writer)
         assert writer.last_index is not None
 
     def test_stop_after_pauses_and_persists(self, tmp_path):
-        writer = CheckpointWriter("pepin", 8, 3, tmp_path,
+        writer = CheckpointWriter(8, 3, tmp_path,
                                   every_squarings=10 ** 9, every_seconds=0,
                                   stop_after=100)
         with pytest.raises(ChainPaused) as exc:
             pepin_test(8, observer=writer)
         assert exc.value.index == 100
-        cp = load_matching(tmp_path, "pepin", 8, 3)
+        cp = load_matching(tmp_path, 8, 3)
         assert cp.squaring_index == 100
 
     def test_resume_from_pause_matches_clean_run(self, tmp_path):
         clean_prime, clean_half = pepin_test(8)
-        writer = CheckpointWriter("pepin", 8, 3, tmp_path, stop_after=77)
+        writer = CheckpointWriter(8, 3, tmp_path, stop_after=77)
         with pytest.raises(ChainPaused):
             pepin_test(8, observer=writer)
-        cp = load_matching(tmp_path, "pepin", 8, 3)
+        cp = load_matching(tmp_path, 8, 3)
         resumed_prime, resumed_half = pepin_test(
             8, resume_index=cp.squaring_index, resume_value=cp.residue)
         assert resumed_half == clean_half
         assert resumed_prime == clean_prime
 
     def test_finished_removes_file(self, tmp_path):
-        writer = CheckpointWriter("pepin", 6, 3, tmp_path,
+        writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=16, every_seconds=0)
         pepin_test(6, observer=writer)
-        assert find_checkpoint(tmp_path, "pepin", 6, 3) is not None
+        assert find_checkpoint(tmp_path, 6, 3) is not None
         writer.finished()
-        assert find_checkpoint(tmp_path, "pepin", 6, 3) is None
+        assert find_checkpoint(tmp_path, 6, 3) is None
 
     def test_finished_tolerates_absence(self, tmp_path):
-        CheckpointWriter("pepin", 6, 3, tmp_path).finished()
+        CheckpointWriter(6, 3, tmp_path).finished()

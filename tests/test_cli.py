@@ -10,7 +10,12 @@ from conftest import run_cli, run_cli_subprocess
 
 from fermatlab import arith, primality
 from fermatlab.arith import fermat_value
-from fermatlab.checkpoint import checkpoint_filename, find_checkpoint
+from fermatlab.checkpoint import (
+    Checkpoint,
+    checkpoint_filename,
+    find_checkpoint,
+    save_checkpoint,
+)
 from fermatlab.factors import CandidateDivisor
 from fermatlab.records import strip_timing
 
@@ -92,14 +97,14 @@ class TestPepinCheckpointFlow:
         assert pdoc["record"] == "pepin-paused"
         assert pdoc["stopped_after"] == 123
         assert pdoc["total_squarings"] == 1023
-        assert find_checkpoint(tmp_path, "pepin", 10, 3) is not None
+        assert find_checkpoint(tmp_path, 10, 3) is not None
 
         resumed = run_cli("pepin", "10", "--checkpoint-dir", str(tmp_path))
         assert resumed.code == 0
         assert "resuming" in resumed.stderr
         assert strip_timing(resumed.json()) == strip_timing(clean.json())
         # success must clear the file or it would shadow the next run
-        assert find_checkpoint(tmp_path, "pepin", 10, 3) is None
+        assert find_checkpoint(tmp_path, 10, 3) is None
 
     def test_stop_at_final_squaring(self, tmp_path):
         paused = run_cli("pepin", "10", "--checkpoint-dir", str(tmp_path),
@@ -115,10 +120,10 @@ class TestPepinCheckpointFlow:
                       "--stop-after", "5000")
         assert res.code == 0
         assert res.json()["record"] == "pepin"
-        assert find_checkpoint(tmp_path, "pepin", 6, 3) is None
+        assert find_checkpoint(tmp_path, 6, 3) is None
 
     def test_corrupt_checkpoint_refused(self, tmp_path):
-        target = tmp_path / checkpoint_filename("pepin", 10, 3)
+        target = tmp_path / checkpoint_filename(10, 3)
         target.write_text("{not json", encoding="utf-8")
         res = run_cli("pepin", "10", "--checkpoint-dir", str(tmp_path))
         assert res.code == 3
@@ -128,12 +133,20 @@ class TestPepinCheckpointFlow:
     def test_tampered_residue_refused(self, tmp_path):
         run_cli("pepin", "10", "--checkpoint-dir", str(tmp_path),
                 "--stop-after", "123")
-        target = tmp_path / checkpoint_filename("pepin", 10, 3)
+        target = tmp_path / checkpoint_filename(10, 3)
         doc = json.loads(target.read_text(encoding="utf-8"))
         doc["residue"] = "1234"
         target.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli("pepin", "10",
                        "--checkpoint-dir", str(tmp_path)).code == 3
+
+    def test_index_past_half_chain_refused(self, tmp_path):
+        # the n=5 half chain is 31 squarings, so index 32 cannot be real
+        save_checkpoint(Checkpoint.capture("pepin", 5, 3, 32, 5), tmp_path)
+        res = run_cli("pepin", "5", "--checkpoint-dir", str(tmp_path))
+        assert res.code == 3
+        assert "out of range" in res.stderr
+        assert res.stdout == ""
 
 
 class TestClassifyCommand:
@@ -304,7 +317,7 @@ class TestSelftestCommand:
         doc = res.json()
         schema_validator.validate(doc)
         assert doc["passed"] is True
-        assert doc["checks_run"] == 46
+        assert doc["checks_run"] == 45
         assert doc["failures"] == []
 
     def test_deterministic_output(self):

@@ -1,5 +1,7 @@
 """Divisor search in the k*2^(n+2)+1 family and form validation."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,12 +12,10 @@ from fermatlab.factors import (
     cofactor,
     divides_fermat,
     lucas_search,
-    divisor_form_violations,
-    replace_divides,
-    search_with_transcripts,
     validate_divisor_form,
 )
 from fermatlab.oracle import naive_mod
+from fermatlab.records import factor_record
 
 
 class TestDividesFermat:
@@ -34,14 +34,6 @@ class TestDividesFermat:
             divides_fermat(1, 5)
         with pytest.raises(ValueError):
             divides_fermat(-7, 5)
-
-    def test_transcript(self):
-        transcript = []
-        assert divides_fermat(641, 5, transcript)
-        assert len(transcript) == 5
-        assert transcript[-1] == 640
-        for i, v in enumerate(transcript, start=1):
-            assert v == pow(2, 1 << i, 641)
 
     @given(st.integers(min_value=1, max_value=1 << 20),
            st.integers(min_value=0, max_value=8))
@@ -111,9 +103,9 @@ class TestValidation:
         assert validate_divisor_form(d6) is True  # 1071 = 3^2 * 7 * 17
 
     def test_synthetic_power_of_two_k_fails(self):
-        fake = replace_divides(CandidateDivisor.from_k(5, 4), True)
+        fake = replace(CandidateDivisor.from_k(5, 4), divides=True)
         assert validate_divisor_form(fake) is False
-        fake1 = replace_divides(CandidateDivisor.from_k(5, 1), True)
+        fake1 = replace(CandidateDivisor.from_k(5, 1), divides=True)
         assert validate_divisor_form(fake1) is False
 
     def test_requires_a_divisor(self):
@@ -125,15 +117,17 @@ class TestValidation:
 
     def test_form_violations_only_count_primes(self):
         genuine = lucas_search(5, 10)
-        assert divisor_form_violations(genuine) == []
-        fake_prime = CandidateDivisor(n=5, k=4, p=513, divides=True,
-                                      k_is_one_or_power_of_two=True,
-                                      prime=True)
-        assert divisor_form_violations([fake_prime]) == [fake_prime]
-        fake_composite = CandidateDivisor(n=5, k=4, p=513, divides=True,
-                                          k_is_one_or_power_of_two=True,
-                                          prime=False)
-        assert divisor_form_violations([fake_composite]) == []
+        assert factor_record(5, 10, False, genuine, 0.0)["violations"] == []
+        # 257 = 8 * 2^5 + 1 is F_3 itself: an exact divisor whose k is a
+        # power of two, which the record must flag only when called prime
+        self_divisor = CandidateDivisor.from_k(3, 8, divides=True)
+        fake_prime = replace(self_divisor, prime=True)
+        doc = factor_record(3, 8, False, [fake_prime], 0.0)
+        assert [v["k"] for v in doc["violations"]] == [8]
+        assert doc["found"][0]["divisor_form_valid"] is False
+        fake_composite = replace(self_divisor, prime=False)
+        doc = factor_record(3, 8, False, [fake_composite], 0.0)
+        assert doc["violations"] == []
 
 
 class TestCofactor:
@@ -148,16 +142,6 @@ class TestCofactor:
         assert d.p * cofactor(d) == fermat_value(6)
 
     def test_bogus_divisor_caught(self):
-        fake = replace_divides(CandidateDivisor.from_k(5, 3), True)
+        fake = replace(CandidateDivisor.from_k(5, 3), divides=True)
         with pytest.raises(NotADivisorError):
             cofactor(fake)
-
-
-class TestTranscripts:
-    def test_search_with_transcripts(self):
-        results = search_with_transcripts(5, 10)
-        assert len(results) == 1
-        d, transcript = results[0]
-        assert d.p == 641
-        assert len(transcript) == 5
-        assert transcript[-1] == d.p - 1

@@ -7,11 +7,7 @@ import pytest
 from fermatlab import oracle, primality
 from fermatlab.arith import fermat_value, mod_square_chain, reduce_fold
 from fermatlab.errors import BaseNotCoprimeError
-from fermatlab.orders import (
-    euler_phi_prime_power,
-    order_alpha,
-    order_in_prime_power,
-)
+from fermatlab.orders import order_alpha
 
 
 @pytest.fixture(autouse=True)
@@ -93,38 +89,3 @@ class TestOrderAlpha:
             assert r.bound_satisfied is True
             report.append(r.alpha)
         assert all(a <= 30 for a in report)
-
-
-class TestEulerPhi:
-    def test_fixtures(self):
-        assert euler_phi_prime_power(3, 1) == 2
-        assert euler_phi_prime_power(641, 1) == 640
-        assert euler_phi_prime_power(3, 2) == 6
-        assert euler_phi_prime_power(6700417, 1) == 6700416
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            euler_phi_prime_power(2, 1)  # even
-        with pytest.raises(ValueError):
-            euler_phi_prime_power(1, 1)  # unit
-        with pytest.raises(ValueError):
-            euler_phi_prime_power(9, 1)  # odd composite, caught exactly
-        with pytest.raises(ValueError):
-            euler_phi_prime_power(3, 0)
-
-
-class TestPrimePowerOrders:
-    def test_known_orders(self):
-        assert order_in_prime_power(2, 641, 1) == 64
-        assert order_in_prime_power(3, 17, 1) == 16
-        assert order_in_prime_power(2, 3, 2) == 6
-
-    def test_divides_phi(self):
-        for base in (2, 3, 5, 7):
-            order = order_in_prime_power(base, 641, 1)
-            assert 640 % order == 0
-            assert pow(base, order, 641) == 1
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError):
-            order_in_prime_power(3, 3, 2)

@@ -306,6 +306,22 @@ class TestRealAudits:
         assert report.all_passed
         assert len(report.rows) == 9
 
+    def test_one_chain_per_row(self, monkeypatch):
+        # the base-3 row decides primality for the other bases of its n,
+        # so no row pays for a second chain
+        counts = []
+        real = primality.mod_square_chain
+
+        def counting(a, count, observer=None):
+            counts.append(count)
+            return real(a, count, observer)
+
+        monkeypatch.setattr(primality, "mod_square_chain", counting)
+        report = audit_range(range(5, 8), [2, 3, 5])
+        assert sum(counts) == 3 * ((1 << 5) + (1 << 6) + (1 << 7))
+        assert [(row.n, row.base) for row in report.rows] \
+            == [(n, b) for n in range(5, 8) for b in (2, 3, 5)]
+
     def test_non_coprime_base_becomes_gcd_row(self):
         report = audit_range([5], [641])
         row = report.rows[0]

@@ -14,7 +14,7 @@ def test_battery_passes():
 
 def test_check_count_is_pinned():
     # a changed count means checks were added or lost; both deserve a look
-    assert run_selftest().checks_run == 46
+    assert run_selftest().checks_run == 45
 
 
 def test_deterministic_across_runs():
