@@ -10,10 +10,15 @@ with this module on purpose.
 Exponents of interest here are all powers of two, so they are never
 materialised as integers: callers pass a squaring count instead
 (mod_square_chain).  (F_n - 1)/4 is "2^n - 2 squarings", not a number.
+
+From n = FFT_MIN_INDEX on, chains square by the negacyclic FFT of
+_fft.py when numpy imports; below it, without numpy, and whenever that
+backend's roundoff guard fails, the integer multiply here runs.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -23,9 +28,16 @@ from .errors import IndexOutOfRangeError, ModulusMismatchError
 DEFAULT_MAX_INDEX = 24
 MAX_INDEX_ENV = "FERMAT_LAB_MAX_N"
 
-# Called after each squaring with (number of squarings done, raw residue
-# value); this is the checkpoint/progress hook.
-Observer = Callable[[int, int], None]
+# Called after each squaring with (number of squarings done, a
+# zero-argument callable returning the raw residue value); this is the
+# checkpoint/progress hook.  The value is a callable so that a chain held
+# as FFT digits converts it only for the observers that read it.
+Observer = Callable[[int, Callable[[], int]], None]
+
+# Smallest index whose chains run on the FFT backend: per squaring it
+# took 0.69x the time of the integer multiply at n=14 and 1.3x at n=13,
+# and its share falls as n grows (table in CHANGES.md).
+FFT_MIN_INDEX = 14
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
@@ -175,6 +187,18 @@ def mod_mul(a: FermatResidue, b: FermatResidue) -> FermatResidue:
     return FermatResidue(a.n, _mulmod(a.value, b.value, width, top, top - 1))
 
 
+@functools.cache
+def _fft_backend():
+    """The FFT squaring module, or None when numpy is not installed."""
+    try:
+        from . import _fft
+    except ModuleNotFoundError as err:
+        if err.name != "numpy":
+            raise
+        return None
+    return _fft
+
+
 def mod_square_chain(a: FermatResidue, count: int,
                      observer: Optional[Observer] = None) -> FermatResidue:
     """a^(2^count) mod F_n by `count` successive squarings.
@@ -183,10 +207,15 @@ def mod_square_chain(a: FermatResidue, count: int,
     congruence exponent F_n - 1 is 2^n squarings, the Pepin exponent
     (F_n - 1)/2 is 2^n - 1, the quarter exponent (F_n - 1)/4 is 2^n - 2.
     The observer, when supplied, is invoked after each squaring with the
-    squaring index (1-based) and the raw residue value.
+    squaring index (1-based) and a callable returning the raw residue value.
     """
     if count < 0:
         raise ValueError(f"squaring count must be >= 0, got {count}")
+    if a.n >= FFT_MIN_INDEX:
+        fft = _fft_backend()
+        if fft is not None:
+            return FermatResidue(
+                a.n, fft.square_chain(a.value, a.n, count, observer))
     width = 1 << a.n
     top = 1 << width
     mask = top - 1
@@ -197,5 +226,5 @@ def mod_square_chain(a: FermatResidue, count: int,
     else:
         for i in range(1, count + 1):
             v = _mulmod(v, v, width, top, mask)
-            observer(i, v)
+            observer(i, v.__index__)
     return FermatResidue(a.n, v)

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .arith import check_index, from_hex, to_hex
 from .errors import CheckpointError
@@ -223,14 +223,14 @@ class CheckpointWriter:
         self.last_index: Optional[int] = None
         self._last_time = time.monotonic()
 
-    def __call__(self, index: int, value: int) -> None:
+    def __call__(self, index: int, value: Callable[[], int]) -> None:
         pause = self.stop_after is not None and index >= self.stop_after
         due = (index % self.every_squarings == 0) or pause
         if not due and self.every_seconds > 0:
             due = time.monotonic() - self._last_time >= self.every_seconds
         if not due:
             return
-        cp = Checkpoint.capture(CHAIN_KIND, self.n, self.base, index, value)
+        cp = Checkpoint.capture(CHAIN_KIND, self.n, self.base, index, value())
         self.path = save_checkpoint(cp, self.directory)
         self.last_index = index
         self._last_time = time.monotonic()

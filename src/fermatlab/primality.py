@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .arith import FermatResidue, Observer, check_index, fermat_value, \
     mod_square_chain, reduce_fold, to_hex
@@ -178,7 +178,7 @@ def pepin_test(n: int, base: int = 3,
     else:
         offset = resume_index
 
-        def shifted(i: int, value: int) -> None:
+        def shifted(i: int, value: Callable[[], int]) -> None:
             observer(i + offset, value)
 
     half = mod_square_chain(start, total - resume_index, shifted)

@@ -173,7 +173,7 @@ class TestSquareChain:
     def test_observer_sees_every_step(self):
         seen = []
         a = reduce_fold(3, 3)
-        final = mod_square_chain(a, 6, lambda i, v: seen.append((i, v)))
+        final = mod_square_chain(a, 6, lambda i, v: seen.append((i, v())))
         assert [i for i, _ in seen] == [1, 2, 3, 4, 5, 6]
         assert seen[-1][1] == final.value
         m = fermat_value(3)

@@ -6,7 +6,7 @@ import os
 import jsonschema
 import pytest
 
-from conftest import run_cli, run_cli_subprocess
+from conftest import SELFTEST_CHECKS, run_cli, run_cli_subprocess
 
 from fermatlab import arith, primality
 from fermatlab.arith import fermat_value
@@ -317,7 +317,7 @@ class TestSelftestCommand:
         doc = res.json()
         schema_validator.validate(doc)
         assert doc["passed"] is True
-        assert doc["checks_run"] == 45
+        assert doc["checks_run"] == SELFTEST_CHECKS
         assert doc["failures"] == []
 
     def test_deterministic_output(self):

@@ -1,0 +1,170 @@
+"""The FFT squaring backend against the integer multiply it stands in for.
+
+The integer loop of arith (`_mulmod`) is the reference: every chain the
+FFT backend runs must give the same residues, at every step, also when
+the roundoff guard fires and the squaring is redone on integers.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, strategies as st
+
+from conftest import run_cli
+
+from fermatlab import arith
+from fermatlab.arith import FermatResidue, _mulmod, mod_square_chain
+from fermatlab.records import strip_timing
+
+np = pytest.importorskip("numpy")
+from fermatlab import _fft  # noqa: E402
+
+
+def int_chain(value: int, n: int, count: int) -> int:
+    width = 1 << n
+    top = 1 << width
+    for _ in range(count):
+        value = _mulmod(value, value, width, top, top - 1)
+    return value
+
+
+def edge_or_any(n: int):
+    """Residues of F_n, with 0, 1, 2, 2^N - 1 and 2^N (= -1) drawn often."""
+    top = 1 << (1 << n)
+    return st.one_of(st.sampled_from([0, 1, 2, top - 1, top]),
+                     st.integers(min_value=0, max_value=top))
+
+
+class TestDigitConversion:
+    @given(st.data())
+    def test_round_trip(self, data):
+        n = data.draw(st.integers(min_value=_fft.MIN_INDEX, max_value=16))
+        value = data.draw(edge_or_any(n))
+        plan = _fft._plan(n)
+        digits = _fft.to_digits(value, plan)
+        assert len(digits) == (1 << n) // _fft.DIGIT_BITS
+        assert np.abs(digits).max() <= (1 << 15) + 1
+        assert _fft.to_int(digits, plan) == value
+
+
+class TestAgainstIntegerChain:
+    @given(st.data())
+    def test_chains_match(self, data):
+        n = data.draw(st.integers(min_value=_fft.MIN_INDEX, max_value=16))
+        value = data.draw(edge_or_any(n))
+        count = data.draw(st.integers(min_value=0, max_value=24))
+        before = _fft.fallbacks
+        assert _fft.square_chain(value, n, count) == int_chain(value, n, count)
+        # real residues stay far below the roundoff limit
+        assert _fft.fallbacks == before
+
+    def test_observer_values_are_snapshots(self):
+        # each callable returns its own step's residue, even when called
+        # after the chain has moved on
+        seen = []
+        final = _fft.square_chain(3, 10, 12, lambda i, v: seen.append((i, v)))
+        assert [i for i, _ in seen] == list(range(1, 13))
+        assert [v() for _, v in seen] \
+            == [int_chain(3, 10, i) for i in range(1, 13)]
+        assert final == seen[-1][1]()
+
+    def test_index_below_minimum_refused(self):
+        with pytest.raises(ValueError):
+            _fft.square_chain(3, _fft.MIN_INDEX - 1, 1)
+
+    def test_backend_follows_the_index(self, monkeypatch):
+        calls = []
+        real = _fft.square_chain
+
+        def spy(value, n, count, observer=None):
+            calls.append(n)
+            return real(value, n, count, observer)
+
+        monkeypatch.setattr(_fft, "square_chain", spy)
+        for n in (arith.FFT_MIN_INDEX - 1, arith.FFT_MIN_INDEX):
+            got = mod_square_chain(FermatResidue(n, 3), 3).value
+            assert got == int_chain(3, n, 3)
+        assert calls == [arith.FFT_MIN_INDEX]
+
+
+def _half_off(product):
+    product[0] += 0.5
+
+
+def _nan(product):
+    product[3] = np.nan
+
+
+def _ripple(product):
+    # integral, so the roundoff test passes; the carry then runs along
+    # every digit and round the negacyclic wrap, past any pass limit
+    product[:] = (1 << 15) - 1
+    product[0] = 1 << 15
+
+
+class TestRoundoffGuard:
+    N = 10  # 64 digits: a carry ripple outlasts MAX_CARRY_PASSES
+    COUNT = 20
+
+    @pytest.mark.parametrize("fault", [_half_off, _nan, _ripple],
+                             ids=["roundoff-0.5", "nan", "carry-unsettled"])
+    @pytest.mark.parametrize("steps", [{7}, {1, 2, 13, 20}],
+                             ids=["one-step", "four-steps"])
+    def test_faulty_steps_are_redone_on_integers(self, monkeypatch, fault,
+                                                 steps):
+        assert _fft.MAX_CARRY_PASSES < 1 << (self.N - 4)
+        real = _fft._transform
+        calls = [0]
+
+        def faulty(digits, plan):
+            calls[0] += 1
+            product = real(digits, plan)
+            if calls[0] in steps:
+                fault(product)
+            return product
+
+        monkeypatch.setattr(_fft, "_transform", faulty)
+        before = _fft.fallbacks
+        got = _fft.square_chain(3, self.N, self.COUNT)
+        assert got == int_chain(3, self.N, self.COUNT)
+        assert _fft.fallbacks - before == len(steps)
+
+
+# Run a CLI command in a fresh interpreter, then report on stderr whether
+# numpy was loaded; a first argument of "block" makes numpy unimportable.
+_PROBE = """\
+import sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from fermatlab.cli import main
+code = main(sys.argv[2:]) if len(sys.argv) > 2 else 0
+print("numpy loaded:", sys.modules.get("numpy") is not None,
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def probe(mode: str, *args: str) -> subprocess.CompletedProcess:
+    proc = subprocess.run([sys.executable, "-c", _PROBE, mode, *args],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+class TestImportHygiene:
+    @pytest.mark.parametrize("args", [(), ("classify", "12", "--base", "7"),
+                                      ("order", "12", "--base", "5")],
+                             ids=["import", "classify-12", "order-12"])
+    def test_below_crossover_numpy_stays_unloaded(self, args):
+        proc = probe("allow", *args)
+        assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+
+    def test_pepin_without_numpy_gives_the_same_record(self):
+        blocked = probe("block", "pepin", "14")
+        assert blocked.stderr.splitlines()[-1] == "numpy loaded: False"
+        with_numpy = run_cli("pepin", "14")
+        assert with_numpy.code == 0
+        assert strip_timing(with_numpy.json()) \
+            == strip_timing(json.loads(blocked.stdout))

@@ -2,8 +2,10 @@
 
 Each case runs one command line and compares the sha256 of its record,
 timing removed and serialised as the CLI prints it, with a value taken
-from the implementation before the chain engine was unified.  A change
-in any verdict, residue, count or field order shows here.
+from the implementation before the chain engine was unified; the n = 14
+and 15 cases, which now run on the FFT backend, were taken before it
+existed, on the integer multiply.  A change in any verdict, residue,
+count or field order shows here.
 """
 
 import hashlib
@@ -62,12 +64,21 @@ GOLDEN = {
         "1eedc6405db8ef3dfcca400cc6a474881d7ff574766088f4c63abd9c7e1de172",
     "order 9 --base 11":
         "8845fdd3c26f3339be80e9d106619356425018d5fddc94ebcf784c25ca9da158",
+    "pepin 14":
+        "172c3e2b24532f95739a03b4d13b905068c6d12d93e7637485b81450d1047631",
+    "classify 14 --base 7":
+        "0f4878262494bcbdbe4458333db7e8582e4b6e806f51739ce5f491a9574544c1",
+    "order 14 --base 5":
+        "7a97a5a8212b7bb9a71c1e7733818e21fef5fcf277ea6e94da294143110b3328",
 }
 
 # `pepin 8` paused after squaring 100, then resumed from its checkpoint;
 # the paused record holds a temporary path and is not pinned
 PEPIN_RESUMED = \
     "e0eb3b65c7420f84525e5c30813fd09430cc65450712b230e74cedc2538161b8"
+# the same for `pepin 15` paused after squaring 5000
+PEPIN_15_RESUMED = \
+    "e779be0fe2944a029e0efe5df69b4a5163cd02c8cd9e92d1ed7c0b350ae7415c"
 
 
 @pytest.fixture(autouse=True)
@@ -90,10 +101,17 @@ def test_record_matches_golden(command):
     assert record_digest(*command.split()) == GOLDEN[command]
 
 
-def test_resumed_pepin_matches_golden(tmp_path):
-    paused = run_cli("pepin", "8", "--checkpoint-dir", str(tmp_path),
-                     "--stop-after", "100")
+def resumed_digest(directory, n: int, stop: int) -> str:
+    paused = run_cli("pepin", str(n), "--checkpoint-dir", str(directory),
+                     "--stop-after", str(stop))
     assert paused.code == 0
     assert paused.json()["record"] == "pepin-paused"
-    assert record_digest("pepin", "8", "--checkpoint-dir",
-                         str(tmp_path)) == PEPIN_RESUMED
+    return record_digest("pepin", str(n), "--checkpoint-dir", str(directory))
+
+
+def test_resumed_pepin_matches_golden(tmp_path):
+    assert resumed_digest(tmp_path, 8, 100) == PEPIN_RESUMED
+
+
+def test_resumed_large_pepin_matches_golden(tmp_path):
+    assert resumed_digest(tmp_path, 15, 5000) == PEPIN_15_RESUMED

@@ -89,7 +89,7 @@ class TestPepin:
         captured = {}
 
         def keep(i, v):
-            captured[i] = v
+            captured[i] = v()
 
         _, full = pepin_test(8, 3, observer=keep)
         cut = 100
@@ -99,7 +99,7 @@ class TestPepin:
 
     def test_resume_observer_uses_global_indices(self):
         captured = {}
-        pepin_test(6, 3, observer=lambda i, v: captured.setdefault(i, v))
+        pepin_test(6, 3, observer=lambda i, v: captured.setdefault(i, v()))
         seen = []
         pepin_test(6, 3, resume_index=20, resume_value=captured[20],
                    observer=lambda i, v: seen.append(i))

@@ -1,5 +1,7 @@
 """The deterministic cross-check battery must pass and stay stable."""
 
+from conftest import SELFTEST_CHECKS
+
 from fermatlab import primality
 from fermatlab.selftest import SELFTEST_SEED, run_selftest
 
@@ -14,7 +16,7 @@ def test_battery_passes():
 
 def test_check_count_is_pinned():
     # a changed count means checks were added or lost; both deserve a look
-    assert run_selftest().checks_run == 45
+    assert run_selftest().checks_run == SELFTEST_CHECKS
 
 
 def test_deterministic_across_runs():
