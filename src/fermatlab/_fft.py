@@ -41,7 +41,10 @@ from .arith import Observer, _mulmod
 DIGIT_BITS = 16
 # N = 32 bits is two digits, the shortest right-angle transform (length 1)
 MIN_INDEX = 5
+# real chains stay below 3e-3 up to n = 24
 MAX_ROUNDOFF = 0.35
+# a real product settles in 3 or 4 passes; past 8 the carry is rippling
+# along the digits
 MAX_CARRY_PASSES = 8
 
 # Squarings redone by the integer multiply because the guard failed,
