@@ -22,21 +22,23 @@ exceeding it), or the carry does not settle within MAX_CARRY_PASSES,
 the squaring is redone from the previous digits by the integer multiply
 of arith and counted in `fallbacks`.
 
-The chain stays in the digit domain and converts to an int only at its
-end and when an observer asks for a value; both conversions go through
-int.to_bytes / int.from_bytes and are linear in N.  numpy is imported
-here, and this module only on the first chain that uses it.
+`kernel` gives arith.mod_square_chain the (load, square, read) triple
+it loops over: the chain stays in the digit domain and converts to an
+int only at its end and when an observer asks for a value; both
+conversions go through int.to_bytes / int.from_bytes and are linear in
+N.  numpy is imported here, and this module only on the first chain
+that uses it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import partial
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-from .arith import Observer, _mulmod
+from .arith import Kernel, _mulmod
 
 DIGIT_BITS = 16
 # N = 32 bits is two digits, the shortest right-angle transform (length 1)
@@ -65,22 +67,15 @@ class _Plan:
     unweight: np.ndarray
 
 
-_PLANS: Dict[int, _Plan] = {}
-
-
+@functools.cache
 def _plan(n: int) -> _Plan:
-    plan = _PLANS.get(n)
-    if plan is None:
-        if n < MIN_INDEX:
-            raise ValueError(
-                f"the FFT backend needs n >= {MIN_INDEX}, got {n}")
-        width = 1 << n
-        digits = width // DIGIT_BITS
-        angle = np.arange(digits // 2) * (np.pi / digits)
-        plan = _PLANS[n] = _Plan(width=width, top=1 << width, digits=digits,
-                                 weight=np.exp(1j * angle),
-                                 unweight=np.exp(-1j * angle))
-    return plan
+    if n < MIN_INDEX:
+        raise ValueError(f"the FFT backend needs n >= {MIN_INDEX}, got {n}")
+    width = 1 << n
+    digits = width // DIGIT_BITS
+    angle = np.arange(digits // 2) * (np.pi / digits)
+    return _Plan(width=width, top=1 << width, digits=digits,
+                 weight=np.exp(1j * angle), unweight=np.exp(-1j * angle))
 
 
 def to_digits(value: int, plan: _Plan) -> np.ndarray:
@@ -152,17 +147,9 @@ def _square(digits: np.ndarray, plan: _Plan) -> np.ndarray:
                              plan.top - 1), plan)
 
 
-def square_chain(value: int, n: int, count: int,
-                 observer: Optional[Observer] = None) -> int:
-    """value^(2^count) mod F_n for value in [0, 2^N], by `count` squarings.
-
-    The observer is called after each squaring with the 1-based index
-    and a zero-argument callable returning that step's residue value.
-    """
+def kernel(n: int) -> Kernel:
+    """(load, square, read) for chains modulo F_n held as balanced digits."""
     plan = _plan(n)
-    digits = to_digits(value, plan)
-    for i in range(1, count + 1):
-        digits = _square(digits, plan)
-        if observer is not None:
-            observer(i, partial(to_int, digits, plan))
-    return to_int(digits, plan)
+    return (functools.partial(to_digits, plan=plan),
+            functools.partial(_square, plan=plan),
+            functools.partial(to_int, plan=plan))

@@ -11,9 +11,10 @@ Exponents of interest here are all powers of two, so they are never
 materialised as integers: callers pass a squaring count instead
 (mod_square_chain).  (F_n - 1)/4 is "2^n - 2 squarings", not a number.
 
-From n = FFT_MIN_INDEX on, chains square by the negacyclic FFT of
-_fft.py when numpy imports; below it, without numpy, and whenever that
-backend's roundoff guard fails, the integer multiply here runs.
+mod_square_chain is the one loop that squares modulo F_n.  It drives a
+kernel: from n = FFT_MIN_INDEX on, the negacyclic FFT of _fft.py when
+numpy imports; below it, without numpy, and whenever that backend's
+roundoff guard fails, the integer multiply here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from .errors import IndexOutOfRangeError, ModulusMismatchError
 
@@ -33,6 +34,11 @@ MAX_INDEX_ENV = "FERMAT_LAB_MAX_N"
 # checkpoint/progress hook.  The value is a callable so that a chain held
 # as FFT digits converts it only for the observers that read it.
 Observer = Callable[[int, Callable[[], int]], None]
+
+# (load, square, read) of one squaring backend for one index: int to
+# chain state, state to its square mod F_n, state to the int residue.
+Kernel = Tuple[Callable[[int], Any], Callable[[Any], Any],
+               Callable[[Any], int]]
 
 # Smallest index whose chains run on the FFT backend: per squaring it
 # took 0.69x the time of the integer multiply at n=14 and 1.3x at n=13,
@@ -199,6 +205,19 @@ def _fft_backend():
     return _fft
 
 
+def _kernel(n: int) -> Kernel:
+    """The FFT kernel from FFT_MIN_INDEX when numpy imports, else the
+    integer multiply on plain ints."""
+    if n >= FFT_MIN_INDEX:
+        fft = _fft_backend()
+        if fft is not None:
+            return fft.kernel(n)
+    width = 1 << n
+    top = 1 << width
+    mask = top - 1
+    return int, lambda v: _mulmod(v, v, width, top, mask), int
+
+
 def mod_square_chain(a: FermatResidue, count: int,
                      observer: Optional[Observer] = None) -> FermatResidue:
     """a^(2^count) mod F_n by `count` successive squarings.
@@ -211,20 +230,10 @@ def mod_square_chain(a: FermatResidue, count: int,
     """
     if count < 0:
         raise ValueError(f"squaring count must be >= 0, got {count}")
-    if a.n >= FFT_MIN_INDEX:
-        fft = _fft_backend()
-        if fft is not None:
-            return FermatResidue(
-                a.n, fft.square_chain(a.value, a.n, count, observer))
-    width = 1 << a.n
-    top = 1 << width
-    mask = top - 1
-    v = a.value
-    if observer is None:
-        for _ in range(count):
-            v = _mulmod(v, v, width, top, mask)
-    else:
-        for i in range(1, count + 1):
-            v = _mulmod(v, v, width, top, mask)
-            observer(i, v.__index__)
-    return FermatResidue(a.n, v)
+    load, square, read = _kernel(a.n)
+    x = load(a.value)
+    for i in range(1, count + 1):
+        x = square(x)
+        if observer is not None:
+            observer(i, functools.partial(read, x))
+    return FermatResidue(a.n, read(x))

@@ -33,7 +33,7 @@ from .checkpoint import (
     CheckpointWriter,
     load_matching,
 )
-from .errors import CheckpointError, FermatLabError, TheoremViolationError
+from .errors import CheckpointError, FermatLabError
 from .factors import lucas_search
 from .orders import order_alpha
 from .primality import (
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="indices to audit (default 5..8)")
     p.add_argument("--bases", type=_parse_bases, default=None,
                    metavar="B1,B2,...",
-                   help="bases to audit (default: 2 plus first 50 primes)")
+                   help="bases to audit (default: first 50 primes)")
     p.add_argument("--report", metavar="PATH",
                    help="also write the JSON record to this file")
     p.set_defaults(func=cmd_audit)
@@ -338,11 +338,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CheckpointError as err:
         _log(f"checkpoint problem: {err}")
         return EXIT_CORRUPT_CHECKPOINT
-    except TheoremViolationError as err:
-        _log(f"congruence violation: {err}")
-        for key, value in err.transcript.items():
-            _log(f"  {key}: {value}")
-        return EXIT_THEOREM_VIOLATION
     except (FermatLabError, ValueError) as err:
         _log(str(err))
         return EXIT_USAGE

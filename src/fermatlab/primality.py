@@ -355,8 +355,8 @@ def first_primes(count: int) -> List[int]:
 
 
 def default_audit_bases() -> List[int]:
-    """Default audit base set: 2 together with the first 50 primes."""
-    return sorted({2, *first_primes(50)})
+    """Default audit base set: the first 50 primes, 2 to 229."""
+    return first_primes(50)
 
 
 @dataclass(frozen=True, slots=True)

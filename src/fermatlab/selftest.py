@@ -7,10 +7,12 @@ attributes (arith.reduce_fold, not a local alias) on purpose: corrupting
 one of those functions at runtime must make the battery fail, which is
 itself tested.
 
-Scope is deliberately small (n <= 8, a few hundred random cases): this
-is a smoke screen for broken arithmetic, not the full property suite in
-tests/.  The FFT backend is checked below its crossover, at n = 5..8, by
-calling it directly; without numpy that group has no checks to run.
+Scope is deliberately small (n <= 8 and a few hundred random cases,
+plus a few chains at n = arith.FFT_MIN_INDEX): this is a smoke screen
+for broken arithmetic, not the full property suite in tests/.  The
+chains at the crossover go through mod_square_chain like every real
+chain, so they check the FFT kernel when numpy imports and the integer
+multiply when it does not; the battery runs the same checks either way.
 """
 
 from __future__ import annotations
@@ -117,30 +119,24 @@ def _check_square_chains(rng: random.Random) -> List[oracle.OracleReport]:
     return out
 
 
-def _check_fft_chains(rng: random.Random) -> List[oracle.OracleReport]:
-    fft = arith._fft_backend()
-    if fft is None:
-        return []
+def _check_crossover_chains(rng: random.Random
+                            ) -> List[oracle.OracleReport]:
     out = []
-    for n in range(5, 9):
-        m = arith.fermat_value(n)
-        half = (1 << n) - 1
-        got = fft.square_chain(3, n, half)
-        out.append(_report("fft-chain-vs-pow", f"n={n} base=3 count={half}",
-                           oracle.naive_pow(3, (m - 1) // 2, m), got))
-        top = m - 1
-        for value in [0, 1, 2, top - 1, top,
-                      *(rng.randrange(top + 1) for _ in range(10))]:
-            for count in (0, rng.randrange(1, 40)):
-                got = fft.square_chain(value, n, count)
-                want = arith.mod_square_chain(arith.FermatResidue(n, value),
-                                              count).value
-                if got != want:
-                    out.append(_report("fft-chain-vs-int",
-                                       f"n={n} x={value:#x} count={count}",
-                                       want, got))
-        out.append(_report("fft-chain-vs-int", f"n={n} sweep complete",
-                           True, True))
+    n = arith.FFT_MIN_INDEX
+    m = arith.fermat_value(n)
+    top = m - 1
+    for value in [0, 1, 2, top - 1, top,
+                  *(rng.randrange(top + 1) for _ in range(10))]:
+        for count in (0, rng.randrange(1, 40)):
+            got = arith.mod_square_chain(arith.FermatResidue(n, value),
+                                         count).value
+            want = oracle.naive_pow(value, 1 << count, m)
+            if got != want:
+                out.append(_report("crossover-chain-vs-pow",
+                                   f"n={n} x={value:#x} count={count}",
+                                   want, got))
+    out.append(_report("crossover-chain-vs-pow", f"n={n} sweep complete",
+                       True, True))
     return out
 
 
@@ -254,7 +250,7 @@ def run_selftest() -> SelftestResult:
         ("oracle-self-consistency",
          lambda: _check_oracle_self_consistency(rng)),
         ("square-chains", lambda: _check_square_chains(rng)),
-        ("fft-chains", lambda: _check_fft_chains(rng)),
+        ("crossover-chains", lambda: _check_crossover_chains(rng)),
         ("pepin-verdicts", _check_pepin_verdicts),
         ("quarter-and-congruence", _check_quarter_and_congruence),
         ("orders", _check_orders),

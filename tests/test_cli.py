@@ -347,6 +347,16 @@ class TestSelftestCommand:
         monkeypatch.setattr(arith, "_mulmod", off_by_one)
         assert run_cli("selftest").code == 1
 
+    def test_broken_fft_to_int_is_caught(self, monkeypatch):
+        fft = pytest.importorskip("fermatlab._fft")
+        real = fft.to_int
+
+        def off_by_one(digits, plan):
+            return (real(digits, plan) + 1) % (plan.top + 1)
+
+        monkeypatch.setattr(fft, "to_int", off_by_one)
+        assert run_cli("selftest").code == 1
+
     def test_healthy_again_after_mutation_tests(self):
         assert run_cli("selftest").code == 0
 

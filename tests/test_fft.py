@@ -1,8 +1,11 @@
-"""The FFT squaring backend against the integer multiply it stands in for.
+"""The FFT squaring kernel against the integer multiply it stands in for.
 
-The integer loop of arith (`_mulmod`) is the reference: every chain the
-FFT backend runs must give the same residues, at every step, also when
-the roundoff guard fires and the squaring is redone on integers.
+The integer kernel of arith (`_mulmod`) is the reference: every chain
+run on the FFT kernel must give the same residues, at every step, also
+when the roundoff guard fires and the squaring is redone on integers.
+Chains below the crossover go through `mod_square_chain` with
+`arith.FFT_MIN_INDEX` lowered to the kernel's own minimum, so they run
+the production loop.
 """
 
 import json
@@ -12,7 +15,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import run_cli
+from conftest import SELFTEST_CHECKS, run_cli
 
 from fermatlab import arith
 from fermatlab.arith import FermatResidue, _mulmod, mod_square_chain
@@ -28,6 +31,14 @@ def int_chain(value: int, n: int, count: int) -> int:
     for _ in range(count):
         value = _mulmod(value, value, width, top, top - 1)
     return value
+
+
+def fft_chain(value: int, n: int, count: int, observer=None) -> int:
+    """mod_square_chain on the FFT kernel, also below the crossover."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arith, "FFT_MIN_INDEX", _fft.MIN_INDEX)
+        return mod_square_chain(FermatResidue(n, value), count,
+                                observer).value
 
 
 def edge_or_any(n: int):
@@ -56,7 +67,7 @@ class TestAgainstIntegerChain:
         value = data.draw(edge_or_any(n))
         count = data.draw(st.integers(min_value=0, max_value=24))
         before = _fft.fallbacks
-        assert _fft.square_chain(value, n, count) == int_chain(value, n, count)
+        assert fft_chain(value, n, count) == int_chain(value, n, count)
         # real residues stay far below the roundoff limit
         assert _fft.fallbacks == before
 
@@ -64,7 +75,7 @@ class TestAgainstIntegerChain:
         # each callable returns its own step's residue, even when called
         # after the chain has moved on
         seen = []
-        final = _fft.square_chain(3, 10, 12, lambda i, v: seen.append((i, v)))
+        final = fft_chain(3, 10, 12, lambda i, v: seen.append((i, v)))
         assert [i for i, _ in seen] == list(range(1, 13))
         assert [v() for _, v in seen] \
             == [int_chain(3, 10, i) for i in range(1, 13)]
@@ -72,17 +83,17 @@ class TestAgainstIntegerChain:
 
     def test_index_below_minimum_refused(self):
         with pytest.raises(ValueError):
-            _fft.square_chain(3, _fft.MIN_INDEX - 1, 1)
+            _fft.kernel(_fft.MIN_INDEX - 1)
 
     def test_backend_follows_the_index(self, monkeypatch):
         calls = []
-        real = _fft.square_chain
+        real = _fft.kernel
 
-        def spy(value, n, count, observer=None):
+        def spy(n):
             calls.append(n)
-            return real(value, n, count, observer)
+            return real(n)
 
-        monkeypatch.setattr(_fft, "square_chain", spy)
+        monkeypatch.setattr(_fft, "kernel", spy)
         for n in (arith.FFT_MIN_INDEX - 1, arith.FFT_MIN_INDEX):
             got = mod_square_chain(FermatResidue(n, 3), 3).value
             assert got == int_chain(3, n, 3)
@@ -127,7 +138,7 @@ class TestRoundoffGuard:
 
         monkeypatch.setattr(_fft, "_transform", faulty)
         before = _fft.fallbacks
-        got = _fft.square_chain(3, self.N, self.COUNT)
+        got = fft_chain(3, self.N, self.COUNT)
         assert got == int_chain(3, self.N, self.COUNT)
         assert _fft.fallbacks - before == len(steps)
 
@@ -168,3 +179,10 @@ class TestImportHygiene:
         assert with_numpy.code == 0
         assert strip_timing(with_numpy.json()) \
             == strip_timing(json.loads(blocked.stdout))
+
+    def test_selftest_runs_the_same_checks_without_numpy(self):
+        blocked = probe("block", "selftest")
+        assert blocked.stderr.splitlines()[-1] == "numpy loaded: False"
+        with_numpy = run_cli("selftest").json()
+        assert json.loads(blocked.stdout)["checks_run"] \
+            == with_numpy["checks_run"] == SELFTEST_CHECKS
