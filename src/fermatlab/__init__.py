@@ -28,7 +28,6 @@ from .errors import (
     ModulusMismatchError,
     NonAdmissibleBaseError,
     NotADivisorError,
-    TheoremViolationError,
 )
 from .factors import (
     CandidateDivisor,
@@ -45,7 +44,6 @@ from .primality import (
     QuarterTag,
     Verdict,
     audit_range,
-    classify,
     classify_report,
     default_audit_bases,
     fermat_congruence,
@@ -74,10 +72,8 @@ __all__ = [
     "PEPIN_ADMISSIBLE_BASES",
     "QuarterClass",
     "QuarterTag",
-    "TheoremViolationError",
     "Verdict",
     "audit_range",
-    "classify",
     "classify_report",
     "cofactor",
     "default_audit_bases",

@@ -30,15 +30,16 @@ DEFAULT_MAX_INDEX = 24
 MAX_INDEX_ENV = "FERMAT_LAB_MAX_N"
 
 # Called after each squaring with (number of squarings done, a
-# zero-argument callable returning the raw residue value); this is the
-# checkpoint/progress hook.  The value is a callable so that a chain held
-# as FFT digits converts it only for the observers that read it.
-Observer = Callable[[int, Callable[[], int]], None]
+# StepValue: call it for the raw residue value, or ask is_one()); this is
+# the checkpoint/progress hook.  The value is an object so that a chain
+# held as FFT digits converts it only for the observers that read it.
+Observer = Callable[[int, "StepValue"], None]
 
-# (load, square, read) of one squaring backend for one index: int to
-# chain state, state to its square mod F_n, state to the int residue.
+# (load, square, read, is_one) of one squaring backend for one index: int
+# to chain state, state to its square mod F_n, state to the int residue,
+# and whether the state is the residue 1.
 Kernel = Tuple[Callable[[int], Any], Callable[[Any], Any],
-               Callable[[Any], int]]
+               Callable[[Any], int], Callable[[Any], bool]]
 
 # Smallest index whose chains run on the FFT backend: per squaring it
 # took 0.69x the time of the integer multiply at n=14 and 1.3x at n=13,
@@ -215,7 +216,31 @@ def _kernel(n: int) -> Kernel:
     width = 1 << n
     top = 1 << width
     mask = top - 1
-    return int, lambda v: _mulmod(v, v, width, top, mask), int
+    return (int, lambda v: _mulmod(v, v, width, top, mask), int,
+            lambda v: v == 1)
+
+
+class StepValue:
+    """The residue after one squaring, as a chain observer receives it.
+
+    Calling it returns the residue as an int, a snapshot of that step;
+    is_one() tests it for 1 in the kernel's own representation, which on
+    the FFT kernel avoids converting the digits.
+    """
+
+    __slots__ = ("_state", "_read", "_is_one")
+
+    def __init__(self, state: Any, read: Callable[[Any], int],
+                 is_one: Callable[[Any], bool]):
+        self._state = state
+        self._read = read
+        self._is_one = is_one
+
+    def __call__(self) -> int:
+        return self._read(self._state)
+
+    def is_one(self) -> bool:
+        return self._is_one(self._state)
 
 
 def mod_square_chain(a: FermatResidue, count: int,
@@ -226,14 +251,14 @@ def mod_square_chain(a: FermatResidue, count: int,
     congruence exponent F_n - 1 is 2^n squarings, the Pepin exponent
     (F_n - 1)/2 is 2^n - 1, the quarter exponent (F_n - 1)/4 is 2^n - 2.
     The observer, when supplied, is invoked after each squaring with the
-    squaring index (1-based) and a callable returning the raw residue value.
+    squaring index (1-based) and that step's StepValue.
     """
     if count < 0:
         raise ValueError(f"squaring count must be >= 0, got {count}")
-    load, square, read = _kernel(a.n)
+    load, square, read, is_one = _kernel(a.n)
     x = load(a.value)
     for i in range(1, count + 1):
         x = square(x)
         if observer is not None:
-            observer(i, functools.partial(read, x))
+            observer(i, StepValue(x, read, is_one))
     return FermatResidue(a.n, read(x))

@@ -1,6 +1,6 @@
 """Resumable squaring-chain state, persisted as small JSON files.
 
-A checkpoint captures (chain kind, n, base, squaring index, residue)
+A checkpoint captures (n, base, squaring index, residue) of a chain
 plus a truncated-sha256 digest of exactly those payload fields, so a
 torn or hand-edited file is rejected on load rather than silently
 resuming from garbage.  Writes go to a temp file in the same directory
@@ -8,7 +8,7 @@ followed by an atomic rename; there is never a moment where the real
 filename holds a partial file.
 
 Only the half-residue chain of the pepin command is checkpointed, so
-chain_kind is always "pepin".  One file per (n, base): the filename
+every file's chain_kind is CHAIN_KIND.  One file per (n, base): the filename
 bakes in the kind and index directly and an 8-hex-digit hash of the
 base, so concurrent runs on different chains never collide.
 """
@@ -46,7 +46,6 @@ def checkpoint_filename(n: int, base: int) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Checkpoint:
-    chain_kind: str
     n: int
     base: int
     squaring_index: int
@@ -55,18 +54,18 @@ class Checkpoint:
     format_version: int = CHECKPOINT_FORMAT_VERSION
 
     @classmethod
-    def capture(cls, kind: str, n: int, base: int, index: int,
+    def capture(cls, n: int, base: int, index: int,
                 residue: int) -> "Checkpoint":
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-        return cls(chain_kind=kind, n=n, base=base, squaring_index=index,
-                   residue=residue, created_at=stamp)
+        return cls(n=n, base=base, squaring_index=index, residue=residue,
+                   created_at=stamp)
 
     def to_json(self) -> str:
         base_hex = to_hex(self.base)
         residue_hex = to_hex(self.residue)
         doc = {
             "format_version": self.format_version,
-            "chain_kind": self.chain_kind,
+            "chain_kind": CHAIN_KIND,
             "n": self.n,
             "base": base_hex,
             "squaring_index": self.squaring_index,
@@ -156,9 +155,8 @@ def load_checkpoint(path: Path) -> Checkpoint:
             f"checkpoint {path} digest mismatch: file says {digest}, "
             f"payload hashes to {expected}")
     created = field("created_at", str)
-    return Checkpoint(chain_kind=kind, n=n, base=base, squaring_index=index,
-                      residue=residue, created_at=created,
-                      format_version=version)
+    return Checkpoint(n=n, base=base, squaring_index=index, residue=residue,
+                      created_at=created, format_version=version)
 
 
 def find_checkpoint(directory: Path, n: int, base: int) -> Optional[Path]:
@@ -200,14 +198,18 @@ class ChainPaused(Exception):
 class CheckpointWriter:
     """Chain observer that persists state on a squarings/seconds cadence.
 
-    Pass as the observer of a squaring chain.  Writes happen every
-    `every_squarings` steps or `every_seconds` seconds, whichever comes
-    first, and always at `stop_after` (followed by a ChainPaused raise).
+    Pass as the observer of a squaring chain that starts at squaring
+    `start_index` of the half-residue chain (the index of the checkpoint
+    it resumes from, else 0); the indices it writes and compares are
+    global.  Writes happen every `every_squarings` steps or
+    `every_seconds` seconds, whichever comes first, and always at
+    `stop_after` (followed by a ChainPaused raise).
     Call finished() after a completed chain to remove the file; a stale
     checkpoint of a finished run would otherwise shadow future runs.
     """
 
     def __init__(self, n: int, base: int, directory: Path,
+                 start_index: int = 0,
                  every_squarings: int = DEFAULT_EVERY_SQUARINGS,
                  every_seconds: float = DEFAULT_EVERY_SECONDS,
                  stop_after: Optional[int] = None):
@@ -216,6 +218,7 @@ class CheckpointWriter:
         self.n = n
         self.base = base
         self.directory = Path(directory)
+        self.start_index = start_index
         self.every_squarings = every_squarings
         self.every_seconds = every_seconds
         self.stop_after = stop_after
@@ -224,13 +227,14 @@ class CheckpointWriter:
         self._last_time = time.monotonic()
 
     def __call__(self, index: int, value: Callable[[], int]) -> None:
+        index += self.start_index
         pause = self.stop_after is not None and index >= self.stop_after
         due = (index % self.every_squarings == 0) or pause
         if not due and self.every_seconds > 0:
             due = time.monotonic() - self._last_time >= self.every_seconds
         if not due:
             return
-        cp = Checkpoint.capture(CHAIN_KIND, self.n, self.base, index, value())
+        cp = Checkpoint.capture(self.n, self.base, index, value())
         self.path = save_checkpoint(cp, self.directory)
         self.last_index = index
         self._last_time = time.monotonic()

@@ -38,7 +38,6 @@ from .factors import lucas_search
 from .orders import order_alpha
 from .primality import (
     PEPIN_ADMISSIBLE_BASES,
-    applicable_rules,
     audit_range,
     classify_report,
     default_audit_bases,
@@ -112,7 +111,7 @@ def cmd_pepin(args: argparse.Namespace) -> int:
             _log(f"resuming n={args.n} base={args.base} from squaring "
                  f"{resume_index} (checkpoint of {cp.created_at})")
         writer = CheckpointWriter(
-            args.n, args.base, directory,
+            args.n, args.base, directory, start_index=resume_index,
             every_squarings=args.checkpoint_every,
             every_seconds=args.checkpoint_seconds,
             stop_after=args.stop_after)
@@ -139,13 +138,11 @@ def cmd_pepin(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    verdict, violations = classify_report(args.n, args.base)
+    verdict = classify_report(args.n, args.base)
     elapsed = time.perf_counter() - t0
-    _emit(records.classify_record(verdict,
-                                  applicable_rules(args.n, args.base),
-                                  violations, elapsed), args.format)
-    if violations:
-        _log(f"{len(violations)} congruence rule(s) FAILED; "
+    _emit(records.classify_record(verdict, elapsed), args.format)
+    if verdict.violations:
+        _log(f"{len(verdict.violations)} congruence rule(s) FAILED; "
              "this should be impossible, please preserve the output")
         return EXIT_THEOREM_VIOLATION
     return EXIT_OK
@@ -157,8 +154,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     bases = args.bases if args.bases is not None else default_audit_bases()
     report = audit_range(range(lo, hi + 1), bases)
     elapsed = time.perf_counter() - t0
-    doc = records.audit_record(report, [lo, hi], bases, applicable_rules,
-                               elapsed)
+    doc = records.audit_record(report, [lo, hi], bases, elapsed)
     if args.report is not None:
         Path(args.report).write_text(records.dump(doc), encoding="utf-8")
         _log(f"report written to {args.report}")

@@ -37,20 +37,6 @@ class BaseNotCoprimeError(FermatLabError, ValueError):
         self.gcd = gcd
 
 
-class TheoremViolationError(FermatLabError):
-    """A congruence law the library treats as ground truth failed to hold.
-
-    This cannot fire on correct arithmetic; if it does, either the arithmetic
-    is broken or something genuinely remarkable happened, and the transcript
-    carries every residue needed to reproduce the event.
-    """
-
-    def __init__(self, message: str, violations, transcript):
-        super().__init__(message)
-        self.violations = tuple(violations)
-        self.transcript = dict(transcript)
-
-
 class CheckpointError(FermatLabError):
     """Checkpoint file is unreadable, tampered with, or inconsistent."""
 

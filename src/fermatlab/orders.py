@@ -15,9 +15,9 @@ so sweeps can assert it across a whole range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from .arith import mod_square_chain
+from .arith import StepValue, mod_square_chain
 from .primality import fermat_is_prime, require_coprime
 
 ORDER_BOUND_SLACK = 2  # composite + congruence: alpha <= 2^n - 2
@@ -59,8 +59,8 @@ class _ReachedOne(Exception):
         self.index = index
 
 
-def _stop_at_one(index: int, value: Callable[[], int]) -> None:
-    if value() == 1:
+def _stop_at_one(index: int, value: StepValue) -> None:
+    if value.is_one():
         raise _ReachedOne(index)
 
 
@@ -75,7 +75,8 @@ def order_alpha(n: int, base: int) -> OrderResult:
     start = require_coprime(n, base)
     limit = 1 << n
     try:
-        _stop_at_one(0, start.value.__index__)
+        if start.is_one:
+            raise _ReachedOne(0)
         mod_square_chain(start, limit, _stop_at_one)
     except _ReachedOne as hit:
         return OrderResult(n=n, base=base, alpha=hit.index,

@@ -13,8 +13,9 @@ composite and the full residue is 1.  For n >= 5 the quarter residue is
 constrained: on a composite F_n the full residue can be 1 only if the
 quarter residue already is, a quarter residue of -1 forces primality,
 and for base 3 the quarter residue decides pseudoprimality outright and
-is never -1.  classify() checks all of that on every call and treats a
-counterexample as an event to report loudly, not to swallow.
+is never -1.  classify_report() checks all of that on every call and
+returns each rule's outcome with the verdict; a failed rule is a
+counterexample, which the CLI reports loudly (exit 4), never swallows.
 """
 
 from __future__ import annotations
@@ -22,17 +23,20 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .arith import FermatResidue, Observer, check_index, fermat_value, \
-    mod_square_chain, reduce_fold, to_hex
+    mod_square_chain, reduce_fold
 from .errors import BaseNotCoprimeError, IndexBelowTwoError, \
-    NonAdmissibleBaseError, TheoremViolationError
+    NonAdmissibleBaseError
 
 # Bases for which the half-residue test decides primality.  Known good
 # bases; there is no general criterion here, hence an allowlist with an
 # explicit override for experiments.
 PEPIN_ADMISSIBLE_BASES = frozenset({3, 5, 10})
+
+# The base whose half residue decides primality in every verdict.
+PEPIN_BASE = 3
 
 AUDIT_MIN_INDEX = 5
 
@@ -68,33 +72,42 @@ class Classification(enum.Enum):
 
 
 @dataclass(frozen=True, slots=True)
+class RuleOutcome:
+    """One quarter-residue rule checked on a verdict, named by its key.
+
+    detail says what went wrong, and is set only when the rule failed.
+    """
+
+    rule: str
+    passed: bool
+    detail: Optional[str] = None
+
+
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Everything one classify run learned about (F_n, base).
 
     pepin_prime always comes from a base-3 half residue; base 2 in
     particular proves nothing about primality (2^((F_n-1)/2) never
     lands on -1 for n >= 2), so the requested base only ever supplies
-    the pseudoprimality side.
+    the pseudoprimality side.  rules holds the outcome of every rule
+    that applies to (n, base), in check order.
     """
 
     n: int
     base: int
     pepin_prime: bool
-    pepin_base: int
     fermat_congruence_holds: bool
     quarter: QuarterClass
     half_residue: FermatResidue
     fermat_residue: FermatResidue
     classification: Classification
     squarings: int
+    rules: Tuple[RuleOutcome, ...]
 
-
-@dataclass(frozen=True, slots=True)
-class Violation:
-    """One failed congruence constraint, named by its rule key."""
-
-    rule: str
-    detail: str
+    @property
+    def violations(self) -> Tuple[RuleOutcome, ...]:
+        return tuple(r for r in self.rules if not r.passed)
 
 
 def require_coprime(n: int, base: int) -> FermatResidue:
@@ -149,9 +162,9 @@ def pepin_test(n: int, base: int = 3,
     Valid for n >= 2 with base in PEPIN_ADMISSIBLE_BASES; other bases
     are rejected unless allow_any_base is set, because for them the
     equivalence with primality is not established (and for base 2 it is
-    plainly false).  The observer is the checkpoint hook: it sees the
-    global squaring index even on resumed runs, and resume_index /
-    resume_value restart the chain from a saved point.
+    plainly false).  resume_index / resume_value restart the chain from
+    a saved point.  The observer is the checkpoint hook; it sees the
+    indices of the chain run here, which starts at resume_index.
     """
     check_index(n)
     if n < 2:
@@ -172,16 +185,7 @@ def pepin_test(n: int, base: int = 3,
         if resume_value is None:
             raise ValueError("resume_value required when resume_index > 0")
         start = FermatResidue(n, resume_value)
-
-    if observer is None or resume_index == 0:
-        shifted = observer
-    else:
-        offset = resume_index
-
-        def shifted(i: int, value: Callable[[], int]) -> None:
-            observer(i + offset, value)
-
-    half = mod_square_chain(start, total - resume_index, shifted)
+    half = mod_square_chain(start, total - resume_index, observer)
     return half.is_minus_one, half
 
 
@@ -196,7 +200,7 @@ def fermat_is_prime(n: int) -> bool:
     check_index(n)
     cached = _PRIME_CACHE.get(n)
     if cached is None:
-        cached, _ = pepin_test(n, 3)
+        cached, _ = pepin_test(n, PEPIN_BASE)
         _PRIME_CACHE[n] = cached
     return cached
 
@@ -221,20 +225,9 @@ def fermat_congruence(n: int, base: int) -> bool:
     return taps.full.is_one
 
 
-def applicable_rules(n: int, base: int) -> List[str]:
-    """Rule keys _audit_rules would evaluate for this (n, base)."""
-    if n < AUDIT_MIN_INDEX:
-        return []
-    rules = ["pseudoprime-quarter-one", "quarter-minus-one-implies-prime"]
-    if base == 3:
-        rules += ["base3-quarter-not-minus-one",
-                  "base3-pseudoprime-iff-quarter-one"]
-    return rules
-
-
 def _audit_rules(n: int, base: int, pepin_prime: bool, congruence: bool,
-                 quarter: QuarterClass) -> List[Violation]:
-    """Check the n >= 5 quarter-residue constraints; return failures.
+                 quarter: QuarterClass) -> Tuple[RuleOutcome, ...]:
+    """Check the n >= 5 quarter-residue rules that apply to (n, base).
 
     Rule keys, in check order:
       pseudoprime-quarter-one         congruence on composite F_n forces
@@ -244,45 +237,44 @@ def _audit_rules(n: int, base: int, pepin_prime: bool, congruence: bool,
       base3-pseudoprime-iff-quarter-one
                                       base 3: quarter residue 1 holds
                                       exactly on pseudoprime F_n
-    Any entry in the returned list would be a genuine counterexample to
-    the theory this library implements.
+    Below n = 5 no rule applies.  A failed outcome would be a genuine
+    counterexample to the theory this library implements.
     """
     if n < AUDIT_MIN_INDEX:
-        return []
-    out: List[Violation] = []
+        return ()
     pseudo = congruence and not pepin_prime
-    if pseudo and quarter.tag is not QuarterTag.PLUS_ONE:
-        out.append(Violation(
-            "pseudoprime-quarter-one",
-            f"F_{n} pseudoprime to base {base} but quarter residue is "
-            f"{quarter.tag.value} (expected 1)"))
-    if quarter.tag is QuarterTag.MINUS_ONE and not pepin_prime:
-        out.append(Violation(
-            "quarter-minus-one-implies-prime",
-            f"quarter residue of base {base} is -1 yet F_{n} is composite"))
+    one = quarter.tag is QuarterTag.PLUS_ONE
+    minus_one = quarter.tag is QuarterTag.MINUS_ONE
+    # (rule key, whether it holds, what a failure means)
+    checks = [
+        ("pseudoprime-quarter-one", one or not pseudo,
+         f"F_{n} pseudoprime to base {base} but quarter residue is "
+         f"{quarter.tag.value} (expected 1)"),
+        ("quarter-minus-one-implies-prime", pepin_prime or not minus_one,
+         f"quarter residue of base {base} is -1 yet F_{n} is composite"),
+    ]
     if base == 3:
-        if quarter.tag is QuarterTag.MINUS_ONE:
-            out.append(Violation(
-                "base3-quarter-not-minus-one",
-                f"3^((F_{n}-1)/4) = -1 should never happen for n >= 5"))
-        if (quarter.tag is QuarterTag.PLUS_ONE) != pseudo:
-            out.append(Violation(
-                "base3-pseudoprime-iff-quarter-one",
-                f"base-3 quarter residue tag {quarter.tag.value} "
-                f"disagrees with pseudoprime={pseudo} at n={n}"))
-    return out
+        checks += [
+            ("base3-quarter-not-minus-one", not minus_one,
+             f"3^((F_{n}-1)/4) = -1 should never happen for n >= 5"),
+            ("base3-pseudoprime-iff-quarter-one", one == pseudo,
+             f"base-3 quarter residue tag {quarter.tag.value} "
+             f"disagrees with pseudoprime={pseudo} at n={n}"),
+        ]
+    return tuple(RuleOutcome(rule, passed, None if passed else detail)
+                 for rule, passed, detail in checks)
 
 
-def classify_report(n: int, base: int) -> Tuple[Verdict, List[Violation]]:
-    """classify(), but returning violations instead of raising.
+def classify_report(n: int, base: int) -> Verdict:
+    """Full verdict for (F_n, base), with the outcome of every rule.
 
-    The audit front end wants every row even when a row fails; the
-    plain classify() entry point below is for callers who treat a
-    violation as the exceptional event it is.
+    A failed rule is returned, not raised: the audit front end wants
+    every row even when one fails, and the CLI turns any failure into
+    exit 4 with the whole record printed.
     """
     taps = chain_taps(n, base)
     squarings = 1 << n
-    if base == 3:
+    if base == PEPIN_BASE:
         # the requested chain is the primality chain; reuse its half tap
         pepin_prime = taps.half.is_minus_one
         _PRIME_CACHE.setdefault(n, pepin_prime)
@@ -297,48 +289,18 @@ def classify_report(n: int, base: int) -> Tuple[Verdict, List[Violation]]:
         classification = Classification.PSEUDOPRIME_TO_BASE
     else:
         classification = Classification.COMPOSITE_NON_PSEUDOPRIME
-    verdict = Verdict(
+    return Verdict(
         n=n,
         base=base,
         pepin_prime=pepin_prime,
-        pepin_base=3,
         fermat_congruence_holds=congruence,
         quarter=quarter,
         half_residue=taps.half,
         fermat_residue=taps.full,
         classification=classification,
         squarings=squarings,
+        rules=_audit_rules(n, base, pepin_prime, congruence, quarter),
     )
-    violations = _audit_rules(n, base, pepin_prime, congruence, quarter)
-    return verdict, violations
-
-
-def verdict_transcript(verdict: Verdict) -> Dict[str, str]:
-    """Residue transcript of a verdict, for violation reports."""
-    return {
-        "n": str(verdict.n),
-        "base": to_hex(verdict.base),
-        "quarter_residue": verdict.quarter.residue.to_hex(),
-        "half_residue": verdict.half_residue.to_hex(),
-        "fermat_residue": verdict.fermat_residue.to_hex(),
-    }
-
-
-def classify(n: int, base: int) -> Verdict:
-    """Full verdict for (F_n, base); raises if a congruence rule fails.
-
-    A raise from here means the run produced a counterexample to a
-    proved statement: either the arithmetic is broken or something very
-    surprising happened.  The error carries the rule names and the full
-    residue transcript so the event can be reproduced and inspected.
-    """
-    verdict, violations = classify_report(n, base)
-    if violations:
-        raise TheoremViolationError(
-            f"{len(violations)} congruence rule(s) failed for n={n} "
-            f"base={base}: " + ", ".join(v.rule for v in violations),
-            violations, verdict_transcript(verdict))
-    return verdict
 
 
 def first_primes(count: int) -> List[int]:
@@ -368,7 +330,6 @@ class AuditRow:
     coprime: bool
     gcd: Optional[int] = None
     verdict: Optional[Verdict] = None
-    violations: Tuple[Violation, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -376,8 +337,9 @@ class AuditReport:
     rows: Tuple[AuditRow, ...]
 
     @property
-    def violations(self) -> Tuple[Violation, ...]:
-        return tuple(v for row in self.rows for v in row.violations)
+    def violations(self) -> Tuple[RuleOutcome, ...]:
+        return tuple(v for row in self.rows if row.verdict is not None
+                     for v in row.verdict.violations)
 
     @property
     def all_passed(self) -> bool:
@@ -394,7 +356,7 @@ def audit_range(n_values, bases) -> AuditReport:
     rows: List[AuditRow] = []
     # Base 3's chain also decides primality; running it first fills the
     # prime cache that every other base of the same n reads.
-    order = sorted(dict.fromkeys(bases), key=lambda base: base != 3)
+    order = sorted(dict.fromkeys(bases), key=lambda base: base != PEPIN_BASE)
     for n in n_values:
         _require_quarter_index(n)
         by_base = {base: _audit_row(n, base) for base in order}
@@ -404,8 +366,7 @@ def audit_range(n_values, bases) -> AuditReport:
 
 def _audit_row(n: int, base: int) -> AuditRow:
     try:
-        verdict, violations = classify_report(n, base)
+        verdict = classify_report(n, base)
     except BaseNotCoprimeError as err:
         return AuditRow(n=n, base=base, coprime=False, gcd=err.gcd)
-    return AuditRow(n=n, base=base, coprime=True, verdict=verdict,
-                    violations=tuple(violations))
+    return AuditRow(n=n, base=base, coprime=True, verdict=verdict)

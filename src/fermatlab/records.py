@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from .arith import to_hex
 from .factors import CandidateDivisor, cofactor, validate_divisor_form
 from .orders import OrderResult
 from .oracle import OracleReport
-from .primality import AuditReport, QuarterClass, Verdict, Violation
+from .primality import PEPIN_BASE, AuditReport, QuarterClass, \
+    RuleOutcome, Verdict
 
 RECORD_FORMAT_VERSION = 1
 LIBRARY_VERSION = "0.1.0"
@@ -48,14 +49,12 @@ def _quarter(q: QuarterClass) -> Dict[str, object]:
     return {"tag": q.tag.value, "residue": q.residue.to_hex()}
 
 
-def _rules(applicable: List[str], violations: List[Violation]
-           ) -> List[Dict[str, object]]:
-    failed = {v.rule: v.detail for v in violations}
+def _rules(rules: Sequence[RuleOutcome]) -> List[Dict[str, object]]:
     out: List[Dict[str, object]] = []
-    for rule in applicable:
-        entry: Dict[str, object] = {"rule": rule, "passed": rule not in failed}
-        if rule in failed:
-            entry["detail"] = failed[rule]
+    for r in rules:
+        entry: Dict[str, object] = {"rule": r.rule, "passed": r.passed}
+        if not r.passed:
+            entry["detail"] = r.detail
         out.append(entry)
     return out
 
@@ -90,21 +89,19 @@ def paused_record(n: int, base: int, stopped_after: int,
     return doc
 
 
-def classify_record(verdict: Verdict, applicable: List[str],
-                    violations: List[Violation],
-                    elapsed: float) -> Dict[str, object]:
+def classify_record(verdict: Verdict, elapsed: float) -> Dict[str, object]:
     doc = _envelope("classify")
     doc.update({
         "n": verdict.n,
         "base": to_hex(verdict.base),
-        "pepin_base": to_hex(verdict.pepin_base),
+        "pepin_base": to_hex(PEPIN_BASE),
         "pepin_prime": verdict.pepin_prime,
         "fermat_congruence_holds": verdict.fermat_congruence_holds,
         "quarter": _quarter(verdict.quarter),
         "half_residue": verdict.half_residue.to_hex(),
         "fermat_residue": verdict.fermat_residue.to_hex(),
         "classification": verdict.classification.value,
-        "audit_rules": _rules(applicable, violations),
+        "audit_rules": _rules(verdict.rules),
         "squarings": verdict.squarings,
         "elapsed_seconds": elapsed,
     })
@@ -112,7 +109,7 @@ def classify_record(verdict: Verdict, applicable: List[str],
 
 
 def audit_record(report: AuditReport, n_range: List[int], bases: List[int],
-                 rules_for, elapsed: float) -> Dict[str, object]:
+                 elapsed: float) -> Dict[str, object]:
     rows: List[Dict[str, object]] = []
     for row in report.rows:
         if not row.coprime:
@@ -132,8 +129,7 @@ def audit_record(report: AuditReport, n_range: List[int], bases: List[int],
             "fermat_congruence_holds": v.fermat_congruence_holds,
             "pepin_prime": v.pepin_prime,
             "classification": v.classification.value,
-            "rules": _rules(rules_for(row.n, row.base),
-                            list(row.violations)),
+            "rules": _rules(v.rules),
         })
     doc = _envelope("audit")
     doc.update({

@@ -237,9 +237,12 @@ def _check_classify() -> List[oracle.OracleReport]:
         (2, 3, primality.Classification.PRIME),
     ]
     for n, base, want in fixtures:
-        verdict = primality.classify(n, base)
+        verdict = primality.classify_report(n, base)
+        # a failed rule is a counterexample, so it fails the check too
+        failed = [r.rule for r in verdict.violations]
         out.append(_report("classification", f"n={n} base={base}",
-                           want.value, verdict.classification.value))
+                           (want.value, []),
+                           (verdict.classification.value, failed)))
     return out
 
 
@@ -259,8 +262,8 @@ def run_selftest() -> SelftestResult:
     ]
     reports: List[oracle.OracleReport] = []
     for name, run in groups:
-        # broken arithmetic can also surface as an exception (a violation
-        # report, a range error); that is a failure, not a crash
+        # broken arithmetic can also surface as an exception (a range
+        # error); that is a failure, not a crash
         try:
             reports.extend(run())
         except Exception as err:

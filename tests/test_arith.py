@@ -171,14 +171,17 @@ class TestSquareChain:
             mod_square_chain(FermatResidue(2, 3), -1)
 
     def test_observer_sees_every_step(self):
+        # 3 has order 2^8 mod F_3, so the chain reaches 1 at step 8
         seen = []
         a = reduce_fold(3, 3)
-        final = mod_square_chain(a, 6, lambda i, v: seen.append((i, v())))
-        assert [i for i, _ in seen] == [1, 2, 3, 4, 5, 6]
+        final = mod_square_chain(
+            a, 9, lambda i, v: seen.append((i, v(), v.is_one())))
+        assert [i for i, _, _ in seen] == list(range(1, 10))
         assert seen[-1][1] == final.value
         m = fermat_value(3)
-        for i, v in seen:
+        for i, v, one in seen:
             assert v == oracle.naive_pow(3, 1 << i, m)
+            assert one == (i >= 8)
 
     @given(st.data())
     def test_chain_composition(self, data):

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from fermatlab import checkpoint
 from fermatlab.arith import fermat_value, to_hex
 from fermatlab.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
@@ -23,7 +24,7 @@ from fermatlab.primality import pepin_test
 
 
 def make_checkpoint(index=100, residue=12345):
-    return Checkpoint.capture("pepin", 10, 3, index, residue)
+    return Checkpoint.capture(10, 3, index, residue)
 
 
 def write_doc(tmp_path, doc, name="pepin_n10_bdeadbeef.ckpt.json"):
@@ -230,6 +231,22 @@ class TestCheckpointWriter:
                                   every_seconds=1e-9)
         pepin_test(6, observer=writer)
         assert writer.last_index is not None
+
+    def test_resume_observer_uses_global_indices(self, tmp_path,
+                                                 monkeypatch):
+        captured = {}
+        pepin_test(6, 3, observer=lambda i, v: captured.setdefault(i, v()))
+        saved = []
+        monkeypatch.setattr(checkpoint, "save_checkpoint",
+                            lambda cp, directory: saved.append(cp))
+        writer = CheckpointWriter(6, 3, tmp_path, start_index=20,
+                                  every_squarings=1, every_seconds=0)
+        pepin_test(6, 3, resume_index=20, resume_value=captured[20],
+                   observer=writer)
+        seen = [cp.squaring_index for cp in saved]
+        total = (1 << 6) - 1
+        assert seen == list(range(21, total + 1))
+        assert [cp.residue for cp in saved] == [captured[i] for i in seen]
 
     def test_stop_after_pauses_and_persists(self, tmp_path):
         writer = CheckpointWriter(8, 3, tmp_path,

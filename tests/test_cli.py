@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: records, exit codes, checkpoint flows."""
 
+import dataclasses
 import json
 import os
 
@@ -106,6 +107,16 @@ class TestPepinCheckpointFlow:
         # success must clear the file or it would shadow the next run
         assert find_checkpoint(tmp_path, 10, 3) is None
 
+    def test_second_pause_counts_from_the_checkpoint(self, tmp_path):
+        # a resumed run's stop index and checkpoint are global
+        ck = ("--checkpoint-dir", str(tmp_path))
+        run_cli("pepin", "10", *ck, "--stop-after", "123")
+        second = run_cli("pepin", "10", *ck, "--stop-after", "400")
+        assert second.json()["stopped_after"] == 400
+        resumed = run_cli("pepin", "10", *ck)
+        assert strip_timing(resumed.json()) \
+            == strip_timing(run_cli("pepin", "10").json())
+
     def test_stop_at_final_squaring(self, tmp_path):
         paused = run_cli("pepin", "10", "--checkpoint-dir", str(tmp_path),
                          "--stop-after", "1023")
@@ -142,7 +153,7 @@ class TestPepinCheckpointFlow:
 
     def test_index_past_half_chain_refused(self, tmp_path):
         # the n=5 half chain is 31 squarings, so index 32 cannot be real
-        save_checkpoint(Checkpoint.capture("pepin", 5, 3, 32, 5), tmp_path)
+        save_checkpoint(Checkpoint.capture(5, 3, 32, 5), tmp_path)
         res = run_cli("pepin", "5", "--checkpoint-dir", str(tmp_path))
         assert res.code == 3
         assert "out of range" in res.stderr
@@ -179,16 +190,21 @@ class TestClassifyCommand:
 
     def test_synthetic_violation_exits_4(self, monkeypatch,
                                          schema_validator):
-        rule = primality.applicable_rules(5, 3)[0]
-        fake = [primality.Violation(rule=rule, detail="synthetic")]
-        monkeypatch.setattr(primality, "_audit_rules",
-                            lambda *a, **k: list(fake))
+        real = primality._audit_rules
+
+        def first_fails(*args):
+            first, *rest = real(*args)
+            return (dataclasses.replace(first, passed=False,
+                                        detail="synthetic"), *rest)
+
+        monkeypatch.setattr(primality, "_audit_rules", first_fails)
         res = run_cli("classify", "5")
         assert res.code == 4
         doc = res.json()
         schema_validator.validate(doc)
+        assert len(doc["audit_rules"]) == 4
         flagged = [r for r in doc["audit_rules"] if not r["passed"]]
-        assert [r["rule"] for r in flagged] == [rule]
+        assert [r["rule"] for r in flagged] == ["pseudoprime-quarter-one"]
         assert flagged[0]["detail"] == "synthetic"
         assert "FAILED" in res.stderr
 

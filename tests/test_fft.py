@@ -81,6 +81,33 @@ class TestAgainstIntegerChain:
             == [int_chain(3, 10, i) for i in range(1, 13)]
         assert final == seen[-1][1]()
 
+    @given(st.data())
+    def test_is_one_matches_the_value(self, data):
+        # 2 and -1 reach 1 within n + 1 squarings, and 1 stays there
+        n = data.draw(st.integers(min_value=_fft.MIN_INDEX, max_value=16))
+        value = data.draw(edge_or_any(n))
+        seen = []
+        fft_chain(value, n, n + 2,
+                  lambda i, v: seen.append((v.is_one(), v() == 1)))
+        assert all(got == want for got, want in seen)
+        load, _, _, is_one = _fft.kernel(n)
+        for v in (value, 1, (1 << 16) + 1, 1 << (1 << n)):
+            assert is_one(load(v)) == (v == 1)
+
+    def test_is_one_after_fallbacks(self, monkeypatch):
+        # every squaring is redone on integers and reloaded by to_digits
+        real = _fft._transform
+
+        def half_off(digits, plan):
+            product = real(digits, plan)
+            _half_off(product)
+            return product
+
+        monkeypatch.setattr(_fft, "_transform", half_off)
+        seen = []
+        fft_chain(2, 10, 13, lambda i, v: seen.append(v.is_one()))
+        assert seen == [i >= 11 for i in range(1, 14)]
+
     def test_index_below_minimum_refused(self):
         with pytest.raises(ValueError):
             _fft.kernel(_fft.MIN_INDEX - 1)

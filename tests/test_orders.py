@@ -89,3 +89,23 @@ class TestOrderAlpha:
             assert r.bound_satisfied is True
             report.append(r.alpha)
         assert all(a <= 30 for a in report)
+
+
+class TestNoConversionPerStep:
+    def test_fft_order_reads_one_int(self, monkeypatch):
+        # the chain tests each step for 1 on the digits; only the final
+        # residue is converted to an int
+        pytest.importorskip("numpy")
+        from fermatlab import _fft
+
+        calls = [0]
+        real = _fft.to_int
+
+        def counting(digits, plan):
+            calls[0] += 1
+            return real(digits, plan)
+
+        monkeypatch.setattr(_fft, "to_int", counting)
+        r = order_alpha(14, 5)
+        assert r.alpha is None and r.squarings_used == 1 << 14
+        assert calls[0] <= 1

@@ -9,16 +9,13 @@ from fermatlab.errors import (
     BaseNotCoprimeError,
     IndexBelowTwoError,
     NonAdmissibleBaseError,
-    TheoremViolationError,
 )
 from fermatlab.primality import (
     Classification,
     QuarterClass,
     QuarterTag,
-    applicable_rules,
     audit_range,
     chain_taps,
-    classify,
     classify_report,
     default_audit_bases,
     fermat_congruence,
@@ -96,15 +93,6 @@ class TestPepin:
         prime, resumed = pepin_test(8, 3, resume_index=cut,
                                     resume_value=captured[cut])
         assert resumed.value == full.value
-
-    def test_resume_observer_uses_global_indices(self):
-        captured = {}
-        pepin_test(6, 3, observer=lambda i, v: captured.setdefault(i, v()))
-        seen = []
-        pepin_test(6, 3, resume_index=20, resume_value=captured[20],
-                   observer=lambda i, v: seen.append(i))
-        total = (1 << 6) - 1
-        assert seen == list(range(21, total + 1))
 
     def test_resume_validation(self):
         with pytest.raises(ValueError):
@@ -190,28 +178,28 @@ class TestChainTaps:
 
 class TestClassify:
     def test_pseudoprime_to_base_two(self):
-        v = classify(5, 2)
+        v = classify_report(5, 2)
         assert v.classification is Classification.PSEUDOPRIME_TO_BASE
         assert not v.pepin_prime
         assert v.fermat_congruence_holds
         assert v.quarter.tag is QuarterTag.PLUS_ONE
-        assert v.pepin_base == 3
+        assert primality.PEPIN_BASE == 3
 
     def test_composite_non_pseudoprime_base_three(self):
-        v = classify(5, 3)
+        v = classify_report(5, 3)
         assert v.classification is Classification.COMPOSITE_NON_PSEUDOPRIME
         assert not v.fermat_congruence_holds
         assert v.quarter.tag is QuarterTag.OTHER
 
     def test_prime_cases(self):
-        v = classify(4, 3)
+        v = classify_report(4, 3)
         assert v.classification is Classification.PRIME
         assert v.quarter.tag is QuarterTag.OTHER
-        assert classify(2, 3).classification is Classification.PRIME
+        assert classify_report(2, 3).classification is Classification.PRIME
 
     def test_verdict_internal_consistency(self):
         for n, base in [(2, 3), (4, 3), (5, 2), (5, 3), (6, 2), (6, 3)]:
-            v = classify(n, base)
+            v = classify_report(n, base)
             assert (v.classification is Classification.PRIME) \
                 == v.pepin_prime
             assert (v.classification is
@@ -219,30 +207,24 @@ class TestClassify:
                 == (not v.pepin_prime and v.fermat_congruence_holds)
 
     def test_half_and_full_residues_exposed(self):
-        v = classify(5, 2)
+        v = classify_report(5, 2)
         assert v.half_residue.is_one
         assert v.fermat_residue.is_one
         m = fermat_value(5)
         assert v.half_residue.value == oracle.naive_pow(2, (m - 1) // 2, m)
 
     def test_squarings_accounting(self):
-        assert classify(5, 3).squarings == 32
-        assert classify(5, 2).squarings == 32 + 31
+        assert classify_report(5, 3).squarings == 32
+        assert classify_report(5, 2).squarings == 32 + 31
 
     def test_index_below_two(self):
         with pytest.raises(IndexBelowTwoError):
-            classify(1, 3)
+            classify_report(1, 3)
 
-    def test_violation_error_carries_transcript(self, monkeypatch):
-        boom = [primality.Violation("pseudoprime-quarter-one", "synthetic")]
-        monkeypatch.setattr(primality, "_audit_rules",
-                            lambda *a, **k: list(boom))
-        with pytest.raises(TheoremViolationError) as info:
-            classify(5, 2)
-        err = info.value
-        assert err.violations[0].rule == "pseudoprime-quarter-one"
-        assert set(err.transcript) == {
-            "n", "base", "quarter_residue", "half_residue", "fermat_residue"}
+
+
+def failed(outcomes):
+    return [r.rule for r in outcomes if not r.passed]
 
 
 class TestAuditRules:
@@ -255,24 +237,25 @@ class TestAuditRules:
     def test_below_threshold_has_no_rules(self):
         out = primality._audit_rules(
             4, 3, False, True, self._quarter(4, QuarterTag.OTHER))
-        assert out == []
-        assert applicable_rules(4, 3) == []
+        assert out == ()
 
     def test_pseudoprime_requires_quarter_one(self):
         out = primality._audit_rules(
             5, 7, False, True, self._quarter(5, QuarterTag.OTHER))
-        assert [v.rule for v in out] == ["pseudoprime-quarter-one"]
+        assert failed(out) == ["pseudoprime-quarter-one"]
+        # only a failed rule says why
+        assert [r.detail is None for r in out] == [False, True]
 
     def test_quarter_minus_one_requires_prime(self):
         out = primality._audit_rules(
             5, 7, False, False, self._quarter(5, QuarterTag.MINUS_ONE))
-        assert [v.rule for v in out] == ["quarter-minus-one-implies-prime"]
+        assert failed(out) == ["quarter-minus-one-implies-prime"]
 
     def test_base3_never_minus_one(self):
         # both sides of the iff are false here, so only two rules fire
         out = primality._audit_rules(
             5, 3, False, False, self._quarter(5, QuarterTag.MINUS_ONE))
-        assert {v.rule for v in out} == {
+        assert set(failed(out)) == {
             "base3-quarter-not-minus-one",
             "quarter-minus-one-implies-prime",
         }
@@ -280,12 +263,12 @@ class TestAuditRules:
     def test_base3_iff_violated_by_quarter_one_without_pseudoprime(self):
         out = primality._audit_rules(
             5, 3, False, False, self._quarter(5, QuarterTag.PLUS_ONE))
-        assert [v.rule for v in out] == ["base3-pseudoprime-iff-quarter-one"]
+        assert failed(out) == ["base3-pseudoprime-iff-quarter-one"]
 
     def test_base3_iff_violated_by_pseudoprime_without_quarter_one(self):
         out = primality._audit_rules(
             5, 3, False, True, self._quarter(5, QuarterTag.OTHER))
-        assert {v.rule for v in out} == {
+        assert set(failed(out)) == {
             "pseudoprime-quarter-one",
             "base3-pseudoprime-iff-quarter-one",
         }
@@ -293,11 +276,17 @@ class TestAuditRules:
     def test_consistent_inputs_pass(self):
         out = primality._audit_rules(
             5, 2, False, True, self._quarter(5, QuarterTag.PLUS_ONE))
-        assert out == []
+        assert failed(out) == []
 
     def test_applicable_rule_lists(self):
-        assert len(applicable_rules(5, 2)) == 2
-        assert len(applicable_rules(5, 3)) == 4
+        quarter = self._quarter(5, QuarterTag.OTHER)
+        both = ["pseudoprime-quarter-one", "quarter-minus-one-implies-prime"]
+        assert [r.rule for r in primality._audit_rules(
+            5, 2, False, False, quarter)] == both
+        assert [r.rule for r in primality._audit_rules(
+            5, 3, False, False, quarter)] == both + [
+                "base3-quarter-not-minus-one",
+                "base3-pseudoprime-iff-quarter-one"]
 
 
 class TestRealAudits:
@@ -334,7 +323,7 @@ class TestRealAudits:
         for row in report.rows:
             assert row.verdict.classification is Classification.PRIME
             assert row.verdict.quarter.tag is QuarterTag.OTHER
-            assert row.violations == ()
+            assert row.verdict.violations == ()
 
 
 class TestPrimeCache:
@@ -345,7 +334,7 @@ class TestPrimeCache:
 
     def test_classify_seeds_cache(self):
         primality.reset_prime_cache()
-        classify(5, 3)
+        classify_report(5, 3)
         assert primality._PRIME_CACHE[5] is False
 
 

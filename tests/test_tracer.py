@@ -1,0 +1,44 @@
+"""The benchmark's layer tracer still runs the CLI and counts squarings.
+
+clibench/tracer.py wraps `arith.mod_square_chain` as `(a, count,
+observer=None)` and passes observers `(index, value)` through; these
+runs pin that contract from the library side.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "clibench" / "tracer.py"
+
+
+def traced(tmp_path, *args):
+    """Run one CLI call under the tracer; its exit code and counts."""
+    out = tmp_path / "trace.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(TRACER), str(out), *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["exit_code"] == 0
+    return doc["counts"]
+
+
+def test_order_chain_is_counted(tmp_path):
+    counts = traced(tmp_path, "order", "14", "--base", "5")
+    assert counts["arith.squarings"] == 1 << 14
+
+
+def test_paused_and_resumed_pepin_is_counted(tmp_path):
+    ck = str(tmp_path / "ck")
+    paused = traced(tmp_path, "pepin", "8", "--checkpoint-dir", ck,
+                    "--stop-after", "5")
+    assert paused["arith.squarings"] == 5
+    resumed = traced(tmp_path, "pepin", "8", "--checkpoint-dir", ck)
+    assert resumed["arith.squarings"] == (1 << 8) - 1 - 5
