@@ -227,7 +227,7 @@ def render_text(doc: Dict[str, object]) -> str:
         for d in doc["found"]:
             lines.append(f"  k={d['k']} p={int(d['p'], 16)} "
                          f"prime={d['prime']} "
-                         f"form_valid={d['divisor_form_valid']} ")
+                         f"form_valid={d['divisor_form_valid']}")
         for v in doc["violations"]:
             lines.append(f"  VIOLATION k={v['k']}: {v['reason']}")
     elif kind == "selftest":

@@ -222,6 +222,13 @@ def _check_factors() -> List[oracle.OracleReport]:
     got6 = [(d.k, d.p) for d in found6]
     out.append(_report("divisor-search", "n=6 k_max=1100",
                        [(1071, 274177)], got6))
+    # the sieved search against every k tested by builtin pow
+    n, k_max = 9, 2000
+    plain = [k for k in range(1, k_max + 1)
+             if pow(2, 1 << n, (k << (n + 2)) + 1) == k << (n + 2)]
+    out.append(_report("divisor-search-vs-plain-scan",
+                       f"n={n} k_max={k_max}", plain,
+                       [d.k for d in factors.lucas_search(n, k_max)]))
     out.append(_report("trial-division-crosscheck", "F_5 bound=10^4",
                        641, oracle.trial_division(arith.fermat_value(5),
                                                   10 ** 4)))

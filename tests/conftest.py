@@ -25,7 +25,7 @@ settings.load_profile("fermatlab")
 
 
 # the same with and without numpy: the crossover group runs either way
-SELFTEST_CHECKS = 46
+SELFTEST_CHECKS = 47
 
 
 @dataclass(frozen=True)

@@ -397,7 +397,8 @@ class TestTextFormat:
     def test_factor(self):
         out = run_cli("factor", "5", "--k-max", "10",
                       "--format", "text").stdout
-        assert "p=641" in out
+        assert out.splitlines()[1] == \
+            "  k=5 p=641 prime=True form_valid=True"
 
 
 class TestUsageSurface:

@@ -1,10 +1,12 @@
 """Divisor search in the k*2^(n+2)+1 family and form validation."""
 
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fermatlab import factors
 from fermatlab.arith import fermat_value
 from fermatlab.errors import IndexBelowTwoError, NotADivisorError
 from fermatlab.factors import (
@@ -14,7 +16,7 @@ from fermatlab.factors import (
     lucas_search,
     validate_divisor_form,
 )
-from fermatlab.oracle import naive_mod
+from fermatlab.oracle import is_probable_prime, naive_mod, trial_division
 from fermatlab.records import factor_record
 
 
@@ -55,7 +57,8 @@ class TestLucasSearch:
         assert [(d.k, d.p) for d in found] == [(1071, 274177)]
 
     def test_prime_indices_have_no_proper_divisors(self):
-        assert lucas_search(4, 10 ** 4) == []
+        # k < 2^(16 - 6) = 1024 whatever k_max says
+        assert lucas_search(4, 10 ** 12) == []
         assert lucas_search(3, 1000) == []
         assert lucas_search(2, 1000) == []
 
@@ -77,6 +80,110 @@ class TestLucasSearch:
             lucas_search(1, 10)
         with pytest.raises(ValueError):
             lucas_search(5, 0)
+
+
+def plain_scan(n, k_max, prime_filter):
+    """Every k in turn, filtered before the divisibility test."""
+    found, limit = [], fermat_value(n)
+    for k in range(1, k_max + 1):
+        p = (k << (n + 2)) + 1
+        if p >= limit:
+            break
+        if prime_filter and p < 1 << 64 and not is_probable_prime(p):
+            continue
+        if pow(2, 1 << n, p) == p - 1:
+            found.append((k, p, is_probable_prime(p) if p < 1 << 64
+                          else None))
+    return found
+
+
+class TestSieve:
+    @given(st.integers(min_value=2, max_value=16),
+           st.integers(min_value=1, max_value=5000), st.booleans())
+    def test_matches_plain_scan(self, n, k_max, prime_filter):
+        got = [(d.k, d.p, d.prime)
+               for d in lucas_search(n, k_max, prime_filter)]
+        assert got == plain_scan(n, k_max, prime_filter)
+
+    @pytest.mark.parametrize("segment", [1, 7, 97])
+    def test_segment_boundaries(self, monkeypatch, segment):
+        monkeypatch.setattr(factors, "_SIEVE_SEGMENT", segment)
+        for n, k_max in [(5, 300), (6, 1100), (9, 1200), (12, 4000)]:
+            got = [(d.k, d.p, d.prime) for d in lucas_search(n, k_max)]
+            assert got == plain_scan(n, k_max, False)
+
+    def test_f12_prime_divisors(self):
+        assert [d.k for d in lucas_search(12, 20000, True)] \
+            == [7, 1588, 3892]
+
+    def test_composite_divisors_are_never_struck(self):
+        # products of two of the prime divisors of F_12 at k = 7, 1588
+        # and 3892 divide F_12 too, at k from 1.8e8 up: too far to scan
+        n = 12
+        roots = factors._sieve_roots(n)
+        primes = [114689, 26017793, 63766529]
+        for i, a in enumerate(primes):
+            for b in primes[i + 1:]:
+                assert divides_fermat(a * b, n)
+                k = (a * b) >> (n + 2)
+                assert (k << (n + 2)) + 1 == a * b
+                assert factors._strike(roots, k, 1) == b"\x01"
+                assert factors._strike(roots, k - 100, 201)[100] == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 12])
+    @pytest.mark.parametrize("k_lo", [1, 65537])
+    def test_struck_exactly_when_a_small_prime_divides(self, n, k_lo):
+        bound = min(1 << (n + 2), factors._SIEVE_BOUND)
+        size = 3000
+        flags = factors._strike(factors._sieve_roots(n), k_lo, size)
+        for k, survives in enumerate(flags, start=k_lo):
+            p = (k << (n + 2)) + 1
+            small = trial_division(p, bound)
+            assert survives == (small is None), (k, p, small)
+            if not survives:
+                assert small <= 1 << (n + 2) and small < p
+
+    def test_one_divisibility_test_per_survivor(self, monkeypatch):
+        calls = []
+
+        def spy(p, n):
+            calls.append(p)
+            return divides_fermat(p, n)
+        monkeypatch.setattr(factors, "divides_fermat", spy)
+        assert [d.k for d in lucas_search(9, 40000)] == [1184]
+        # an unsieved scan makes 40000 calls
+        assert len(calls) <= 40000 // 4
+
+    def test_primality_tested_on_divisors_only(self, monkeypatch):
+        calls = []
+
+        def spy(p):
+            calls.append(p)
+            return is_probable_prime(p)
+        monkeypatch.setattr(factors, "is_probable_prime", spy)
+        found = lucas_search(12, 20000, True)
+        assert calls == [d.p for d in found]
+
+    def test_prime_filter_drops_divisors_called_composite(self, monkeypatch):
+        # composite divisors of F_n lie far beyond a testable k range,
+        # so one prime divisor of F_12 is called composite instead
+        monkeypatch.setattr(factors, "is_probable_prime",
+                            lambda p: p != 26017793)
+        assert [d.k for d in lucas_search(12, 20000, True)] == [7, 3892]
+        assert [(d.k, d.prime) for d in lucas_search(12, 20000)] \
+            == [(7, True), (1588, False), (3892, True)]
+
+    def test_memory_does_not_grow_with_k_max(self):
+        lucas_search(9, 10)  # the prime table is built once, on first use
+
+        def peak(k_max):
+            tracemalloc.start()
+            try:
+                lucas_search(9, k_max)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(10 ** 6) <= 2 * peak(10 ** 5)
 
 
 class TestCandidateDivisor:

@@ -4,7 +4,8 @@ Each case runs one command line and compares the sha256 of its record,
 timing removed and serialised as the CLI prints it, with a value taken
 from the implementation before the chain engine was unified; the n = 14
 and 15 cases, which now run on the FFT backend, were taken before it
-existed, on the integer multiply.  A change in any verdict, residue,
+existed, on the integer multiply, and the n = 12 and 19 factor cases
+before the divisor search was sieved.  A change in any verdict, residue,
 count or field order shows here.
 """
 
@@ -24,6 +25,10 @@ GOLDEN = {
         "08f4873c3a56666b8061ec6fe21043c05814cbb8aa9c6a338e7d7bf0a6073a35",
     "factor 6 --k-max 1100":
         "95010fbe20a50f9163c9916448bcf007c65a426721e81c23d0f17e85c870b34d",
+    "factor 12 --k-max 20000 --prime-filter":
+        "52ec3964d7f975e1134c17294268672329e71b82b473d6a3fc4c7650895d678e",
+    "factor 19 --k-max 40000":
+        "fd99c633739a001ca7e34aaa0503908d87a5d5c3a50ba732c40910f6b13aa3dc",
     "order 5 --base 2":
         "31afa1a2b02b10b74c6a2513a66d4416ddd36e41d43f4eb8bd3827dfa7cc1e66",
     "order 5 --base 3":
