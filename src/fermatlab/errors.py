@@ -36,6 +36,10 @@ class BaseNotCoprimeError(FermatLabError, ValueError):
         super().__init__(message)
         self.gcd = gcd
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which lack the gcd
+        return type(self), (*self.args, self.gcd)
+
 
 class CheckpointError(FermatLabError):
     """Checkpoint file is unreadable, tampered with, or inconsistent."""

@@ -21,9 +21,10 @@ counterexample, which the CLI reports loudly (exit 4), never swallows.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .arith import FermatResidue, Observer, check_index, fermat_value, \
     mod_square_chain, reduce_fold
@@ -39,6 +40,16 @@ PEPIN_ADMISSIBLE_BASES = frozenset({3, 5, 10})
 PEPIN_BASE = 3
 
 AUDIT_MIN_INDEX = 5
+
+# Least estimated cost of an audit whose chains run on a process pool, in
+# squarings times bits of F_n (4^n per chain at index n).  One squaring
+# cost 1.1-1.8 ns per bit at n = 9..12 (best of 5, 2 cores), and the pool
+# 7-11 ms to import multiprocessing plus 14-20 ms to fork 2 workers, map
+# and close.  Whole `audit` processes over 50 bases, pooled vs not
+# (medians of 15 alternating runs, 2 cores): n = 10 (2^25.7) 183 vs
+# 201 ms, n = 5..10 (2^26.1) 242 vs 223 ms, n = 10..11 (2^27.7) 409 vs
+# 623 ms.  So the pool breaks even near here; n = 5..8 is 2^22.
+_POOL_MIN_COST = 1 << 26
 
 
 class QuarterTag(enum.Enum):
@@ -117,13 +128,17 @@ def require_coprime(n: int, base: int) -> FermatResidue:
     the error carries it instead of hiding it.
     """
     check_index(n)
-    if base < 0:
-        raise ValueError(f"base must be >= 0, got {base}")
+    _check_base(base)
     g = gcd(base, fermat_value(n))
     if g != 1:
         raise BaseNotCoprimeError(
             f"base {base} shares factor {g} with F_{n}", g)
     return reduce_fold(base, n)
+
+
+def _check_base(base: int) -> None:
+    if base < 0:
+        raise ValueError(f"base must be >= 0, got {base}")
 
 
 def _require_quarter_index(n: int) -> None:
@@ -273,14 +288,22 @@ def classify_report(n: int, base: int) -> Verdict:
     exit 4 with the whole record printed.
     """
     taps = chain_taps(n, base)
-    squarings = 1 << n
     if base == PEPIN_BASE:
         # the requested chain is the primality chain; reuse its half tap
         pepin_prime = taps.half.is_minus_one
         _PRIME_CACHE.setdefault(n, pepin_prime)
     else:
         pepin_prime = fermat_is_prime(n)
-        squarings += (1 << n) - 1
+    return _verdict(n, base, taps, pepin_prime)
+
+
+def _verdict(n: int, base: int, taps: ChainTaps,
+             pepin_prime: bool) -> Verdict:
+    """The verdict for (F_n, base) from its chain and F_n's primality.
+
+    squarings counts the base-3 chain that decides primality as well,
+    unless base 3 is the requested base and one chain serves both.
+    """
     quarter = QuarterClass.from_residue(taps.quarter)
     congruence = taps.full.is_one
     if pepin_prime:
@@ -289,6 +312,9 @@ def classify_report(n: int, base: int) -> Verdict:
         classification = Classification.PSEUDOPRIME_TO_BASE
     else:
         classification = Classification.COMPOSITE_NON_PSEUDOPRIME
+    squarings = 1 << n
+    if base != PEPIN_BASE:
+        squarings += (1 << n) - 1
     return Verdict(
         n=n,
         base=base,
@@ -347,26 +373,86 @@ class AuditReport:
 
 
 def audit_range(n_values, bases) -> AuditReport:
-    """Run classify_report over a grid of indices and bases.
+    """Classify every (n, base) of a grid, one chain per distinct pair.
+
+    Every n and base is checked before the first chain runs.  Each n's
+    primality comes from its base-3 chain, which runs even when 3 is not
+    among the bases (and then gives no row).  The chains are the only
+    work, and they run on a process pool (see _run_chains); the verdicts
+    and rows are built here, in n_values then bases order.
 
     Non-coprime bases do not abort the sweep: the row records the gcd
     (a factor of F_n!) and moves on.  Any violation in any row makes
     all_passed false; the caller decides how loud to be about it.
     """
-    rows: List[AuditRow] = []
-    # Base 3's chain also decides primality; running it first fills the
-    # prime cache that every other base of the same n reads.
-    order = sorted(dict.fromkeys(bases), key=lambda base: base != PEPIN_BASE)
+    n_values = list(n_values)
     for n in n_values:
         _require_quarter_index(n)
-        by_base = {base: _audit_row(n, base) for base in order}
-        rows.extend(by_base[base] for base in bases)
+        check_index(n)
+    for base in bases:
+        _check_base(base)
+    chain_bases = list(dict.fromkeys([*bases, PEPIN_BASE]))
+    # largest n first, so that the last chains to start are short ones
+    jobs = [(n, base) for n in sorted(set(n_values), reverse=True)
+            for base in chain_bases]
+    chains = dict(zip(jobs, _run_chains(jobs)))
+    rows: List[AuditRow] = []
+    for n in n_values:
+        pepin_prime = chains[n, PEPIN_BASE].half.is_minus_one
+        _PRIME_CACHE.setdefault(n, pepin_prime)
+        for base in bases:
+            chain = chains[n, base]
+            if isinstance(chain, ChainTaps):
+                rows.append(AuditRow(n=n, base=base, coprime=True,
+                                     verdict=_verdict(n, base, chain,
+                                                      pepin_prime)))
+            else:
+                rows.append(AuditRow(n=n, base=base, coprime=False,
+                                     gcd=chain))
     return AuditReport(tuple(rows))
 
 
-def _audit_row(n: int, base: int) -> AuditRow:
+def _chain_job(job: Tuple[int, int]) -> Union[ChainTaps, int]:
+    """The taps of one (n, base) chain, or the gcd of a non-coprime base."""
+    n, base = job
     try:
-        verdict = classify_report(n, base)
+        return chain_taps(n, base)
     except BaseNotCoprimeError as err:
-        return AuditRow(n=n, base=base, coprime=False, gcd=err.gcd)
-    return AuditRow(n=n, base=base, coprime=True, verdict=verdict)
+        return err.gcd
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _run_chains(jobs: List[Tuple[int, int]]) -> List[Union[ChainTaps, int]]:
+    """_chain_job over jobs, in order, on min(usable CPUs, jobs) processes.
+
+    A single CPU, or chains that cost less than starting the pool
+    (_POOL_MIN_COST), run here instead.  multiprocessing is imported
+    only when the pool is used: the import alone costs 7-11 ms.
+    """
+    workers = min(_usable_cpus(), len(jobs))
+    if workers < 2 or sum(4 ** n for n, _ in jobs) < _POOL_MIN_COST:
+        return [_chain_job(job) for job in jobs]
+    import multiprocessing
+    import signal
+    import threading
+    # Pinned, not the platform default: fork starts 2 workers in 14-20 ms,
+    # against about 80 ms for spawn or forkserver, and they begin with
+    # this process's modules loaded.  A fork copies no other thread, and
+    # a lock one of them held stays held in the child, so a process with
+    # threads (or without fork) spawns its workers.
+    fork = threading.active_count() == 1 \
+        and "fork" in multiprocessing.get_all_start_methods()
+    # Workers ignore Ctrl-C; the parent gets it, and leaving the with
+    # block terminates them, as it does when a job raises.
+    with multiprocessing.get_context("fork" if fork else "spawn").Pool(
+            workers, initializer=signal.signal,
+            initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+        # one job per task, so that no worker idles while another holds
+        # a queue of long chains
+        return pool.map(_chain_job, jobs, chunksize=1)

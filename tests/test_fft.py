@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from conftest import SELFTEST_CHECKS, run_cli
 
-from fermatlab import arith
+from fermatlab import arith, primality
 from fermatlab.arith import FermatResidue, _mulmod, mod_square_chain
 from fermatlab.records import strip_timing
 
@@ -170,15 +170,17 @@ class TestRoundoffGuard:
         assert _fft.fallbacks - before == len(steps)
 
 
-# Run a CLI command in a fresh interpreter, then report on stderr whether
-# numpy was loaded; a first argument of "block" makes numpy unimportable.
+# Run a CLI command in a fresh interpreter, then report on the last line
+# of stderr which of numpy and multiprocessing were loaded, as JSON; a
+# first argument of "block" makes numpy unimportable.
 _PROBE = """\
-import sys
+import json, sys
 if sys.argv[1] == "block":
     sys.modules["numpy"] = None
 from fermatlab.cli import main
 code = main(sys.argv[2:]) if len(sys.argv) > 2 else 0
-print("numpy loaded:", sys.modules.get("numpy") is not None,
+print(json.dumps({name: sys.modules.get(name) is not None
+                  for name in ("numpy", "multiprocessing")}),
       file=sys.stderr)
 sys.exit(code)
 """
@@ -191,17 +193,32 @@ def probe(mode: str, *args: str) -> subprocess.CompletedProcess:
     return proc
 
 
+def loaded(proc: subprocess.CompletedProcess) -> dict:
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
 class TestImportHygiene:
     @pytest.mark.parametrize("args", [(), ("classify", "12", "--base", "7"),
-                                      ("order", "12", "--base", "5")],
-                             ids=["import", "classify-12", "order-12"])
+                                      ("order", "12", "--base", "5"),
+                                      ("factor", "9", "--k-max", "100"),
+                                      ("audit", "--n-range", "5..8")],
+                             ids=["import", "classify-12", "order-12",
+                                  "factor-9", "audit-5-8"])
     def test_below_crossover_numpy_stays_unloaded(self, args):
-        proc = probe("allow", *args)
-        assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+        # and so does multiprocessing, outside an audit worth a pool
+        assert loaded(probe("allow", *args)) \
+            == {"numpy": False, "multiprocessing": False}
+
+    @pytest.mark.skipif(primality._usable_cpus() < 2,
+                        reason="one usable CPU: no audit is pooled")
+    def test_pooled_audit_loads_multiprocessing_only(self):
+        assert loaded(probe("allow", "audit", "--n-range", "10..12",
+                            "--bases", "2,3,5,7")) \
+            == {"numpy": False, "multiprocessing": True}
 
     def test_pepin_without_numpy_gives_the_same_record(self):
         blocked = probe("block", "pepin", "14")
-        assert blocked.stderr.splitlines()[-1] == "numpy loaded: False"
+        assert not loaded(blocked)["numpy"]
         with_numpy = run_cli("pepin", "14")
         assert with_numpy.code == 0
         assert strip_timing(with_numpy.json()) \
@@ -209,7 +226,7 @@ class TestImportHygiene:
 
     def test_selftest_runs_the_same_checks_without_numpy(self):
         blocked = probe("block", "selftest")
-        assert blocked.stderr.splitlines()[-1] == "numpy loaded: False"
+        assert loaded(blocked) == {"numpy": False, "multiprocessing": False}
         with_numpy = run_cli("selftest").json()
         assert json.loads(blocked.stdout)["checks_run"] \
             == with_numpy["checks_run"] == SELFTEST_CHECKS

@@ -4,9 +4,11 @@ Each case runs one command line and compares the sha256 of its record,
 timing removed and serialised as the CLI prints it, with a value taken
 from the implementation before the chain engine was unified; the n = 14
 and 15 cases, which now run on the FFT backend, were taken before it
-existed, on the integer multiply, and the n = 12 and 19 factor cases
-before the divisor search was sieved.  A change in any verdict, residue,
-count or field order shows here.
+existed, on the integer multiply, the n = 12 and 19 factor cases
+before the divisor search was sieved, and the n = 10..12 audits, which
+run their chains on a process pool when two CPUs are usable, before
+there was a pool.  A change in any verdict, residue, count or field
+order shows here.
 """
 
 import hashlib
@@ -21,6 +23,10 @@ from fermatlab.records import dump, strip_timing
 GOLDEN = {
     "audit --n-range 5..8":
         "64c1ff9490725450ee12f216878881ca213b780460cc43e0815d0b642cf15918",
+    "audit --n-range 10..12 --bases 2,3,5,7,114689":
+        "ca5da796ba2d13608948cdcfee3438dec6400c990a2586f6b03084e7b195a461",
+    "audit --n-range 10..12 --bases 2,5,7,114689":
+        "de9f530c14009fd44d4d56354eab2d4fe74cacc6b5a5754f71a9475b35f8c696",
     "classify 9 --base 7":
         "08f4873c3a56666b8061ec6fe21043c05814cbb8aa9c6a338e7d7bf0a6073a35",
     "factor 6 --k-max 1100":

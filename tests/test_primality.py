@@ -1,7 +1,12 @@
 """Half-residue test, quarter classification, congruence and verdicts."""
 
+import multiprocessing
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import run_cli
 
 from fermatlab import oracle, primality
 from fermatlab.arith import FermatResidue, fermat_value, reduce_fold
@@ -324,6 +329,119 @@ class TestRealAudits:
             assert row.verdict.classification is Classification.PRIME
             assert row.verdict.quarter.tag is QuarterTag.OTHER
             assert row.verdict.violations == ()
+
+
+FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def spy_on_chains(monkeypatch, fail_at=None):
+    """Record the (n, base) of every chain this process runs; the chain
+    of fail_at raises instead."""
+    calls = []
+    real = primality.chain_taps
+
+    def spy(n, base):
+        calls.append((n, base))
+        if (n, base) == fail_at:
+            raise RuntimeError(f"chain {fail_at} broke")
+        return real(n, base)
+
+    monkeypatch.setattr(primality, "chain_taps", spy)
+    return calls
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(primality, "_usable_cpus", lambda: count)
+
+
+def spy_on_start_methods(monkeypatch):
+    """Record the start method of every pool made."""
+    methods = []
+    real = multiprocessing.get_context
+
+    def spy(method):
+        methods.append(method)
+        return real(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return methods
+
+
+class TestAuditPool:
+    # 114689 = 7*2^14 + 1 divides F_12, so one gcd row crosses the pool
+    GRID = range(10, 13)
+
+    @pytest.mark.parametrize("bases", [[2, 3, 5, 114689], [2, 5, 114689]],
+                             ids=["with-base-3", "without-base-3"])
+    def test_pool_gives_the_same_report(self, monkeypatch, bases):
+        calls = spy_on_chains(monkeypatch)
+        usable_cpus(monkeypatch, 1)
+        alone = audit_range(self.GRID, bases)
+        # one chain per (n, base), and a base-3 chain per n in any case
+        assert sorted(calls) == sorted(
+            (n, b) for n in self.GRID for b in {*bases, 3})
+        calls.clear()
+        primality.reset_prime_cache()
+        methods = spy_on_start_methods(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        pooled = audit_range(self.GRID, bases)
+        assert calls == []  # every chain ran in a worker
+        assert methods == ["fork" if FORK else "spawn"]
+        assert pooled == alone
+        assert [(row.n, row.base) for row in pooled.rows] \
+            == [(n, b) for n in self.GRID for b in bases]
+        assert (pooled.rows[-1].coprime, pooled.rows[-1].gcd) \
+            == (False, 114689)
+        assert all(primality._PRIME_CACHE[n] is False for n in self.GRID)
+
+    def test_process_with_threads_spawns_its_workers(self, monkeypatch):
+        calls = spy_on_chains(monkeypatch)
+        methods = spy_on_start_methods(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            pooled = audit_range(self.GRID, [2, 3, 5, 114689])
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert methods == ["spawn"]
+        assert calls == []
+        primality.reset_prime_cache()
+        usable_cpus(monkeypatch, 1)
+        assert audit_range(self.GRID, [2, 3, 5, 114689]) == pooled
+
+    def test_cheap_audit_runs_without_a_pool(self, monkeypatch):
+        calls = spy_on_chains(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        audit_range(range(5, 9), default_audit_bases())
+        assert len(calls) == 4 * 50
+
+    @pytest.mark.skipif(
+        not FORK, reason="the workers see the patched chain only when forked")
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        spy_on_chains(monkeypatch, fail_at=(11, 5))
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"chain \(11, 5\) broke"):
+            audit_range(self.GRID, [2, 3, 5, 114689])
+        assert multiprocessing.active_children() == []
+
+    def test_bad_index_is_refused_before_any_chain(self, monkeypatch):
+        calls = spy_on_chains(monkeypatch)
+        usable_cpus(monkeypatch, 1)  # so that the spy sees every chain
+        monkeypatch.setenv("FERMAT_LAB_MAX_N", "11")
+        res = run_cli("audit", "--n-range", "5..12")
+        assert res.code == 2
+        assert res.stderr == \
+            "fermatlab: Fermat index must be in 0..11, got 12\n"
+        res = run_cli("audit", "--n-range", "5..6", "--bases", "2,-3")
+        assert res.code == 2
+        assert res.stderr == "fermatlab: base must be >= 0, got -3\n"
+        with pytest.raises(IndexBelowTwoError):
+            audit_range([5, 6, 1], [2, 3])
+        assert calls == []
 
 
 class TestPrimeCache:

@@ -11,12 +11,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import run_cli
+
+from fermatlab.records import strip_timing
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "clibench" / "tracer.py"
 
 
-def traced(tmp_path, *args):
-    """Run one CLI call under the tracer; its exit code and counts."""
+def run_traced(tmp_path, *args):
+    """Run one CLI call under the tracer; the process and its trace."""
     out = tmp_path / "trace.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -27,7 +31,12 @@ def traced(tmp_path, *args):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["exit_code"] == 0
-    return doc["counts"]
+    return proc, doc
+
+
+def traced(tmp_path, *args):
+    """Run one CLI call under the tracer; its counts."""
+    return run_traced(tmp_path, *args)[1]["counts"]
 
 
 def test_order_chain_is_counted(tmp_path):
@@ -42,3 +51,11 @@ def test_paused_and_resumed_pepin_is_counted(tmp_path):
     assert paused["arith.squarings"] == 5
     resumed = traced(tmp_path, "pepin", "8", "--checkpoint-dir", ck)
     assert resumed["arith.squarings"] == (1 << 8) - 1 - 5
+
+
+def test_pooled_audit_gives_the_same_record(tmp_path):
+    # the chains of this audit run on worker processes
+    args = ("audit", "--n-range", "10..12", "--bases", "2,3,5,7,114689")
+    proc, _ = run_traced(tmp_path, *args)
+    assert strip_timing(json.loads(proc.stdout)) \
+        == strip_timing(run_cli(*args).json())
