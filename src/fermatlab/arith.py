@@ -24,7 +24,8 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
-from .errors import IndexOutOfRangeError, ModulusMismatchError
+from .errors import IndexBelowTwoError, IndexOutOfRangeError, \
+    ModulusMismatchError
 
 DEFAULT_MAX_INDEX = 24
 MAX_INDEX_ENV = "FERMAT_LAB_MAX_N"
@@ -74,6 +75,13 @@ def check_index(n: int) -> int:
         raise IndexOutOfRangeError(
             f"Fermat index must be in 0..{max_index()}, got {n}")
     return n
+
+
+def check_chain_index(n: int) -> None:
+    """check_index, then n >= 2, where (F_n - 1)/4 is a power of two."""
+    check_index(n)
+    if n < 2:
+        raise IndexBelowTwoError(f"Fermat index must be >= 2, got {n}")
 
 
 def fermat_value(n: int) -> int:

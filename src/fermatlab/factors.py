@@ -18,8 +18,8 @@ from itertools import compress
 from math import isqrt
 from typing import List, Optional, Tuple
 
-from .arith import check_index, fermat_value
-from .errors import IndexBelowTwoError, NotADivisorError
+from .arith import check_chain_index, fermat_value
+from .errors import IndexOutOfRangeError, NotADivisorError
 from .oracle import is_probable_prime
 
 _PRIMALITY_EXACT_BELOW = 1 << 64
@@ -70,8 +70,12 @@ class CandidateDivisor:
 
 
 def divides_fermat(p: int, n: int) -> bool:
-    """Whether p divides F_n, via 2^(2^n) = -1 (mod p)."""
-    check_index(n)
+    """Whether p divides F_n, via 2^(2^n) = -1 (mod p).
+
+    n squarings mod p, never F_n itself, so the index cap does not apply.
+    """
+    if n < 0:
+        raise IndexOutOfRangeError(f"Fermat index must be >= 0, got {n}")
     if p <= 1 or p % 2 == 0:
         raise ValueError(f"p must be odd and > 1, got {p}")
     return pow(2, 1 << n, p) == p - 1
@@ -97,10 +101,7 @@ def lucas_search(n: int, k_max: int,
     are tested for primality; the filter then drops the composite ones
     below 2^64, which gives the same list as filtering first.
     """
-    check_index(n)
-    if n < 2:
-        raise IndexBelowTwoError(
-            f"divisor search is defined for n >= 2, got n={n}")
+    check_chain_index(n)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     shift = n + 2

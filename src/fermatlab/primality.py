@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Tuple, Union
 
-from .arith import FermatResidue, Observer, check_index, fermat_value, \
-    mod_square_chain, reduce_fold
-from .errors import BaseNotCoprimeError, IndexBelowTwoError, \
-    NonAdmissibleBaseError
+from .arith import FermatResidue, Observer, check_chain_index, \
+    check_index, fermat_value, mod_square_chain, reduce_fold
+from .errors import BaseNotCoprimeError, NonAdmissibleBaseError
 
 # Bases for which the half-residue test decides primality.  Known good
 # bases; there is no general criterion here, hence an allowlist with an
@@ -141,13 +140,6 @@ def _check_base(base: int) -> None:
         raise ValueError(f"base must be >= 0, got {base}")
 
 
-def _require_quarter_index(n: int) -> None:
-    # (F_n - 1)/4 is an integer power of two only for n >= 2.
-    if n < 2:
-        raise IndexBelowTwoError(
-            f"need n >= 2 so that (F_n - 1)/4 is an integer, got n={n}")
-
-
 @dataclass(frozen=True, slots=True)
 class ChainTaps:
     """Quarter, half and full residues taken from a single chain."""
@@ -159,7 +151,7 @@ class ChainTaps:
 
 def chain_taps(n: int, base: int) -> ChainTaps:
     """Run one chain of 2^n squarings, read at its three tap points."""
-    _require_quarter_index(n)
+    check_chain_index(n)
     quarter = mod_square_chain(require_coprime(n, base), (1 << n) - 2)
     half = mod_square_chain(quarter, 1)
     return ChainTaps(quarter=quarter, half=half,
@@ -181,10 +173,7 @@ def pepin_test(n: int, base: int = 3,
     a saved point.  The observer is the checkpoint hook; it sees the
     indices of the chain run here, which starts at resume_index.
     """
-    check_index(n)
-    if n < 2:
-        raise IndexBelowTwoError(
-            f"the half-residue test needs n >= 2, got n={n}")
+    check_chain_index(n)
     if base not in PEPIN_ADMISSIBLE_BASES and not allow_any_base:
         raise NonAdmissibleBaseError(
             f"base {base} is not in the admissible set "
@@ -227,11 +216,8 @@ def reset_prime_cache() -> None:
 
 
 def quarter_residue(n: int, base: int) -> QuarterClass:
-    """base^((F_n-1)/4) mod F_n via 2^n - 2 squarings, classified."""
-    _require_quarter_index(n)
-    start = require_coprime(n, base)
-    residue = mod_square_chain(start, (1 << n) - 2)
-    return QuarterClass.from_residue(residue)
+    """base^((F_n-1)/4) mod F_n, read from chain_taps, classified."""
+    return QuarterClass.from_residue(chain_taps(n, base).quarter)
 
 
 def fermat_congruence(n: int, base: int) -> bool:
@@ -283,26 +269,22 @@ def _audit_rules(n: int, base: int, pepin_prime: bool, congruence: bool,
 def classify_report(n: int, base: int) -> Verdict:
     """Full verdict for (F_n, base), with the outcome of every rule.
 
-    A failed rule is returned, not raised: the audit front end wants
-    every row even when one fails, and the CLI turns any failure into
-    exit 4 with the whole record printed.
+    It is the one row of audit_range([n], [base]); a base sharing a
+    factor with F_n raises first.  A failed rule is returned, not raised:
+    the CLI turns it into exit 4 with the whole record printed.
     """
-    taps = chain_taps(n, base)
-    if base == PEPIN_BASE:
-        # the requested chain is the primality chain; reuse its half tap
-        pepin_prime = taps.half.is_minus_one
-        _PRIME_CACHE.setdefault(n, pepin_prime)
-    else:
-        pepin_prime = fermat_is_prime(n)
-    return _verdict(n, base, taps, pepin_prime)
+    check_chain_index(n)
+    require_coprime(n, base)
+    return audit_range([n], [base]).rows[0].verdict
 
 
 def _verdict(n: int, base: int, taps: ChainTaps,
              pepin_prime: bool) -> Verdict:
     """The verdict for (F_n, base) from its chain and F_n's primality.
 
-    squarings counts the base-3 chain that decides primality as well,
-    unless base 3 is the requested base and one chain serves both.
+    squarings also counts the base-3 chain that decides primality, unless
+    the requested base is 3, and counts it as a Pepin chain (2^n - 1
+    squarings) although audit_range runs that chain for all 2^n.
     """
     quarter = QuarterClass.from_residue(taps.quarter)
     congruence = taps.full.is_one
@@ -387,8 +369,7 @@ def audit_range(n_values, bases) -> AuditReport:
     """
     n_values = list(n_values)
     for n in n_values:
-        _require_quarter_index(n)
-        check_index(n)
+        check_chain_index(n)
     for base in bases:
         _check_base(base)
     chain_bases = list(dict.fromkeys([*bases, PEPIN_BASE]))

@@ -19,6 +19,7 @@ from importlib import resources
 from typing import Dict, List, Sequence
 
 from .arith import to_hex
+from .checkpoint import CHAIN_KIND
 from .factors import CandidateDivisor, cofactor, validate_divisor_form
 from .orders import OrderResult
 from .oracle import OracleReport
@@ -80,7 +81,7 @@ def paused_record(n: int, base: int, stopped_after: int,
     doc.update({
         "n": n,
         "base": to_hex(base),
-        "chain_kind": "pepin",
+        "chain_kind": CHAIN_KIND,
         "stopped_after": stopped_after,
         "total_squarings": (1 << n) - 1,
         "checkpoint": checkpoint_path,

@@ -424,6 +424,15 @@ class TestUsageSurface:
         # k_max=1 keeps this instant: one candidate, 25 tiny squarings
         assert run_cli("factor", "25", "--k-max", "1").code == 0
 
+    @pytest.mark.parametrize("args", [("pepin", "1"), ("classify", "1"),
+                                      ("factor", "1"),
+                                      ("audit", "--n-range", "1..3")],
+                             ids=["pepin", "classify", "factor", "audit"])
+    def test_index_below_two_has_one_message(self, args):
+        res = run_cli(*args)
+        assert (res.code, res.stdout, res.stderr) \
+            == (2, "", "fermatlab: Fermat index must be >= 2, got 1\n")
+
     def test_env_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv("FERMAT_LAB_MAX_N", "soon")
         assert run_cli("pepin", "5").code == 2

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from fermatlab import factors
 from fermatlab.arith import fermat_value
-from fermatlab.errors import IndexBelowTwoError, NotADivisorError
+from fermatlab.errors import IndexBelowTwoError, IndexOutOfRangeError, \
+    NotADivisorError
 from fermatlab.factors import (
     CandidateDivisor,
     cofactor,
@@ -36,6 +37,15 @@ class TestDividesFermat:
             divides_fermat(1, 5)
         with pytest.raises(ValueError):
             divides_fermat(-7, 5)
+        with pytest.raises(IndexOutOfRangeError):
+            divides_fermat(641, -1)
+
+    @pytest.mark.parametrize("k, shift, n", [(5, 39, 36), (3, 41, 38),
+                                             (5, 75, 73)])
+    def test_divisors_beyond_the_index_cap(self, k, shift, n):
+        # n squarings mod p: no F_n is built, so the cap does not apply
+        assert divides_fermat(k * (1 << shift) + 1, n) is True
+        assert divides_fermat(k * (1 << shift) + 1, n + 1) is False
 
     @given(st.integers(min_value=1, max_value=1 << 20),
            st.integers(min_value=0, max_value=8))

@@ -216,6 +216,14 @@ class TestImportHygiene:
                             "--bases", "2,3,5,7")) \
             == {"numpy": False, "multiprocessing": True}
 
+    @pytest.mark.skipif(primality._usable_cpus() < 2,
+                        reason="one usable CPU: no classify is pooled")
+    def test_pooled_classify_loads_multiprocessing_only(self):
+        # 2 * 4^13 squarings times bits: the base and base-3 chains of
+        # classify share the pool, as a one-row audit's
+        assert loaded(probe("allow", "classify", "13", "--base", "7")) \
+            == {"numpy": False, "multiprocessing": True}
+
     def test_pepin_without_numpy_gives_the_same_record(self):
         blocked = probe("block", "pepin", "14")
         assert not loaded(blocked)["numpy"]

@@ -8,13 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import run_cli
 
-from fermatlab import oracle, primality
-from fermatlab.arith import FermatResidue, fermat_value, reduce_fold
+from fermatlab import factors, oracle, primality
+from fermatlab.arith import FermatResidue, fermat_value, max_index, \
+    reduce_fold
 from fermatlab.errors import (
     BaseNotCoprimeError,
     IndexBelowTwoError,
+    IndexOutOfRangeError,
     NonAdmissibleBaseError,
 )
+from fermatlab.factors import lucas_search
 from fermatlab.primality import (
     Classification,
     QuarterClass,
@@ -442,6 +445,65 @@ class TestAuditPool:
         with pytest.raises(IndexBelowTwoError):
             audit_range([5, 6, 1], [2, 3])
         assert calls == []
+
+
+class TestClassifyIsAnAuditRow:
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_equals_the_audit_row(self, n):
+        for base in (2, 3, 5, 7):
+            assert classify_report(n, base) \
+                == audit_range([n], [base]).rows[0].verdict
+
+    def test_pooled_classify_gives_the_same_verdict(self, monkeypatch):
+        calls = spy_on_chains(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        pooled = classify_report(13, 7)
+        assert calls == []  # both chains ran in workers
+        usable_cpus(monkeypatch, 1)
+        assert classify_report(13, 7) == pooled
+        assert sorted(calls) == [(13, 3), (13, 7)]
+
+    def test_non_coprime_base_raises_before_any_chain(self, monkeypatch):
+        calls = spy_on_chains(monkeypatch)
+        with pytest.raises(BaseNotCoprimeError) as info:
+            classify_report(5, 641)
+        assert info.value.gcd == 641
+        assert calls == []
+
+
+# Every public way into a chain or the divisor search, with base 5, which
+# shares the factor 5 = F_1: n = 1 must fail on the index, not the base.
+CHAIN_ENTRIES = {
+    "pepin_test": lambda n: pepin_test(n, 5),
+    "chain_taps": lambda n: chain_taps(n, 5),
+    "quarter_residue": lambda n: quarter_residue(n, 5),
+    "fermat_congruence": lambda n: fermat_congruence(n, 5),
+    "classify_report": lambda n: classify_report(n, 5),
+    "audit_range": lambda n: audit_range([5, n], [2, 5]),
+    "lucas_search": lambda n: lucas_search(n, 10),
+}
+
+
+@pytest.mark.parametrize("entry", CHAIN_ENTRIES.values(),
+                         ids=CHAIN_ENTRIES.keys())
+class TestChainIndexRule:
+    @pytest.fixture(autouse=True)
+    def no_chain(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the index check")
+
+        monkeypatch.setattr(primality, "mod_square_chain", refuse)
+        monkeypatch.setattr(factors, "divides_fermat", refuse)
+        monkeypatch.setenv("FERMAT_LAB_MAX_N", "7")
+
+    def test_below_two(self, entry):
+        with pytest.raises(IndexBelowTwoError,
+                           match=r"^Fermat index must be >= 2, got 1$"):
+            entry(1)
+
+    def test_above_the_cap(self, entry):
+        with pytest.raises(IndexOutOfRangeError):
+            entry(max_index() + 1)
 
 
 class TestPrimeCache:
