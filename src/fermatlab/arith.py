@@ -122,10 +122,6 @@ class FermatResidue:
                 f"residue value out of range for F_{self.n}")
 
     @property
-    def modulus(self) -> int:
-        return (1 << (1 << self.n)) + 1
-
-    @property
     def is_one(self) -> bool:
         return self.value == 1
 
@@ -135,11 +131,6 @@ class FermatResidue:
 
     def to_hex(self) -> str:
         return to_hex(self.value)
-
-    def __mul__(self, other: "FermatResidue") -> "FermatResidue":
-        if not isinstance(other, FermatResidue):
-            return NotImplemented
-        return mod_mul(self, other)
 
 
 def _fold(x: int, width: int, top: int, mask: int) -> int:

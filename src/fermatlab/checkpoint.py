@@ -51,7 +51,6 @@ class Checkpoint:
     squaring_index: int
     residue: int
     created_at: str
-    format_version: int = CHECKPOINT_FORMAT_VERSION
 
     @classmethod
     def capture(cls, n: int, base: int, index: int,
@@ -64,7 +63,7 @@ class Checkpoint:
         base_hex = to_hex(self.base)
         residue_hex = to_hex(self.residue)
         doc = {
-            "format_version": self.format_version,
+            "format_version": CHECKPOINT_FORMAT_VERSION,
             "chain_kind": CHAIN_KIND,
             "n": self.n,
             "base": base_hex,
@@ -156,12 +155,7 @@ def load_checkpoint(path: Path) -> Checkpoint:
             f"payload hashes to {expected}")
     created = field("created_at", str)
     return Checkpoint(n=n, base=base, squaring_index=index, residue=residue,
-                      created_at=created, format_version=version)
-
-
-def find_checkpoint(directory: Path, n: int, base: int) -> Optional[Path]:
-    path = Path(directory) / checkpoint_filename(n, base)
-    return path if path.exists() else None
+                      created_at=created)
 
 
 def load_matching(directory: Path, n: int, base: int) -> Optional[Checkpoint]:
@@ -171,8 +165,8 @@ def load_matching(directory: Path, n: int, base: int) -> Optional[Checkpoint]:
     a file that parses but describes a different chain is treated as
     corrupt (someone renamed or swapped files).
     """
-    path = find_checkpoint(directory, n, base)
-    if path is None:
+    path = Path(directory) / checkpoint_filename(n, base)
+    if not path.exists():
         return None
     cp = load_checkpoint(path)
     if (cp.n, cp.base) != (n, base):
@@ -203,7 +197,8 @@ class CheckpointWriter:
     it resumes from, else 0); the indices it writes and compares are
     global.  Writes happen every `every_squarings` steps or
     `every_seconds` seconds, whichever comes first, and always at
-    `stop_after` (followed by a ChainPaused raise).
+    `stop_after` (followed by a ChainPaused raise).  The directory is
+    created here, so an unusable one fails before the first squaring.
     Call finished() after a completed chain to remove the file; a stale
     checkpoint of a finished run would otherwise shadow future runs.
     """
@@ -215,15 +210,17 @@ class CheckpointWriter:
                  stop_after: Optional[int] = None):
         if every_squarings < 1:
             raise ValueError("checkpoint cadence must be >= 1 squaring")
+        if stop_after is not None and stop_after < 1:
+            raise ValueError(
+                f"stop index must be >= 1 squaring, got {stop_after}")
         self.n = n
         self.base = base
         self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
         self.start_index = start_index
         self.every_squarings = every_squarings
         self.every_seconds = every_seconds
         self.stop_after = stop_after
-        self.path: Optional[Path] = None
-        self.last_index: Optional[int] = None
         self._last_time = time.monotonic()
 
     def __call__(self, index: int, value: Callable[[], int]) -> None:
@@ -235,11 +232,10 @@ class CheckpointWriter:
         if not due:
             return
         cp = Checkpoint.capture(self.n, self.base, index, value())
-        self.path = save_checkpoint(cp, self.directory)
-        self.last_index = index
+        path = save_checkpoint(cp, self.directory)
         self._last_time = time.monotonic()
         if pause:
-            raise ChainPaused(index, self.path)
+            raise ChainPaused(index, path)
 
     def finished(self) -> None:
         path = self.directory / checkpoint_filename(self.n, self.base)

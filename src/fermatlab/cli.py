@@ -5,7 +5,8 @@ rendering), diagnostics on stderr, and a fixed exit-code contract:
 
     0  success
     1  selftest failure
-    2  usage or precondition error
+    2  usage or precondition error (an unwritable --report or
+       --checkpoint-dir included)
     3  corrupt or mismatched checkpoint
     4  congruence-rule violation (the headline event; see classify)
 
@@ -283,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also checkpoint after this many seconds "
                         f"(default {DEFAULT_EVERY_SECONDS:g})")
     p.add_argument("--stop-after", type=int, metavar="INDEX",
-                   help="write a checkpoint at this squaring index and "
-                        "exit cleanly (resume by rerunning)")
+                   help="write a checkpoint at this squaring index (>= 1) "
+                        "and exit cleanly (resume by rerunning)")
     p.set_defaults(func=cmd_pepin)
 
     p = sub.add_parser("classify", parents=[common],
@@ -334,7 +335,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CheckpointError as err:
         _log(f"checkpoint problem: {err}")
         return EXIT_CORRUPT_CHECKPOINT
-    except (FermatLabError, ValueError) as err:
+    except (FermatLabError, ValueError, OSError) as err:
         _log(str(err))
         return EXIT_USAGE
 

@@ -28,45 +28,39 @@ _PRIMALITY_EXACT_BELOW = 1 << 64
 # factor-scan queries (n = 9..23, k_max 1e4..4e4), each with the prime
 # table built afresh as in a new process, took a median of 169, 161, 155,
 # 153, 156 and 195 ms at 2^10, 2^11, 2^12, 2^13, 2^14 and 2^16
-# (7 rounds; 2 cores, Python 3.11).
+# (7 rounds; 2 cores, Python 3.11).  primality.default_audit_bases takes
+# the primes up to 229 from the same table.
 _SIEVE_BOUND = 1 << 12
 # k values sieved at a time, so memory does not grow with k_max.
 _SIEVE_SEGMENT = 1 << 16
 
 
-def _is_power_of_two(k: int) -> bool:
-    return k >= 1 and (k & (k - 1)) == 0
-
-
 @dataclass(frozen=True, slots=True)
 class CandidateDivisor:
-    """One candidate p = k * 2^(n+2) + 1 and what the search learned.
+    """One candidate p = k * 2^(n+2) + 1, held as (n, k) and its primality.
 
-    prime is None when p is too large for the exact primality check, in
-    which case a divisor is still a divisor but carries no primality
-    claim.
+    p and the k-form flag are derived from (n, k), so they cannot
+    disagree with it.  Divisibility is not stored: validate_divisor_form
+    and cofactor check it.  prime is None when p is too large for the
+    exact primality check, in which case a divisor is still a divisor
+    but carries no primality claim.
     """
 
     n: int
     k: int
-    p: int
-    divides: bool
-    k_is_one_or_power_of_two: bool
     prime: Optional[bool] = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.p != self.k * (1 << (self.n + 2)) + 1:
-            raise ValueError(
-                f"p={self.p} is not k*2^(n+2)+1 for k={self.k}, n={self.n}")
 
-    @classmethod
-    def from_k(cls, n: int, k: int, divides: bool = False,
-               prime: Optional[bool] = None) -> "CandidateDivisor":
-        return cls(n=n, k=k, p=k * (1 << (n + 2)) + 1, divides=divides,
-                   k_is_one_or_power_of_two=_is_power_of_two(k),
-                   prime=prime)
+    @property
+    def p(self) -> int:
+        return (self.k << (self.n + 2)) + 1
+
+    @property
+    def k_is_one_or_power_of_two(self) -> bool:
+        return (self.k & (self.k - 1)) == 0
 
 
 def divides_fermat(p: int, n: int) -> bool:
@@ -119,8 +113,7 @@ def lucas_search(n: int, k_max: int,
                 else None
             if prime_filter and prime is False:
                 continue
-            found.append(CandidateDivisor.from_k(n, k, divides=True,
-                                                 prime=prime))
+            found.append(CandidateDivisor(n, k, prime))
     return found
 
 
@@ -161,19 +154,18 @@ def validate_divisor_form(d: CandidateDivisor) -> bool:
     from a genuine prime divisor would be a counterexample and callers
     report it as a violation.  Composite divisors are not covered by
     the statement (their k can degenerate), so callers should only
-    alarm on d.prime being True.
+    alarm on d.prime being True.  A p that does not divide F_n raises
+    NotADivisorError; the check is divides_fermat, which never builds
+    F_n, so it holds beyond the index cap too.
     """
-    if not d.divides:
+    if not divides_fermat(d.p, d.n):
         raise NotADivisorError(
             f"p={d.p} does not divide F_{d.n}; nothing to validate")
-    return d.k > 1 and not _is_power_of_two(d.k)
+    return not d.k_is_one_or_power_of_two
 
 
 def cofactor(d: CandidateDivisor) -> int:
     """F_n / p, checked exact."""
-    if not d.divides:
-        raise NotADivisorError(
-            f"p={d.p} does not divide F_{d.n}; no cofactor")
     value = fermat_value(d.n)
     q, r = divmod(value, d.p)
     if r != 0:

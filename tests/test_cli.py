@@ -14,7 +14,6 @@ from fermatlab.arith import fermat_value
 from fermatlab.checkpoint import (
     Checkpoint,
     checkpoint_filename,
-    find_checkpoint,
     save_checkpoint,
 )
 from fermatlab.factors import CandidateDivisor
@@ -87,6 +86,15 @@ class TestPepinCheckpointFlow:
         assert res.code == 2
         assert "--checkpoint-dir" in res.stderr
 
+    @pytest.mark.parametrize("stop", ["0", "-5"])
+    def test_stop_after_below_one_rejected(self, tmp_path, stop):
+        target = tmp_path / "ck"
+        res = run_cli("pepin", "6", "--checkpoint-dir", str(target),
+                      "--stop-after", stop)
+        assert (res.code, res.stdout) == (2, "")
+        assert "stop index" in res.stderr
+        assert not target.exists()
+
     def test_pause_then_resume_matches_clean_run(self, tmp_path,
                                                  schema_validator):
         clean = run_cli("pepin", "10")
@@ -98,14 +106,14 @@ class TestPepinCheckpointFlow:
         assert pdoc["record"] == "pepin-paused"
         assert pdoc["stopped_after"] == 123
         assert pdoc["total_squarings"] == 1023
-        assert find_checkpoint(tmp_path, 10, 3) is not None
+        assert (tmp_path / checkpoint_filename(10, 3)).exists()
 
         resumed = run_cli("pepin", "10", "--checkpoint-dir", str(tmp_path))
         assert resumed.code == 0
         assert "resuming" in resumed.stderr
         assert strip_timing(resumed.json()) == strip_timing(clean.json())
         # success must clear the file or it would shadow the next run
-        assert find_checkpoint(tmp_path, 10, 3) is None
+        assert not (tmp_path / checkpoint_filename(10, 3)).exists()
 
     def test_second_pause_counts_from_the_checkpoint(self, tmp_path):
         # a resumed run's stop index and checkpoint are global
@@ -131,7 +139,7 @@ class TestPepinCheckpointFlow:
                       "--stop-after", "5000")
         assert res.code == 0
         assert res.json()["record"] == "pepin"
-        assert find_checkpoint(tmp_path, 6, 3) is None
+        assert not (tmp_path / checkpoint_filename(6, 3)).exists()
 
     def test_corrupt_checkpoint_refused(self, tmp_path):
         target = tmp_path / checkpoint_filename(10, 3)
@@ -283,8 +291,7 @@ class TestFactorCommand:
                                          schema_validator):
         # 257 = F_3 divides itself; forcing it through the search result
         # path fabricates a "prime divisor with power-of-two k"
-        fake = CandidateDivisor(n=3, k=8, p=257, divides=True,
-                                k_is_one_or_power_of_two=True, prime=True)
+        fake = CandidateDivisor(3, 8, prime=True)
         monkeypatch.setattr("fermatlab.cli.lucas_search",
                             lambda *a, **k: [fake])
         res = run_cli("factor", "3")
@@ -436,6 +443,33 @@ class TestUsageSurface:
     def test_env_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv("FERMAT_LAB_MAX_N", "soon")
         assert run_cli("pepin", "5").code == 2
+
+
+class TestFileSystemErrors:
+    """An unusable output path exits 2 with one line, not a traceback."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("", encoding="utf-8")
+        return path
+
+    def test_unwritable_report(self, blocker):
+        proc = run_cli_subprocess("audit", "--n-range", "5", "--bases", "2",
+                                  "--report", str(blocker / "r.json"))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("fermatlab: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_unusable_checkpoint_dir_fails_before_the_chain(
+            self, blocker, monkeypatch):
+        chains = []
+        monkeypatch.setattr(primality, "mod_square_chain",
+                            lambda *args, **kwargs: chains.append(args))
+        res = run_cli("pepin", "11", "--checkpoint-dir", str(blocker))
+        assert (res.code, res.stdout, chains) == (2, "", [])
+        assert res.stderr.startswith("fermatlab: ")
+        assert res.stderr.count("\n") == 1
 
 
 class TestSchemaStrictness:

@@ -59,7 +59,7 @@ class TestLucasSearch:
         found = lucas_search(5, 10)
         assert [(d.k, d.p) for d in found] == [(5, 641)]
         d = found[0]
-        assert d.divides and d.prime is True
+        assert divides_fermat(d.p, 5) and d.prime is True
         assert not d.k_is_one_or_power_of_two
 
     def test_f6_fixture(self):
@@ -197,19 +197,16 @@ class TestSieve:
 
 
 class TestCandidateDivisor:
-    def test_from_k(self):
-        d = CandidateDivisor.from_k(5, 5)
+    def test_derived_fields(self):
+        d = CandidateDivisor(5, 5)
         assert d.p == 641
         assert not d.k_is_one_or_power_of_two
-        assert CandidateDivisor.from_k(5, 4).k_is_one_or_power_of_two
-        assert CandidateDivisor.from_k(5, 1).k_is_one_or_power_of_two
+        assert CandidateDivisor(5, 4).k_is_one_or_power_of_two
+        assert CandidateDivisor(5, 1).k_is_one_or_power_of_two
 
     def test_shape_enforced(self):
         with pytest.raises(ValueError):
-            CandidateDivisor(n=5, k=5, p=640, divides=False,
-                             k_is_one_or_power_of_two=False)
-        with pytest.raises(ValueError):
-            CandidateDivisor.from_k(5, 0)
+            CandidateDivisor(5, 0)
 
 
 class TestValidation:
@@ -220,24 +217,31 @@ class TestValidation:
         assert validate_divisor_form(d6) is True  # 1071 = 3^2 * 7 * 17
 
     def test_synthetic_power_of_two_k_fails(self):
-        fake = replace(CandidateDivisor.from_k(5, 4), divides=True)
-        assert validate_divisor_form(fake) is False
-        fake1 = replace(CandidateDivisor.from_k(5, 1), divides=True)
-        assert validate_divisor_form(fake1) is False
+        # F_3 = 257 = 8 * 2^5 + 1 and F_2 = 17 = 1 * 2^4 + 1 divide
+        # themselves, with k a power of two and k = 1
+        assert validate_divisor_form(CandidateDivisor(3, 8)) is False
+        assert validate_divisor_form(CandidateDivisor(2, 1)) is False
+
+    @pytest.mark.parametrize("n, k", [(23, 5), (36, 10), (38, 6), (73, 5)])
+    def test_divisors_beyond_the_index_cap(self, n, k):
+        # 5*2^25+1 | F_23, 5*2^39+1 | F_36, 3*2^41+1 | F_38, 5*2^75+1 | F_73
+        assert validate_divisor_form(CandidateDivisor(n, k)) is True
 
     def test_requires_a_divisor(self):
-        d = CandidateDivisor.from_k(5, 3)
+        d = CandidateDivisor(5, 3)
         with pytest.raises(NotADivisorError):
             validate_divisor_form(d)
         with pytest.raises(NotADivisorError):
             cofactor(d)
+        with pytest.raises(NotADivisorError):
+            validate_divisor_form(CandidateDivisor(36, 11))
 
     def test_form_violations_only_count_primes(self):
         genuine = lucas_search(5, 10)
         assert factor_record(5, 10, False, genuine, 0.0)["violations"] == []
         # 257 = 8 * 2^5 + 1 is F_3 itself: an exact divisor whose k is a
         # power of two, which the record must flag only when called prime
-        self_divisor = CandidateDivisor.from_k(3, 8, divides=True)
+        self_divisor = CandidateDivisor(3, 8)
         fake_prime = replace(self_divisor, prime=True)
         doc = factor_record(3, 8, False, [fake_prime], 0.0)
         assert [v["k"] for v in doc["violations"]] == [8]
@@ -259,6 +263,5 @@ class TestCofactor:
         assert d.p * cofactor(d) == fermat_value(6)
 
     def test_bogus_divisor_caught(self):
-        fake = replace(CandidateDivisor.from_k(5, 3), divides=True)
         with pytest.raises(NotADivisorError):
-            cofactor(fake)
+            cofactor(CandidateDivisor(5, 3))

@@ -28,7 +28,6 @@ from fermatlab.primality import (
     default_audit_bases,
     fermat_congruence,
     fermat_is_prime,
-    first_primes,
     pepin_test,
     quarter_residue,
 )
@@ -519,15 +518,9 @@ class TestPrimeCache:
 
 
 class TestBaseSets:
-    def test_first_primes(self):
-        assert first_primes(0) == []
-        assert first_primes(5) == [2, 3, 5, 7, 11]
-        fifty = first_primes(50)
-        assert len(fifty) == 50
-        assert fifty[-1] == 229
-
     def test_default_audit_bases(self):
-        bases = default_audit_bases()
-        assert bases[0] == 2
-        assert len(bases) == 50
-        assert 229 in bases
+        # the first 50 primes, each certified by trial division
+        primes = [m for m in range(2, 230)
+                  if oracle.trial_division(m) is None]
+        assert len(primes) == 50
+        assert default_audit_bases() == primes
