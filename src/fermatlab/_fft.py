@@ -22,11 +22,11 @@ exceeding it), or the carry does not settle within MAX_CARRY_PASSES,
 the squaring is redone from the previous digits by the integer multiply
 of arith and counted in `fallbacks`.
 
-`kernel` gives arith.mod_square_chain the (load, square, read, is_one)
+`kernel` gives arith.mod_square_chain the (load, square, read)
 operations it loops over: the chain stays in the digit domain and
 converts to an int only at its end and when an observer asks for a
 value; both conversions go through int.to_bytes / int.from_bytes and
-are linear in N.  is_one reads the digits without converting them.
+are linear in N.
 numpy is imported here, and this module only on the first chain that
 uses it.
 """
@@ -105,16 +105,6 @@ def to_int(digits: np.ndarray, plan: _Plan) -> int:
     return value + plan.top + 1 if value < 0 else value
 
 
-def is_one(digits: np.ndarray) -> bool:
-    """Whether digits from to_digits or from a settled carry hold 1.
-
-    (1, 0, ..., 0) is the only form of 1 either produces: to_digits maps
-    1 to it, and a settled carry leaves every digit in [-2^15, 2^15),
-    where the balanced digits of a residue are unique.
-    """
-    return bool(digits[0] == 1) and not digits[1:].any()
-
-
 def _transform(digits: np.ndarray, plan: _Plan) -> np.ndarray:
     """The negacyclic square of the digit vector, unrounded, in digit order."""
     half = plan.digits // 2
@@ -159,9 +149,9 @@ def _square(digits: np.ndarray, plan: _Plan) -> np.ndarray:
 
 
 def kernel(n: int) -> Kernel:
-    """(load, square, read, is_one) for chains modulo F_n held as
-    balanced digits."""
+    """(load, square, read) for chains modulo F_n held as balanced
+    digits."""
     plan = _plan(n)
     return (functools.partial(to_digits, plan=plan),
             functools.partial(_square, plan=plan),
-            functools.partial(to_int, plan=plan), is_one)
+            functools.partial(to_int, plan=plan))

@@ -21,6 +21,7 @@ machinery is exercised in tests.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -40,6 +41,7 @@ from .orders import order_alpha
 from .primality import (
     PEPIN_ADMISSIBLE_BASES,
     audit_range,
+    check_audit_grid,
     classify_report,
     default_audit_bases,
     pepin_test,
@@ -152,12 +154,19 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     lo, hi = args.n_range
+    n_values = range(lo, hi + 1)
     bases = args.bases if args.bases is not None else default_audit_bases()
-    report = audit_range(range(lo, hi + 1), bases)
-    elapsed = time.perf_counter() - t0
-    doc = records.audit_record(report, [lo, hi], bases, elapsed)
+    # A refused grid leaves no report file; an unusable report path is
+    # refused before the first chain, not after the whole audit.
+    check_audit_grid(n_values, bases)
+    with (contextlib.nullcontext() if args.report is None
+          else open(args.report, "w", encoding="utf-8")) as out:
+        report = audit_range(n_values, bases)
+        elapsed = time.perf_counter() - t0
+        doc = records.audit_record(report, [lo, hi], bases, elapsed)
+        if out is not None:
+            out.write(records.dump(doc))
     if args.report is not None:
-        Path(args.report).write_text(records.dump(doc), encoding="utf-8")
         _log(f"report written to {args.report}")
     _emit(doc, args.format)
     if not report.all_passed:

@@ -125,14 +125,16 @@ def require_coprime(n: int, base: int) -> FermatResidue:
     """Reduce base mod F_n, rejecting non-coprime bases.
 
     The reported gcd is itself a nontrivial factor of F_n, which is why
-    the error carries it instead of hiding it.
+    the error carries it instead of hiding it.  The message writes the
+    base and the gcd in hex: from n = 14 on they can pass the cap on
+    int-to-decimal conversion (4300 digits).
     """
     check_index(n)
     _check_base(base)
     g = gcd(base, fermat_value(n))
     if g != 1:
         raise BaseNotCoprimeError(
-            f"base {base} shares factor {g} with F_{n}", g)
+            f"base 0x{base:x} shares factor 0x{g:x} with F_{n}", g)
     return reduce_fold(base, n)
 
 
@@ -240,7 +242,8 @@ def _audit_rules(n: int, base: int, pepin_prime: bool, congruence: bool,
                                       base 3: quarter residue 1 holds
                                       exactly on pseudoprime F_n
     Below n = 5 no rule applies.  A failed outcome would be a genuine
-    counterexample to the theory this library implements.
+    counterexample to the theory this library implements.  Details name
+    the base in hex, as the records do, so that any base can be written.
     """
     if n < AUDIT_MIN_INDEX:
         return ()
@@ -250,10 +253,11 @@ def _audit_rules(n: int, base: int, pepin_prime: bool, congruence: bool,
     # (rule key, whether it holds, what a failure means)
     checks = [
         ("pseudoprime-quarter-one", one or not pseudo,
-         f"F_{n} pseudoprime to base {base} but quarter residue is "
+         f"F_{n} pseudoprime to base 0x{base:x} but quarter residue is "
          f"{quarter.tag.value} (expected 1)"),
         ("quarter-minus-one-implies-prime", pepin_prime or not minus_one,
-         f"quarter residue of base {base} is -1 yet F_{n} is composite"),
+         f"quarter residue of base 0x{base:x} is -1 yet F_{n} is "
+         "composite"),
     ]
     if base == 3:
         checks += [
@@ -345,21 +349,19 @@ class AuditReport:
 def audit_range(n_values, bases) -> AuditReport:
     """Classify every (n, base) of a grid, one chain per distinct pair.
 
-    Every n and base is checked before the first chain runs.  Each n's
-    primality comes from its base-3 chain, which runs even when 3 is not
-    among the bases (and then gives no row).  The chains are the only
-    work, and they run on a process pool (see _run_chains); the verdicts
-    and rows are built here, in n_values then bases order.
+    Every n and base is checked (check_audit_grid) before the first
+    chain runs.  Each n's primality comes from its base-3 chain, which
+    runs even when 3 is not among the bases (and then gives no row).
+    The chains are the only work, and they run on a process pool (see
+    _run_chains); the verdicts and rows are built here, in n_values then
+    bases order.
 
     Non-coprime bases do not abort the sweep: the row records the gcd
     (a factor of F_n!) and moves on.  Any violation in any row makes
     all_passed false; the caller decides how loud to be about it.
     """
     n_values = list(n_values)
-    for n in n_values:
-        check_chain_index(n)
-    for base in bases:
-        _check_base(base)
+    check_audit_grid(n_values, bases)
     chain_bases = list(dict.fromkeys([*bases, PEPIN_BASE]))
     # largest n first, so that the last chains to start are short ones
     jobs = [(n, base) for n in sorted(set(n_values), reverse=True)
@@ -379,6 +381,14 @@ def audit_range(n_values, bases) -> AuditReport:
                 rows.append(AuditRow(n=n, base=base, coprime=False,
                                      gcd=chain))
     return AuditReport(tuple(rows))
+
+
+def check_audit_grid(n_values, bases) -> None:
+    """Raise for the first index or base that audit_range would refuse."""
+    for n in n_values:
+        check_chain_index(n)
+    for base in bases:
+        _check_base(base)
 
 
 def _chain_job(job: Tuple[int, int]) -> Union[ChainTaps, int]:

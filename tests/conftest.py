@@ -27,6 +27,27 @@ settings.load_profile("fermatlab")
 # the same with and without numpy: the crossover group runs either way
 SELFTEST_CHECKS = 47
 
+# (n, p, v2(p - 1)): a prime factor p of F_n and the exponent alpha of the
+# order of pseudoprime_base(n, p)
+KNOWN_FACTORS = [(5, 641, 7), (6, 274177, 8)]
+
+
+def pseudoprime_base(n: int, p: int) -> int:
+    """A base to which F_n is a Fermat pseudoprime, from one factor p.
+
+    b = g (mod p), where g has order exactly 2^v2(p - 1) modulo p, and
+    b = 1 (mod F_n / p).  So ord(b) mod F_n is 2^v2(p - 1), which divides
+    F_n - 1 = 2^(2^n).  Built with builtin pow only, apart from the
+    library under test.
+    """
+    rest = ((1 << (1 << n)) + 1) // p
+    h = next(h for h in range(2, p) if pow(h, (p - 1) // 2, p) == p - 1)
+    odd = p - 1
+    while odd % 2 == 0:
+        odd //= 2
+    g = pow(h, odd, p)  # h is a non-residue, so g^(2^(v - 1)) = -1
+    return 1 + rest * ((g - 1) * pow(rest, -1, p) % p)
+
 
 @dataclass(frozen=True)
 class CliResult:

@@ -461,6 +461,22 @@ class TestFileSystemErrors:
         assert proc.stderr.startswith("fermatlab: ")
         assert proc.stderr.count("\n") == 1
 
+    def test_unwritable_report_fails_before_the_chains(self, blocker,
+                                                       monkeypatch):
+        jobs = []
+        monkeypatch.setattr(primality, "_run_chains", jobs.append)
+        res = run_cli("audit", "--n-range", "5..12",
+                      "--report", str(blocker / "r.json"))
+        assert (res.code, res.stdout, jobs) == (2, "", [])
+        assert res.stderr.startswith("fermatlab: ")
+
+    def test_refused_audit_leaves_no_report(self, tmp_path):
+        target = tmp_path / "r.json"
+        for bad in (["--n-range", "1..5"], ["--bases=2,-3"]):
+            res = run_cli("audit", *bad, "--report", str(target))
+            assert res.code == 2
+            assert not target.exists()
+
     def test_unusable_checkpoint_dir_fails_before_the_chain(
             self, blocker, monkeypatch):
         chains = []

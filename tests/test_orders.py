@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from fermatlab import oracle, primality
+from conftest import KNOWN_FACTORS, pseudoprime_base
+
+from fermatlab import oracle, orders, primality
 from fermatlab.arith import fermat_value, mod_square_chain, reduce_fold
 from fermatlab.errors import BaseNotCoprimeError
 from fermatlab.orders import order_alpha
@@ -82,6 +84,13 @@ class TestOrderAlpha:
             if n >= 5:
                 assert r.bound_satisfied is True
 
+    @pytest.mark.parametrize("n, p, alpha", KNOWN_FACTORS)
+    def test_constructed_pseudoprime_base(self, n, p, alpha):
+        # the order is 2^v2(p - 1) by construction, not 2^(n + 1) as for 2
+        r = order_alpha(n, pseudoprime_base(n, p))
+        assert (r.alpha, r.squarings_used) == (alpha, alpha)
+        assert r.bound_satisfied is True
+
     def test_bound_reported_for_composite_congruent_bases(self):
         report = []
         for base in (2, 4, 16):
@@ -91,10 +100,60 @@ class TestOrderAlpha:
         assert all(a <= 30 for a in report)
 
 
+@pytest.fixture(scope="module")
+def naive_orders():
+    return {(n, base): oracle.naive_order(base, fermat_value(n))
+            for n in range(2, 5) for base in range(200)
+            if math.gcd(base, fermat_value(n)) == 1}
+
+
+def spy_on_squarings(monkeypatch):
+    """The count of every chain call order_alpha makes."""
+    counts = []
+    real = orders.mod_square_chain
+
+    def counting(a, count, observer=None):
+        counts.append(count)
+        return real(a, count, observer)
+
+    monkeypatch.setattr(orders, "mod_square_chain", counting)
+    return counts
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("block", [1, 3, 4, orders._BLOCK])
+    def test_agrees_with_naive_order(self, monkeypatch, naive_orders,
+                                     block):
+        # 3 leaves a short last block at every n; 4 makes the last entry
+        # of F_2's chain a block end
+        monkeypatch.setattr(orders, "_BLOCK", block)
+        for (n, base), want in naive_orders.items():
+            assert order_alpha(n, base).order == want, (n, base, block)
+
+    @pytest.mark.parametrize("block", [1, 3, orders._BLOCK])
+    def test_found_alpha_costs_at_most_one_block_more(self, monkeypatch,
+                                                      block):
+        monkeypatch.setattr(orders, "_BLOCK", block)
+        counts = spy_on_squarings(monkeypatch)
+        for n, base in [(2, 1), (5, 2), (6, pseudoprime_base(6, 274177)),
+                        (12, 2)]:
+            counts.clear()
+            r = order_alpha(n, base)
+            assert r.alpha is not None and r.squarings_used == r.alpha
+            assert r.alpha <= sum(counts) <= r.alpha + block
+
+    def test_not_totally_even_squares_the_whole_chain(self, monkeypatch):
+        counts = spy_on_squarings(monkeypatch)
+        r = order_alpha(10, 3)
+        assert r.alpha is None and r.squarings_used == 1 << 10
+        assert sum(counts) == 1 << 10
+        assert max(counts) == orders._BLOCK
+
+
 class TestNoConversionPerStep:
-    def test_fft_order_reads_one_int(self, monkeypatch):
-        # the chain tests each step for 1 on the digits; only the final
-        # residue is converted to an int
+    def test_fft_order_reads_one_int_per_block(self, monkeypatch):
+        # the chain is tested for 1 only at the end of each block, so only
+        # those residues are converted to an int
         pytest.importorskip("numpy")
         from fermatlab import _fft
 
@@ -108,4 +167,4 @@ class TestNoConversionPerStep:
         monkeypatch.setattr(_fft, "to_int", counting)
         r = order_alpha(14, 5)
         assert r.alpha is None and r.squarings_used == 1 << 14
-        assert calls[0] <= 1
+        assert calls[0] <= (1 << 14) // orders._BLOCK + 1

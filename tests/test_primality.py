@@ -6,7 +6,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import run_cli
+from conftest import KNOWN_FACTORS, pseudoprime_base, run_cli
 
 from fermatlab import factors, oracle, primality
 from fermatlab.arith import FermatResidue, fermat_value, max_index, \
@@ -30,6 +30,7 @@ from fermatlab.primality import (
     fermat_is_prime,
     pepin_test,
     quarter_residue,
+    require_coprime,
 )
 
 
@@ -331,6 +332,46 @@ class TestRealAudits:
             assert row.verdict.classification is Classification.PRIME
             assert row.verdict.quarter.tag is QuarterTag.OTHER
             assert row.verdict.violations == ()
+
+    def test_bases_past_the_decimal_digit_cap(self):
+        # 7^5300 has 14879 bits, more than the 4300 decimal digits an int
+        # may be written in; p is a prime factor of F_14, so p * b is a
+        # base whose gcd with F_14 is p
+        p = 116928085873074369829035993834596371340386703423373313
+        b = 7 ** 5300
+        with pytest.raises(BaseNotCoprimeError) as info:
+            require_coprime(14, p * b)
+        assert info.value.gcd == p
+        report = audit_range([14], [b, p * b])
+        assert report.rows[0].verdict is not None and report.all_passed
+        assert (report.rows[1].coprime, report.rows[1].gcd) == (False, p)
+        quarter = QuarterClass(QuarterTag.OTHER, FermatResidue(14, 7))
+        out = primality._audit_rules(14, b, False, True, quarter)
+        assert f"0x{b:x}" in out[0].detail
+
+
+class TestConstructedPseudoprimeBases:
+    """Bases other than 2 to which F_5 and F_6 are pseudoprimes, built
+    from one known factor (conftest.pseudoprime_base); every outcome
+    below follows from the construction, not from a chain."""
+
+    @pytest.mark.parametrize("n, p, alpha", KNOWN_FACTORS)
+    def test_classify(self, n, p, alpha):
+        v = classify_report(n, pseudoprime_base(n, p))
+        assert v.classification is Classification.PSEUDOPRIME_TO_BASE
+        assert v.quarter.tag is QuarterTag.PLUS_ONE
+        assert len(v.rules) == 2 and v.violations == ()
+
+    @pytest.mark.parametrize("n, p, alpha", KNOWN_FACTORS)
+    def test_audit_row(self, n, p, alpha):
+        base = pseudoprime_base(n, p)
+        res = run_cli("audit", "--n-range", str(n), "--bases", f"5,{base}")
+        assert res.code == 0
+        row = res.json()["rows"][1]
+        assert int(row["base"], 16) == base
+        assert row["classification"] == "pseudoprime-to-base"
+        assert row["quarter_tag"] == "plus-one"
+        assert row["rules"] and all(r["passed"] for r in row["rules"])
 
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
