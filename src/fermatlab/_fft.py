@@ -23,10 +23,9 @@ the squaring is redone from the previous digits by the integer multiply
 of arith and counted in `fallbacks`.
 
 `kernel` gives arith.mod_square_chain the (load, square, read)
-operations it loops over: the chain stays in the digit domain and
-converts to an int only at its end and when an observer asks for a
-value; both conversions go through int.to_bytes / int.from_bytes and
-are linear in N.
+operations it loops over: a chain call stays in the digit domain from
+its start to its end, where it converts to an int; both conversions go
+through int.to_bytes / int.from_bytes and are linear in N.
 numpy is imported here, and this module only on the first chain that
 uses it.
 """

@@ -7,6 +7,10 @@ resuming from garbage.  Writes go to a temp file in the same directory
 followed by an atomic rename; there is never a moment where the real
 filename holds a partial file.
 
+Where F_n has a known factor p, a residue that passes its digest but is
+not base^(2^index) modulo p (planted, or wrong before it was written)
+is refused too.
+
 Only the half-residue chain of the pepin command is checkpointed, so
 every file's chain_kind is CHAIN_KIND.  One file per (n, base): the filename
 bakes in the kind and index directly and an 8-hex-digit hash of the
@@ -22,10 +26,12 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
-from .arith import check_index, from_hex, to_hex
+from .arith import CHAIN_BLOCK, FermatResidue, check_index, from_hex, \
+    mod_square_chain, to_hex
 from .errors import CheckpointError
+from .factors import SMALLEST_KNOWN_FACTOR
 
 CHECKPOINT_FORMAT_VERSION = 1
 CHAIN_KIND = "pepin"
@@ -93,7 +99,8 @@ def load_checkpoint(path: Path) -> Checkpoint:
     """Parse and verify one checkpoint file.
 
     Every failure mode (unreadable, bad JSON, wrong version, malformed
-    fields, out-of-range values, digest mismatch) raises CheckpointError;
+    fields, out-of-range values, digest mismatch, a residue that fails
+    the known-factor check) raises CheckpointError;
     a caller must never fall back to a fresh start on its own, since a
     corrupt checkpoint usually means something external went wrong.
     """
@@ -153,6 +160,11 @@ def load_checkpoint(path: Path) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint {path} digest mismatch: file says {digest}, "
             f"payload hashes to {expected}")
+    p = SMALLEST_KNOWN_FACTOR.get(n)
+    if p is not None and residue % p != pow(base, pow(2, index, p - 1), p):
+        raise CheckpointError(
+            f"checkpoint {path} residue is not base^(2^{index}) modulo "
+            f"the known factor {p} of F_{n}")
     created = field("created_at", str)
     return Checkpoint(n=n, base=base, squaring_index=index, residue=residue,
                       created_at=created)
@@ -177,7 +189,7 @@ def load_matching(directory: Path, n: int, base: int) -> Optional[Checkpoint]:
 
 
 class ChainPaused(Exception):
-    """Raised out of a chain observer to stop after a planned index.
+    """Raised by CheckpointWriter.run to stop after a planned index.
 
     Control flow, not an error: the checkpoint at .path holds the state
     at .index and a later invocation resumes from it.
@@ -190,26 +202,31 @@ class ChainPaused(Exception):
 
 
 class CheckpointWriter:
-    """Chain observer that persists state on a squarings/seconds cadence.
+    """Runs the half-residue chain of (n, base), persisting its state.
 
-    Pass as the observer of a squaring chain that starts at squaring
-    `start_index` of the half-residue chain (the index of the checkpoint
-    it resumes from, else 0); the indices it writes and compares are
-    global.  Writes happen every `every_squarings` steps or
-    `every_seconds` seconds, whichever comes first, and always at
-    `stop_after` (followed by a ChainPaused raise).  The directory is
-    created here, so an unusable one fails before the first squaring.
+    The directory is created, and a checkpoint of this chain loaded into
+    .resumed (None when there is none), when the writer is built: an
+    unusable directory or a corrupt file fails before the first squaring.
+    run() squares from .resumed, or from its start, in chain calls of at
+    most CHAIN_BLOCK squarings, and writes a checkpoint after a call that
+    ends at a multiple of `every_squarings`, or `every_seconds` (0 turns
+    that off) after the last write.  The seconds are checked only where a
+    call ends, so such a write can come up to one block late.  It always
+    writes at the pause index, max(stop_after, resumed index + 1), and
+    then raises ChainPaused.  Indices are those of the whole chain.
     Call finished() after a completed chain to remove the file; a stale
     checkpoint of a finished run would otherwise shadow future runs.
     """
 
     def __init__(self, n: int, base: int, directory: Path,
-                 start_index: int = 0,
                  every_squarings: int = DEFAULT_EVERY_SQUARINGS,
                  every_seconds: float = DEFAULT_EVERY_SECONDS,
                  stop_after: Optional[int] = None):
         if every_squarings < 1:
             raise ValueError("checkpoint cadence must be >= 1 squaring")
+        if not every_seconds >= 0:  # NaN included
+            raise ValueError(
+                f"checkpoint seconds must be >= 0, got {every_seconds}")
         if stop_after is not None and stop_after < 1:
             raise ValueError(
                 f"stop index must be >= 1 squaring, got {stop_after}")
@@ -217,25 +234,39 @@ class CheckpointWriter:
         self.base = base
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.start_index = start_index
         self.every_squarings = every_squarings
         self.every_seconds = every_seconds
         self.stop_after = stop_after
-        self._last_time = time.monotonic()
+        self.resumed = load_matching(self.directory, n, base)
 
-    def __call__(self, index: int, value: Callable[[], int]) -> None:
-        index += self.start_index
-        pause = self.stop_after is not None and index >= self.stop_after
-        due = (index % self.every_squarings == 0) or pause
-        if not due and self.every_seconds > 0:
-            due = time.monotonic() - self._last_time >= self.every_seconds
-        if not due:
-            return
-        cp = Checkpoint.capture(self.n, self.base, index, value())
-        path = save_checkpoint(cp, self.directory)
-        self._last_time = time.monotonic()
-        if pause:
-            raise ChainPaused(index, path)
+    def run(self, start: FermatResidue, total: int) -> FermatResidue:
+        """The entry at index `total` of the chain whose index 0 is `start`.
+
+        It starts from the loaded checkpoint instead, when there is one.
+        """
+        index, x = 0, start
+        if self.resumed is not None:
+            index = self.resumed.squaring_index
+            x = FermatResidue(self.n, self.resumed.residue)
+        # past the chain's end when there is no stop or it lies beyond
+        pause = max(self.stop_after or total + 1, index + 1)
+        every = self.every_squarings
+        last_write = time.monotonic()
+        while index < total:
+            end = min(total, pause, index + CHAIN_BLOCK,
+                      (index // every + 1) * every)
+            x = mod_square_chain(x, end - index)
+            index = end
+            if index % every == 0 or index == pause or (
+                    self.every_seconds > 0
+                    and time.monotonic() - last_write >= self.every_seconds):
+                path = save_checkpoint(
+                    Checkpoint.capture(self.n, self.base, index, x.value),
+                    self.directory)
+                last_write = time.monotonic()
+                if index == pause:
+                    raise ChainPaused(index, path)
+        return x
 
     def finished(self) -> None:
         path = self.directory / checkpoint_filename(self.n, self.base)

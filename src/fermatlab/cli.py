@@ -33,7 +33,6 @@ from .checkpoint import (
     DEFAULT_EVERY_SQUARINGS,
     ChainPaused,
     CheckpointWriter,
-    load_matching,
 )
 from .errors import CheckpointError, FermatLabError
 from .factors import lucas_search
@@ -98,31 +97,25 @@ def _parse_range(text: str):
 
 def cmd_pepin(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    resume_index = 0
-    resume_value: Optional[int] = None
     writer: Optional[CheckpointWriter] = None
     if args.stop_after is not None and args.checkpoint_dir is None:
         _log("--stop-after needs --checkpoint-dir (the state must go "
              "somewhere to be resumable)")
         return EXIT_USAGE
     if args.checkpoint_dir is not None:
-        directory = Path(args.checkpoint_dir)
-        cp = load_matching(directory, args.n, args.base)
-        if cp is not None:
-            resume_index = cp.squaring_index
-            resume_value = cp.residue
-            _log(f"resuming n={args.n} base={args.base} from squaring "
-                 f"{resume_index} (checkpoint of {cp.created_at})")
         writer = CheckpointWriter(
-            args.n, args.base, directory, start_index=resume_index,
+            args.n, args.base, Path(args.checkpoint_dir),
             every_squarings=args.checkpoint_every,
             every_seconds=args.checkpoint_seconds,
             stop_after=args.stop_after)
+        cp = writer.resumed
+        if cp is not None:
+            _log(f"resuming n={args.n} base={args.base} from squaring "
+                 f"{cp.squaring_index} (checkpoint of {cp.created_at})")
     try:
-        prime, half = pepin_test(
-            args.n, args.base, observer=writer,
-            allow_any_base=args.allow_any_base,
-            resume_index=resume_index, resume_value=resume_value)
+        prime, half = pepin_test(args.n, args.base,
+                                 allow_any_base=args.allow_any_base,
+                                 checkpoints=writer)
     except ChainPaused as pause:
         elapsed = time.perf_counter() - t0
         _log(f"paused after squaring {pause.index}; checkpoint at "
@@ -290,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default {DEFAULT_EVERY_SQUARINGS})")
     p.add_argument("--checkpoint-seconds", type=float,
                    default=DEFAULT_EVERY_SECONDS, metavar="SECONDS",
-                   help="also checkpoint after this many seconds "
-                        f"(default {DEFAULT_EVERY_SECONDS:g})")
+                   help="also checkpoint after this many seconds, "
+                        "checked between blocks of squarings; 0 turns "
+                        f"it off (default {DEFAULT_EVERY_SECONDS:g})")
     p.add_argument("--stop-after", type=int, metavar="INDEX",
                    help="write a checkpoint at this squaring index (>= 1) "
                         "and exit cleanly (resume by rerunning)")

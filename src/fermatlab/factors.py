@@ -34,6 +34,31 @@ _SIEVE_BOUND = 1 << 12
 # k values sieved at a time, so memory does not grow with k_max.
 _SIEVE_SEGMENT = 1 << 16
 
+# The smallest published prime factor of F_n, for each n <= 23 at which
+# F_n is composite and has one (F_20 has none).  A residue x of a chain
+# of base^(2^i) values must satisfy x = base^(2^i mod (p - 1)) (mod p),
+# which load_checkpoint checks with builtin pow.
+SMALLEST_KNOWN_FACTOR = {
+    5: 641,
+    6: 274177,
+    7: 59649589127497217,
+    8: 1238926361552897,
+    9: 2424833,
+    10: 45592577,
+    11: 319489,
+    12: 114689,
+    13: 2710954639361,
+    14: 116928085873074369829035993834596371340386703423373313,
+    15: 1214251009,
+    16: 825753601,
+    17: 31065037602817,
+    18: 13631489,
+    19: 70525124609,
+    21: 4485296422913,
+    22: 64658705994591851009055774868504577,
+    23: 167772161,
+}
+
 
 @dataclass(frozen=True, slots=True)
 class CandidateDivisor:

@@ -17,19 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import mod_square_chain
+from .arith import CHAIN_BLOCK, mod_square_chain
 from .primality import fermat_is_prime, require_coprime
 
 ORDER_BOUND_SLACK = 2  # composite + congruence: alpha <= 2^n - 2
-
-# Squarings per chain call in order_alpha, whose end alone is tested
-# for 1.  One call's own cost (kernel, load, read, residue) was 3 us at
-# n = 8..12 and 21 us at n = 14 (FFT), against 38 us, 0.68 ms and 4.1 ms
-# for 64 squarings at n = 8, 12 and 14 (best of 7, 2 cores): 8% of a
-# block at n = 8, under 1% from n = 12.  A found alpha costs at most
-# alpha + _BLOCK squarings, up to _BLOCK of them in single-squaring calls
-# that walk its block again.
-_BLOCK = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,18 +56,20 @@ class OrderResult:
 def order_alpha(n: int, base: int) -> OrderResult:
     """Least alpha with base^(2^alpha) = 1 mod F_n, or NotTotallyEven.
 
-    The chain of at most 2^n squarings runs in blocks of _BLOCK, and only
-    each block's end is tested for 1; the base itself is the chain's
+    The chain of at most 2^n squarings runs in blocks of CHAIN_BLOCK, and
+    only each block's end is tested for 1; the base itself is the chain's
     entry at index 0.  A block that ends on 1 is walked again one
     squaring at a time from its start, and the first 1 is alpha.  That
     is exact because 1 is a fixed point of squaring: every entry past
-    alpha is 1 and none before it is.
+    alpha is 1 and none before it is.  A found alpha costs at most alpha
+    + CHAIN_BLOCK squarings, up to CHAIN_BLOCK of them in single-squaring
+    calls that walk its block again.
     """
     start = require_coprime(n, base)
     limit = 1 << n
     index = 0
     while index < limit:
-        step = min(_BLOCK, limit - index)
+        step = min(CHAIN_BLOCK, limit - index)
         end = mod_square_chain(start, step)
         if end.is_one:
             while not start.is_one:

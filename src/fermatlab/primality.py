@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Tuple, Union
 
-from .arith import FermatResidue, Observer, check_chain_index, \
-    check_index, fermat_value, mod_square_chain, reduce_fold
+from .arith import FermatResidue, check_chain_index, check_index, \
+    fermat_value, mod_square_chain, reduce_fold
 from .errors import BaseNotCoprimeError, NonAdmissibleBaseError
 from .factors import _odd_primes
 
@@ -161,38 +161,33 @@ def chain_taps(n: int, base: int) -> ChainTaps:
                      full=mod_square_chain(half, 1))
 
 
-def pepin_test(n: int, base: int = 3,
-               observer: Optional[Observer] = None,
-               allow_any_base: bool = False,
-               resume_index: int = 0,
-               resume_value: Optional[int] = None,
-               ) -> Tuple[bool, FermatResidue]:
+def pepin_test(n: int, base: int = 3, allow_any_base: bool = False,
+               checkpoints=None) -> Tuple[bool, FermatResidue]:
     """Half-residue primality test: F_n prime iff base^((F_n-1)/2) = -1.
 
     Valid for n >= 2 with base in PEPIN_ADMISSIBLE_BASES; other bases
     are rejected unless allow_any_base is set, because for them the
     equivalence with primality is not established (and for base 2 it is
-    plainly false).  resume_index / resume_value restart the chain from
-    a saved point.  The observer is the checkpoint hook; it sees the
-    indices of the chain run here, which starts at resume_index.
+    plainly false).  checkpoints, a checkpoint.CheckpointWriter built for
+    the same (n, base), runs the chain instead: from its loaded
+    checkpoint if it has one, writing and pausing between blocks.
     """
     check_chain_index(n)
     if base not in PEPIN_ADMISSIBLE_BASES and not allow_any_base:
         raise NonAdmissibleBaseError(
-            f"base {base} is not in the admissible set "
+            f"base 0x{base:x} is not in the admissible set "
             f"{sorted(PEPIN_ADMISSIBLE_BASES)}; the any-base override "
             f"runs it anyway but the result carries no primality claim")
+    start = require_coprime(n, base)
     total = (1 << n) - 1
-    if not 0 <= resume_index <= total:
+    if checkpoints is None:
+        half = mod_square_chain(start, total)
+    elif (checkpoints.n, checkpoints.base) != (n, base):
         raise ValueError(
-            f"resume index must be in 0..{total}, got {resume_index}")
-    if resume_index == 0:
-        start = require_coprime(n, base)
+            f"checkpoint writer for (n={checkpoints.n}, base="
+            f"0x{checkpoints.base:x}) given to (n={n}, base=0x{base:x})")
     else:
-        if resume_value is None:
-            raise ValueError("resume_value required when resume_index > 0")
-        start = FermatResidue(n, resume_value)
-    half = mod_square_chain(start, total - resume_index, observer)
+        half = checkpoints.run(start, total)
     return half.is_minus_one, half
 
 

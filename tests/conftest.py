@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fermatlab import records
+from fermatlab import arith, checkpoint, orders, primality, records
 from fermatlab.cli import main
 
 # big-int cases vary wildly in size; wall-clock deadlines just add noise
@@ -47,6 +47,21 @@ def pseudoprime_base(n: int, p: int) -> int:
         odd //= 2
     g = pow(h, odd, p)  # h is a non-residue, so g^(2^(v - 1)) = -1
     return 1 + rest * ((g - 1) * pow(rest, -1, p) % p)
+
+
+def spy_on_squarings(monkeypatch, *modules):
+    """The count of every mod_square_chain call made from modules, by
+    default from every library module that makes one."""
+    counts = []
+    real = arith.mod_square_chain
+
+    def counting(a, count):
+        counts.append(count)
+        return real(a, count)
+
+    for module in modules or (checkpoint, orders, primality):
+        monkeypatch.setattr(module, "mod_square_chain", counting)
+    return counts
 
 
 @dataclass(frozen=True)

@@ -165,16 +165,6 @@ class TestSquareChain:
         with pytest.raises(ValueError):
             mod_square_chain(FermatResidue(2, 3), -1)
 
-    def test_observer_sees_every_step(self):
-        seen = []
-        a = reduce_fold(3, 3)
-        final = mod_square_chain(a, 9, lambda i, v: seen.append((i, v())))
-        assert [i for i, _ in seen] == list(range(1, 10))
-        assert seen[-1][1] == final.value
-        m = fermat_value(3)
-        for i, v in seen:
-            assert v == oracle.naive_pow(3, 1 << i, m)
-
     @given(st.data())
     def test_chain_composition(self, data):
         n = data.draw(st.integers(min_value=0, max_value=6))

@@ -5,8 +5,11 @@ import re
 
 import pytest
 
+from conftest import spy_on_squarings
+
 from fermatlab import checkpoint
-from fermatlab.arith import fermat_value, to_hex
+from fermatlab.arith import CHAIN_BLOCK, fermat_value, mod_square_chain, \
+    reduce_fold, to_hex
 from fermatlab.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     ChainPaused,
@@ -22,8 +25,13 @@ from fermatlab.errors import CheckpointError
 from fermatlab.primality import pepin_test
 
 
-def make_checkpoint(index=100, residue=12345):
-    return Checkpoint.capture(10, 3, index, residue)
+def true_residue(n, base, index):
+    """base^(2^index) mod F_n, the residue a real chain has at index."""
+    return pow(base, 1 << index, fermat_value(n))
+
+
+def make_checkpoint(index=100):
+    return Checkpoint.capture(10, 3, index, true_residue(10, 3, index))
 
 
 def write_doc(tmp_path, doc, name="pepin_n10_bdeadbeef.ckpt.json"):
@@ -33,7 +41,8 @@ def write_doc(tmp_path, doc, name="pepin_n10_bdeadbeef.ckpt.json"):
 
 
 def valid_doc(**overrides):
-    n, index, base, residue = 10, 100, 3, 12345
+    n, index, base = 10, 100, 3
+    residue = true_residue(n, base, index)
     base_hex, residue_hex = to_hex(base), to_hex(residue)
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -81,6 +90,11 @@ class TestRoundTrip:
         assert path.name == checkpoint_filename(10, 3)
         loaded = load_checkpoint(path)
         assert loaded == cp
+
+    def test_save_load_where_no_factor_is_known(self, tmp_path):
+        # F_20 has no known factor, so only the digest vouches for it
+        cp = Checkpoint.capture(20, 3, 3, 3 ** 8)
+        assert load_checkpoint(save_checkpoint(cp, tmp_path)) == cp
 
     def test_no_temp_leftovers(self, tmp_path):
         save_checkpoint(make_checkpoint(), tmp_path)
@@ -203,6 +217,21 @@ class TestLoadMatching:
             load_matching(tmp_path, 10, 5)
 
 
+def old_rule(start, total, every, stop_after):
+    """Writes and pause index of the per-squaring writer that the block
+    loop replaced: after each squaring i past start, it wrote when i was
+    a multiple of every or i >= stop_after, and paused at the first i
+    >= stop_after."""
+    writes = []
+    for i in range(start + 1, total + 1):
+        pause = stop_after is not None and i >= stop_after
+        if i % every == 0 or pause:
+            writes.append(i)
+        if pause:
+            return writes, i
+    return writes, None
+
+
 class TestCheckpointWriter:
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -228,14 +257,14 @@ class TestCheckpointWriter:
         # the n=6 half chain is 63 squarings, so the last write lands at 48
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=16, every_seconds=0)
-        pepin_test(6, observer=writer)
+        pepin_test(6, checkpoints=writer)
         cp = load_matching(tmp_path, 6, 3)
         assert cp.squaring_index == 48
 
     def test_no_write_before_cadence(self, tmp_path):
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=1000, every_seconds=0)
-        pepin_test(6, observer=writer)
+        pepin_test(6, checkpoints=writer)
         assert load_matching(tmp_path, 6, 3) is None
         assert list(tmp_path.iterdir()) == []
 
@@ -243,31 +272,71 @@ class TestCheckpointWriter:
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=10 ** 9,
                                   every_seconds=1e-9)
-        pepin_test(6, observer=writer)
+        pepin_test(6, checkpoints=writer)
         assert load_matching(tmp_path, 6, 3) is not None
 
-    def test_resume_observer_uses_global_indices(self, tmp_path,
-                                                 monkeypatch):
-        captured = {}
-        pepin_test(6, 3, observer=lambda i, v: captured.setdefault(i, v()))
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    @pytest.mark.parametrize("every", [1, 3, 16, 64, 10 ** 9])
+    def test_blocks_follow_the_per_squaring_rule(self, tmp_path,
+                                                 monkeypatch, n, every):
+        total = (1 << n) - 1
+        chain = [reduce_fold(3, n)]
+        for _ in range(total):
+            chain.append(mod_square_chain(chain[-1], 1))
+        saved = []
+        for start in [s for s in (0, 5, 64, 130) if s <= total]:
+            for stop_after in (None, 1, 63, 64, 65, 200):
+                directory = tmp_path / f"{start}_{stop_after}"
+                if start:
+                    save_checkpoint(Checkpoint.capture(
+                        n, 3, start, chain[start].value), directory)
+                writer = CheckpointWriter(n, 3, directory,
+                                          every_squarings=every,
+                                          every_seconds=0,
+                                          stop_after=stop_after)
+                saved.clear()
+                monkeypatch.setattr(checkpoint, "save_checkpoint",
+                                    lambda cp, d: saved.append(cp) or d)
+                counts = spy_on_squarings(monkeypatch)
+                try:
+                    half = pepin_test(n, checkpoints=writer)[1]
+                    paused = None
+                except ChainPaused as pause:
+                    paused = pause.index
+                monkeypatch.undo()
+                writes, pause = old_rule(start, total, every, stop_after)
+                case = (n, every, start, stop_after)
+                assert [cp.squaring_index for cp in saved] == writes, case
+                assert paused == pause, case
+                assert all(cp.residue == chain[cp.squaring_index].value
+                           for cp in saved), case
+                if paused is None:
+                    assert half == chain[total], case
+                assert sum(counts) == (paused or total) - start, case
+                assert max(counts, default=0) <= CHAIN_BLOCK, case
+
+    def test_resumed_writer_writes_global_indices(self, tmp_path,
+                                                  monkeypatch):
+        save_checkpoint(Checkpoint.capture(6, 3, 20, true_residue(6, 3, 20)),
+                        tmp_path)
         saved = []
         monkeypatch.setattr(checkpoint, "save_checkpoint",
                             lambda cp, directory: saved.append(cp))
-        writer = CheckpointWriter(6, 3, tmp_path, start_index=20,
+        writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=1, every_seconds=0)
-        pepin_test(6, 3, resume_index=20, resume_value=captured[20],
-                   observer=writer)
+        assert writer.resumed.squaring_index == 20
+        pepin_test(6, 3, checkpoints=writer)
         seen = [cp.squaring_index for cp in saved]
-        total = (1 << 6) - 1
-        assert seen == list(range(21, total + 1))
-        assert [cp.residue for cp in saved] == [captured[i] for i in seen]
+        assert seen == list(range(21, (1 << 6)))
+        assert [cp.residue for cp in saved] \
+            == [true_residue(6, 3, i) for i in seen]
 
     def test_stop_after_pauses_and_persists(self, tmp_path):
         writer = CheckpointWriter(8, 3, tmp_path,
                                   every_squarings=10 ** 9, every_seconds=0,
                                   stop_after=100)
         with pytest.raises(ChainPaused) as exc:
-            pepin_test(8, observer=writer)
+            pepin_test(8, checkpoints=writer)
         assert exc.value.index == 100
         cp = load_matching(tmp_path, 8, 3)
         assert cp.squaring_index == 100
@@ -276,17 +345,23 @@ class TestCheckpointWriter:
         clean_prime, clean_half = pepin_test(8)
         writer = CheckpointWriter(8, 3, tmp_path, stop_after=77)
         with pytest.raises(ChainPaused):
-            pepin_test(8, observer=writer)
-        cp = load_matching(tmp_path, 8, 3)
-        resumed_prime, resumed_half = pepin_test(
-            8, resume_index=cp.squaring_index, resume_value=cp.residue)
+            pepin_test(8, checkpoints=writer)
+        writer = CheckpointWriter(8, 3, tmp_path)
+        assert writer.resumed.squaring_index == 77
+        resumed_prime, resumed_half = pepin_test(8, checkpoints=writer)
         assert resumed_half == clean_half
         assert resumed_prime == clean_prime
+
+    @pytest.mark.parametrize("n, base", [(8, 3), (6, 5)])
+    def test_writer_of_another_chain_refused(self, tmp_path, n, base):
+        writer = CheckpointWriter(6, 3, tmp_path)
+        with pytest.raises(ValueError, match="checkpoint writer for"):
+            pepin_test(n, base, checkpoints=writer)
 
     def test_finished_removes_file(self, tmp_path):
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=16, every_seconds=0)
-        pepin_test(6, observer=writer)
+        pepin_test(6, checkpoints=writer)
         path = tmp_path / checkpoint_filename(6, 3)
         assert path.exists()
         writer.finished()

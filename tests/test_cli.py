@@ -7,7 +7,8 @@ import os
 import jsonschema
 import pytest
 
-from conftest import SELFTEST_CHECKS, run_cli, run_cli_subprocess
+from conftest import SELFTEST_CHECKS, run_cli, run_cli_subprocess, \
+    spy_on_squarings
 
 from fermatlab import arith, primality
 from fermatlab.arith import fermat_value
@@ -158,6 +159,27 @@ class TestPepinCheckpointFlow:
         target.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli("pepin", "10",
                        "--checkpoint-dir", str(tmp_path)).code == 3
+
+    @pytest.mark.parametrize("n", [5, 12, 18])
+    def test_planted_residue_refused(self, tmp_path, monkeypatch, n):
+        # the file's digest is valid, so only the known-factor check can
+        # tell; before it, pepin 5 resumed and exited 0 with a wrong residue
+        save_checkpoint(Checkpoint.capture(n, 3, 10, 12345), tmp_path)
+        chains = spy_on_squarings(monkeypatch)
+        # the stop keeps a resumed run short should the check miss it
+        res = run_cli("pepin", str(n), "--checkpoint-dir", str(tmp_path),
+                      "--stop-after", "11")
+        assert (res.code, res.stdout, chains) == (3, "", [])
+        assert "known factor" in res.stderr
+
+    @pytest.mark.parametrize("seconds", ["nan", "-1"])
+    def test_invalid_checkpoint_seconds_rejected(self, tmp_path, seconds):
+        target = tmp_path / "ck"
+        res = run_cli("pepin", "6", "--checkpoint-dir", str(target),
+                      f"--checkpoint-seconds={seconds}")
+        assert (res.code, res.stdout) == (2, "")
+        assert "seconds" in res.stderr
+        assert not target.exists()
 
     def test_index_past_half_chain_refused(self, tmp_path):
         # the n=5 half chain is 31 squarings, so index 32 cannot be real
@@ -479,9 +501,7 @@ class TestFileSystemErrors:
 
     def test_unusable_checkpoint_dir_fails_before_the_chain(
             self, blocker, monkeypatch):
-        chains = []
-        monkeypatch.setattr(primality, "mod_square_chain",
-                            lambda *args, **kwargs: chains.append(args))
+        chains = spy_on_squarings(monkeypatch)
         res = run_cli("pepin", "11", "--checkpoint-dir", str(blocker))
         assert (res.code, res.stdout, chains) == (2, "", [])
         assert res.stderr.startswith("fermatlab: ")

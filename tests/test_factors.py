@@ -11,6 +11,7 @@ from fermatlab.arith import fermat_value
 from fermatlab.errors import IndexBelowTwoError, IndexOutOfRangeError, \
     NotADivisorError
 from fermatlab.factors import (
+    SMALLEST_KNOWN_FACTOR,
     CandidateDivisor,
     cofactor,
     divides_fermat,
@@ -19,6 +20,19 @@ from fermatlab.factors import (
 )
 from fermatlab.oracle import is_probable_prime, naive_mod, trial_division
 from fermatlab.records import factor_record
+
+
+class TestKnownFactorTable:
+    def test_covers_every_index_with_a_published_factor(self):
+        assert sorted(SMALLEST_KNOWN_FACTOR) \
+            == [n for n in range(5, 24) if n != 20]
+
+    @pytest.mark.parametrize("n", sorted(SMALLEST_KNOWN_FACTOR))
+    def test_entry_is_a_prime_divisor_of_the_right_form(self, n):
+        p = SMALLEST_KNOWN_FACTOR[n]
+        assert divides_fermat(p, n)
+        assert (p - 1) % (1 << (n + 2)) == 0
+        assert is_probable_prime(p)
 
 
 class TestDividesFermat:

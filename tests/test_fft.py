@@ -34,12 +34,11 @@ def int_chain(value: int, n: int, count: int) -> int:
     return value
 
 
-def fft_chain(value: int, n: int, count: int, observer=None) -> int:
+def fft_chain(value: int, n: int, count: int) -> int:
     """mod_square_chain on the FFT kernel, also below the crossover."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arith, "FFT_MIN_INDEX", _fft.MIN_INDEX)
-        return mod_square_chain(FermatResidue(n, value), count,
-                                observer).value
+        return mod_square_chain(FermatResidue(n, value), count).value
 
 
 def edge_or_any(n: int):
@@ -71,16 +70,6 @@ class TestAgainstIntegerChain:
         assert fft_chain(value, n, count) == int_chain(value, n, count)
         # real residues stay far below the roundoff limit
         assert _fft.fallbacks == before
-
-    def test_observer_values_are_snapshots(self):
-        # each callable returns its own step's residue, even when called
-        # after the chain has moved on
-        seen = []
-        final = fft_chain(3, 10, 12, lambda i, v: seen.append((i, v)))
-        assert [i for i, _ in seen] == list(range(1, 13))
-        assert [v() for _, v in seen] \
-            == [int_chain(3, 10, i) for i in range(1, 13)]
-        assert final == seen[-1][1]()
 
     def test_order_after_fallbacks(self, monkeypatch):
         # every squaring is redone on integers and reloaded by to_digits;

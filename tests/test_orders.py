@@ -4,10 +4,11 @@ import math
 
 import pytest
 
-from conftest import KNOWN_FACTORS, pseudoprime_base
+from conftest import KNOWN_FACTORS, pseudoprime_base, spy_on_squarings
 
 from fermatlab import oracle, orders, primality
-from fermatlab.arith import fermat_value, mod_square_chain, reduce_fold
+from fermatlab.arith import CHAIN_BLOCK, fermat_value, mod_square_chain, \
+    reduce_fold
 from fermatlab.errors import BaseNotCoprimeError
 from fermatlab.orders import order_alpha
 
@@ -107,34 +108,21 @@ def naive_orders():
             if math.gcd(base, fermat_value(n)) == 1}
 
 
-def spy_on_squarings(monkeypatch):
-    """The count of every chain call order_alpha makes."""
-    counts = []
-    real = orders.mod_square_chain
-
-    def counting(a, count, observer=None):
-        counts.append(count)
-        return real(a, count, observer)
-
-    monkeypatch.setattr(orders, "mod_square_chain", counting)
-    return counts
-
-
 class TestBlocks:
-    @pytest.mark.parametrize("block", [1, 3, 4, orders._BLOCK])
+    @pytest.mark.parametrize("block", [1, 3, 4, CHAIN_BLOCK])
     def test_agrees_with_naive_order(self, monkeypatch, naive_orders,
                                      block):
         # 3 leaves a short last block at every n; 4 makes the last entry
         # of F_2's chain a block end
-        monkeypatch.setattr(orders, "_BLOCK", block)
+        monkeypatch.setattr(orders, "CHAIN_BLOCK", block)
         for (n, base), want in naive_orders.items():
             assert order_alpha(n, base).order == want, (n, base, block)
 
-    @pytest.mark.parametrize("block", [1, 3, orders._BLOCK])
+    @pytest.mark.parametrize("block", [1, 3, CHAIN_BLOCK])
     def test_found_alpha_costs_at_most_one_block_more(self, monkeypatch,
                                                       block):
-        monkeypatch.setattr(orders, "_BLOCK", block)
-        counts = spy_on_squarings(monkeypatch)
+        monkeypatch.setattr(orders, "CHAIN_BLOCK", block)
+        counts = spy_on_squarings(monkeypatch, orders)
         for n, base in [(2, 1), (5, 2), (6, pseudoprime_base(6, 274177)),
                         (12, 2)]:
             counts.clear()
@@ -143,11 +131,11 @@ class TestBlocks:
             assert r.alpha <= sum(counts) <= r.alpha + block
 
     def test_not_totally_even_squares_the_whole_chain(self, monkeypatch):
-        counts = spy_on_squarings(monkeypatch)
+        counts = spy_on_squarings(monkeypatch, orders)
         r = order_alpha(10, 3)
         assert r.alpha is None and r.squarings_used == 1 << 10
         assert sum(counts) == 1 << 10
-        assert max(counts) == orders._BLOCK
+        assert max(counts) == CHAIN_BLOCK
 
 
 class TestNoConversionPerStep:
@@ -167,4 +155,4 @@ class TestNoConversionPerStep:
         monkeypatch.setattr(_fft, "to_int", counting)
         r = order_alpha(14, 5)
         assert r.alpha is None and r.squarings_used == 1 << 14
-        assert calls[0] <= (1 << 14) // orders._BLOCK + 1
+        assert calls[0] <= (1 << 14) // CHAIN_BLOCK + 1

@@ -6,7 +6,8 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import KNOWN_FACTORS, pseudoprime_base, run_cli
+from conftest import KNOWN_FACTORS, pseudoprime_base, run_cli, \
+    spy_on_squarings
 
 from fermatlab import factors, oracle, primality
 from fermatlab.arith import FermatResidue, fermat_value, max_index, \
@@ -90,23 +91,12 @@ class TestPepin:
             pepin_test(5, 641 * 3, allow_any_base=True)
         assert info.value.gcd == 641
 
-    def test_resume_reproduces_full_run(self):
-        captured = {}
-
-        def keep(i, v):
-            captured[i] = v()
-
-        _, full = pepin_test(8, 3, observer=keep)
-        cut = 100
-        prime, resumed = pepin_test(8, 3, resume_index=cut,
-                                    resume_value=captured[cut])
-        assert resumed.value == full.value
-
-    def test_resume_validation(self):
-        with pytest.raises(ValueError):
-            pepin_test(5, 3, resume_index=5)  # no value supplied
-        with pytest.raises(ValueError):
-            pepin_test(5, 3, resume_index=99, resume_value=1)
+    def test_non_admissible_base_past_the_decimal_digit_cap(self):
+        # 7^5300 has more than the 4300 decimal digits an int may be
+        # written in, so the message names it in hex
+        b = 7 ** 5300
+        with pytest.raises(NonAdmissibleBaseError, match=f"0x{b:x}"):
+            pepin_test(14, b)
 
 
 class TestQuarterResidue:
@@ -306,14 +296,7 @@ class TestRealAudits:
     def test_one_chain_per_row(self, monkeypatch):
         # the base-3 row decides primality for the other bases of its n,
         # so no row pays for a second chain
-        counts = []
-        real = primality.mod_square_chain
-
-        def counting(a, count, observer=None):
-            counts.append(count)
-            return real(a, count, observer)
-
-        monkeypatch.setattr(primality, "mod_square_chain", counting)
+        counts = spy_on_squarings(monkeypatch)
         report = audit_range(range(5, 8), [2, 3, 5])
         assert sum(counts) == 3 * ((1 << 5) + (1 << 6) + (1 << 7))
         assert [(row.n, row.base) for row in report.rows] \

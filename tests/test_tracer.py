@@ -1,8 +1,10 @@
 """The benchmark's layer tracer still runs the CLI and counts squarings.
 
 clibench/tracer.py wraps `arith.mod_square_chain` as `(a, count,
-observer=None)` and passes observers `(index, value)` through; these
-runs pin that contract from the library side.
+observer=None)` and forwards `(a, count)` when no observer is passed,
+which is every call now; it also wraps a `CheckpointWriter.__call__`
+that the writer no longer has.  These runs pin that contract from the
+library side.
 """
 
 import json
@@ -51,6 +53,16 @@ def test_paused_and_resumed_pepin_is_counted(tmp_path):
     assert paused["arith.squarings"] == 5
     resumed = traced(tmp_path, "pepin", "8", "--checkpoint-dir", ck)
     assert resumed["arith.squarings"] == (1 << 8) - 1 - 5
+
+
+def test_checkpointed_pepin_slice_is_counted(tmp_path):
+    # the shape of the benchmark's pepin-large calls, on the FFT kernel
+    ck = str(tmp_path / "ck")
+    _, doc = run_traced(tmp_path, "pepin", "14", "--checkpoint-dir", ck,
+                        "--stop-after", "128")
+    assert doc["counts"]["arith.squarings"] == 128
+    saves = [s for s in doc["spans"] if s[1] == "checkpoint.save_checkpoint"]
+    assert len(saves) == 1
 
 
 def test_pooled_audit_gives_the_same_record(tmp_path):
