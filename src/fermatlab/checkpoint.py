@@ -7,9 +7,10 @@ resuming from garbage.  Writes go to a temp file in the same directory
 followed by an atomic rename; there is never a moment where the real
 filename holds a partial file.
 
-Where F_n has a known factor p, a residue that passes its digest but is
-not base^(2^index) modulo p (planted, or wrong before it was written)
-is refused too.
+Where F_n has a known factor p, a residue that is not base^(2^index)
+modulo p is refused: on load, though it passes its digest (planted, or
+wrong before it was written), and before each write, so that a chain
+that goes wrong never overwrites the last good file.
 
 Only the half-residue chain of the pepin command is checkpointed, so
 every file's chain_kind is CHAIN_KIND.  One file per (n, base): the filename
@@ -95,6 +96,17 @@ def save_checkpoint(cp: Checkpoint, directory: Path) -> Path:
     return path
 
 
+def check_known_factor(n: int, base: int, index: int, residue: int,
+                       what: str) -> None:
+    """Raise CheckpointError, naming the residue `what`, unless it is
+    base^(2^index) modulo the smallest known factor of F_n, if any."""
+    p = SMALLEST_KNOWN_FACTOR.get(n)
+    if p is not None and residue % p != pow(base, pow(2, index, p - 1), p):
+        raise CheckpointError(
+            f"{what} is not base^(2^{index}) modulo "
+            f"the known factor {p} of F_{n}")
+
+
 def load_checkpoint(path: Path) -> Checkpoint:
     """Parse and verify one checkpoint file.
 
@@ -160,11 +172,8 @@ def load_checkpoint(path: Path) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint {path} digest mismatch: file says {digest}, "
             f"payload hashes to {expected}")
-    p = SMALLEST_KNOWN_FACTOR.get(n)
-    if p is not None and residue % p != pow(base, pow(2, index, p - 1), p):
-        raise CheckpointError(
-            f"checkpoint {path} residue is not base^(2^{index}) modulo "
-            f"the known factor {p} of F_{n}")
+    check_known_factor(n, base, index, residue,
+                       f"checkpoint {path} residue")
     created = field("created_at", str)
     return Checkpoint(n=n, base=base, squaring_index=index, residue=residue,
                       created_at=created)
@@ -214,6 +223,8 @@ class CheckpointWriter:
     call ends, so such a write can come up to one block late.  It always
     writes at the pause index, max(stop_after, resumed index + 1), and
     then raises ChainPaused.  Indices are those of the whole chain.
+    Each residue is checked (check_known_factor) before it is written; a
+    wrong one raises CheckpointError and leaves the last file in place.
     Call finished() after a completed chain to remove the file; a stale
     checkpoint of a finished run would otherwise shadow future runs.
     """
@@ -260,6 +271,9 @@ class CheckpointWriter:
             if index % every == 0 or index == pause or (
                     self.every_seconds > 0
                     and time.monotonic() - last_write >= self.every_seconds):
+                check_known_factor(
+                    self.n, self.base, index, x.value,
+                    f"chain residue at squaring {index}, not written,")
                 path = save_checkpoint(
                     Checkpoint.capture(self.n, self.base, index, x.value),
                     self.directory)

@@ -31,16 +31,19 @@ class OrderResult:
     NotTotallyEven marker: no power-of-two exponent up to 2^(2^n)
     reaches 1, so the order does not divide F_n - 1 at all (the base
     therefore also fails the Fermat congruence).  bound_satisfied is
-    only set when F_n is composite and alpha is numeric.  squarings_used
-    is the chain index reached, alpha or 2^n, not the squarings done:
-    order_alpha squares up to the end of alpha's block and walks back.
+    only set when F_n is composite and alpha is numeric.
     """
 
     n: int
     base: int
     alpha: Optional[int]
     bound_satisfied: Optional[bool] = None
-    squarings_used: int = 0
+
+    @property
+    def squarings_used(self) -> int:
+        """The chain index reached, alpha or 2^n, not the squarings done:
+        order_alpha squares up to the end of alpha's block and walks back."""
+        return 1 << self.n if self.alpha is None else self.alpha
 
     @property
     def not_totally_even(self) -> bool:
@@ -75,11 +78,9 @@ def order_alpha(n: int, base: int) -> OrderResult:
             while not start.is_one:
                 start = mod_square_chain(start, 1)
                 index += 1
-            return OrderResult(n=n, base=base, alpha=index,
-                               squarings_used=index,
-                               bound_satisfied=_bound(n, index))
+            return OrderResult(n, base, index, _bound(n, index))
         start, index = end, index + step
-    return OrderResult(n=n, base=base, alpha=None, squarings_used=limit)
+    return OrderResult(n, base, None)
 
 
 def _bound(n: int, alpha: int) -> Optional[bool]:

@@ -24,7 +24,7 @@ import enum
 import os
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .arith import FermatResidue, check_chain_index, check_index, \
     fermat_value, mod_square_chain, reduce_fold
@@ -60,20 +60,17 @@ class QuarterTag(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class QuarterClass:
-    """The quarter residue together with its classification tag."""
+    """The quarter residue, classified by its tag."""
 
-    tag: QuarterTag
     residue: FermatResidue
 
-    @classmethod
-    def from_residue(cls, residue: FermatResidue) -> "QuarterClass":
-        if residue.is_one:
-            tag = QuarterTag.PLUS_ONE
-        elif residue.is_minus_one:
-            tag = QuarterTag.MINUS_ONE
-        else:
-            tag = QuarterTag.OTHER
-        return cls(tag, residue)
+    @property
+    def tag(self) -> QuarterTag:
+        if self.residue.is_one:
+            return QuarterTag.PLUS_ONE
+        if self.residue.is_minus_one:
+            return QuarterTag.MINUS_ONE
+        return QuarterTag.OTHER
 
 
 class Classification(enum.Enum):
@@ -98,6 +95,7 @@ class RuleOutcome:
 class Verdict:
     """Everything one classify run learned about (F_n, base).
 
+    It holds the taps of base's chain and reads the rest from them.
     pepin_prime always comes from a base-3 half residue; base 2 in
     particular proves nothing about primality (2^((F_n-1)/2) never
     lands on -1 for n >= 2), so the requested base only ever supplies
@@ -108,13 +106,44 @@ class Verdict:
     n: int
     base: int
     pepin_prime: bool
-    fermat_congruence_holds: bool
-    quarter: QuarterClass
-    half_residue: FermatResidue
-    fermat_residue: FermatResidue
-    classification: Classification
-    squarings: int
-    rules: Tuple[RuleOutcome, ...]
+    taps: ChainTaps
+
+    @property
+    def quarter(self) -> QuarterClass:
+        return QuarterClass(self.taps.quarter)
+
+    @property
+    def half_residue(self) -> FermatResidue:
+        return self.taps.half
+
+    @property
+    def fermat_residue(self) -> FermatResidue:
+        return self.taps.full
+
+    @property
+    def fermat_congruence_holds(self) -> bool:
+        return self.taps.full.is_one
+
+    @property
+    def classification(self) -> Classification:
+        if self.pepin_prime:
+            return Classification.PRIME
+        if self.fermat_congruence_holds:
+            return Classification.PSEUDOPRIME_TO_BASE
+        return Classification.COMPOSITE_NON_PSEUDOPRIME
+
+    @property
+    def squarings(self) -> int:
+        """The chain's 2^n squarings, plus the base-3 chain that decides
+        primality unless the base is 3, counted as a Pepin chain (2^n - 1
+        squarings) although audit_range runs that chain for all 2^n."""
+        if self.base == PEPIN_BASE:
+            return 1 << self.n
+        return (1 << (self.n + 1)) - 1
+
+    @property
+    def rules(self) -> Tuple[RuleOutcome, ...]:
+        return _audit_rules(self)
 
     @property
     def violations(self) -> Tuple[RuleOutcome, ...]:
@@ -215,18 +244,16 @@ def reset_prime_cache() -> None:
 
 def quarter_residue(n: int, base: int) -> QuarterClass:
     """base^((F_n-1)/4) mod F_n, read from chain_taps, classified."""
-    return QuarterClass.from_residue(chain_taps(n, base).quarter)
+    return QuarterClass(chain_taps(n, base).quarter)
 
 
 def fermat_congruence(n: int, base: int) -> bool:
     """Whether base^(F_n - 1) = 1 mod F_n (two squarings past quarter)."""
-    taps = chain_taps(n, base)
-    return taps.full.is_one
+    return chain_taps(n, base).full.is_one
 
 
-def _audit_rules(n: int, base: int, pepin_prime: bool, congruence: bool,
-                 quarter: QuarterClass) -> Tuple[RuleOutcome, ...]:
-    """Check the n >= 5 quarter-residue rules that apply to (n, base).
+def _audit_rules(verdict: Verdict) -> Tuple[RuleOutcome, ...]:
+    """Check the n >= 5 quarter-residue rules that apply to a verdict.
 
     Rule keys, in check order:
       pseudoprime-quarter-one         congruence on composite F_n forces
@@ -240,16 +267,18 @@ def _audit_rules(n: int, base: int, pepin_prime: bool, congruence: bool,
     counterexample to the theory this library implements.  Details name
     the base in hex, as the records do, so that any base can be written.
     """
+    n, base, pepin_prime = verdict.n, verdict.base, verdict.pepin_prime
     if n < AUDIT_MIN_INDEX:
         return ()
-    pseudo = congruence and not pepin_prime
-    one = quarter.tag is QuarterTag.PLUS_ONE
-    minus_one = quarter.tag is QuarterTag.MINUS_ONE
+    pseudo = verdict.classification is Classification.PSEUDOPRIME_TO_BASE
+    tag = verdict.quarter.tag
+    one = tag is QuarterTag.PLUS_ONE
+    minus_one = tag is QuarterTag.MINUS_ONE
     # (rule key, whether it holds, what a failure means)
     checks = [
         ("pseudoprime-quarter-one", one or not pseudo,
          f"F_{n} pseudoprime to base 0x{base:x} but quarter residue is "
-         f"{quarter.tag.value} (expected 1)"),
+         f"{tag.value} (expected 1)"),
         ("quarter-minus-one-implies-prime", pepin_prime or not minus_one,
          f"quarter residue of base 0x{base:x} is -1 yet F_{n} is "
          "composite"),
@@ -259,7 +288,7 @@ def _audit_rules(n: int, base: int, pepin_prime: bool, congruence: bool,
             ("base3-quarter-not-minus-one", not minus_one,
              f"3^((F_{n}-1)/4) = -1 should never happen for n >= 5"),
             ("base3-pseudoprime-iff-quarter-one", one == pseudo,
-             f"base-3 quarter residue tag {quarter.tag.value} "
+             f"base-3 quarter residue tag {tag.value} "
              f"disagrees with pseudoprime={pseudo} at n={n}"),
         ]
     return tuple(RuleOutcome(rule, passed, None if passed else detail)
@@ -278,39 +307,6 @@ def classify_report(n: int, base: int) -> Verdict:
     return audit_range([n], [base]).rows[0].verdict
 
 
-def _verdict(n: int, base: int, taps: ChainTaps,
-             pepin_prime: bool) -> Verdict:
-    """The verdict for (F_n, base) from its chain and F_n's primality.
-
-    squarings also counts the base-3 chain that decides primality, unless
-    the requested base is 3, and counts it as a Pepin chain (2^n - 1
-    squarings) although audit_range runs that chain for all 2^n.
-    """
-    quarter = QuarterClass.from_residue(taps.quarter)
-    congruence = taps.full.is_one
-    if pepin_prime:
-        classification = Classification.PRIME
-    elif congruence:
-        classification = Classification.PSEUDOPRIME_TO_BASE
-    else:
-        classification = Classification.COMPOSITE_NON_PSEUDOPRIME
-    squarings = 1 << n
-    if base != PEPIN_BASE:
-        squarings += (1 << n) - 1
-    return Verdict(
-        n=n,
-        base=base,
-        pepin_prime=pepin_prime,
-        fermat_congruence_holds=congruence,
-        quarter=quarter,
-        half_residue=taps.half,
-        fermat_residue=taps.full,
-        classification=classification,
-        squarings=squarings,
-        rules=_audit_rules(n, base, pepin_prime, congruence, quarter),
-    )
-
-
 def default_audit_bases() -> List[int]:
     """Default audit base set: the first 50 primes, 2 to 229."""
     return [2, *_odd_primes()[:49]]
@@ -318,13 +314,17 @@ def default_audit_bases() -> List[int]:
 
 @dataclass(frozen=True, slots=True)
 class AuditRow:
-    """One (n, base) line of an audit sweep."""
+    """One (n, base) line of an audit sweep: the gcd of a base that shares
+    a factor with F_n, or the verdict of a coprime one."""
 
     n: int
     base: int
-    coprime: bool
     gcd: Optional[int] = None
     verdict: Optional[Verdict] = None
+
+    @property
+    def coprime(self) -> bool:
+        return self.gcd is None
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,30 +351,30 @@ def audit_range(n_values, bases) -> AuditReport:
     _run_chains); the verdicts and rows are built here, in n_values then
     bases order.
 
-    Non-coprime bases do not abort the sweep: the row records the gcd
-    (a factor of F_n!) and moves on.  Any violation in any row makes
+    Non-coprime bases do not abort the sweep and run no chain: the row
+    records the gcd (a factor of F_n!).  Any violation in any row makes
     all_passed false; the caller decides how loud to be about it.
     """
     n_values = list(n_values)
     check_audit_grid(n_values, bases)
+    gcds = {(n, base): gcd(base, fermat_value(n))
+            for n in set(n_values) for base in bases}
     chain_bases = list(dict.fromkeys([*bases, PEPIN_BASE]))
     # largest n first, so that the last chains to start are short ones
     jobs = [(n, base) for n in sorted(set(n_values), reverse=True)
-            for base in chain_bases]
+            for base in chain_bases
+            if base == PEPIN_BASE or gcds[n, base] == 1]
     chains = dict(zip(jobs, _run_chains(jobs)))
     rows: List[AuditRow] = []
     for n in n_values:
         pepin_prime = chains[n, PEPIN_BASE].half.is_minus_one
         _PRIME_CACHE.setdefault(n, pepin_prime)
         for base in bases:
-            chain = chains[n, base]
-            if isinstance(chain, ChainTaps):
-                rows.append(AuditRow(n=n, base=base, coprime=True,
-                                     verdict=_verdict(n, base, chain,
-                                                      pepin_prime)))
+            if gcds[n, base] != 1:
+                rows.append(AuditRow(n, base, gcd=gcds[n, base]))
             else:
-                rows.append(AuditRow(n=n, base=base, coprime=False,
-                                     gcd=chain))
+                rows.append(AuditRow(n, base, verdict=Verdict(
+                    n, base, pepin_prime, chains[n, base])))
     return AuditReport(tuple(rows))
 
 
@@ -386,13 +386,10 @@ def check_audit_grid(n_values, bases) -> None:
         _check_base(base)
 
 
-def _chain_job(job: Tuple[int, int]) -> Union[ChainTaps, int]:
-    """The taps of one (n, base) chain, or the gcd of a non-coprime base."""
-    n, base = job
-    try:
-        return chain_taps(n, base)
-    except BaseNotCoprimeError as err:
-        return err.gcd
+def _chain_job(job: Tuple[int, int]) -> ChainTaps:
+    """The taps of one (n, base) chain.  At module level, so that a pool
+    pickles it by name and forked workers see a patched chain_taps."""
+    return chain_taps(*job)
 
 
 def _usable_cpus() -> int:
@@ -402,7 +399,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_chains(jobs: List[Tuple[int, int]]) -> List[Union[ChainTaps, int]]:
+def _run_chains(jobs: List[Tuple[int, int]]) -> List[ChainTaps]:
     """_chain_job over jobs, in order, on min(usable CPUs, jobs) processes.
 
     A single CPU, or chains that cost less than starting the pool

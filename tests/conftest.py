@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fermatlab import arith, checkpoint, orders, primality, records
+from fermatlab import arith, checkpoint, factors, orders, primality, \
+    records
 from fermatlab.cli import main
 
 # big-int cases vary wildly in size; wall-clock deadlines just add noise
@@ -27,9 +28,18 @@ settings.load_profile("fermatlab")
 # the same with and without numpy: the crossover group runs either way
 SELFTEST_CHECKS = 47
 
-# (n, p, v2(p - 1)): a prime factor p of F_n and the exponent alpha of the
-# order of pseudoprime_base(n, p)
-KNOWN_FACTORS = [(5, 641, 7), (6, 274177, 8)]
+
+def v2(m: int) -> int:
+    """The exponent of 2 in m > 0."""
+    return (m & -m).bit_length() - 1
+
+
+# (n, p, v2(p - 1)): the smallest known prime factor p of F_n and the
+# exponent alpha of the order of pseudoprime_base(n, p).  n = 14 runs on
+# the FFT kernel, with a base of more than 4300 decimal digits.
+KNOWN_FACTORS = [(n, factors.SMALLEST_KNOWN_FACTOR[n],
+                  v2(factors.SMALLEST_KNOWN_FACTOR[n] - 1))
+                 for n in (5, 6, 12, 14)]
 
 
 def pseudoprime_base(n: int, p: int) -> int:
@@ -42,10 +52,8 @@ def pseudoprime_base(n: int, p: int) -> int:
     """
     rest = ((1 << (1 << n)) + 1) // p
     h = next(h for h in range(2, p) if pow(h, (p - 1) // 2, p) == p - 1)
-    odd = p - 1
-    while odd % 2 == 0:
-        odd //= 2
-    g = pow(h, odd, p)  # h is a non-residue, so g^(2^(v - 1)) = -1
+    v = v2(p - 1)
+    g = pow(h, (p - 1) >> v, p)  # h is a non-residue, so g^(2^(v - 1)) = -1
     return 1 + rest * ((g - 1) * pow(rest, -1, p) % p)
 
 

@@ -10,11 +10,12 @@ import pytest
 from conftest import SELFTEST_CHECKS, run_cli, run_cli_subprocess, \
     spy_on_squarings
 
-from fermatlab import arith, primality
-from fermatlab.arith import fermat_value
+from fermatlab import arith, checkpoint, primality
+from fermatlab.arith import FermatResidue, fermat_value
 from fermatlab.checkpoint import (
     Checkpoint,
     checkpoint_filename,
+    load_matching,
     save_checkpoint,
 )
 from fermatlab.factors import CandidateDivisor
@@ -171,6 +172,56 @@ class TestPepinCheckpointFlow:
                       "--stop-after", "11")
         assert (res.code, res.stdout, chains) == (3, "", [])
         assert "known factor" in res.stderr
+
+    def refused_then_resumed(self, tmp_path, monkeypatch, n):
+        """Run pepin n, checkpointed every 64 squarings, with a fault
+        patched in between squarings 64 and 128: the write at 128 is
+        refused, and a rerun without the fault resumes from 64."""
+        args = ("pepin", str(n), "--checkpoint-dir", str(tmp_path),
+                "--checkpoint-every", "64")
+        res = run_cli(*args)
+        assert (res.code, res.stdout) == (3, "")
+        assert "not written" in res.stderr
+        assert load_matching(tmp_path, n, 3).squaring_index == 64
+        monkeypatch.undo()
+        res = run_cli(*args)
+        assert res.code == 0
+        assert "resuming" in res.stderr
+        assert strip_timing(res.json()) \
+            == strip_timing(run_cli("pepin", str(n)).json())
+
+    def test_chain_fault_refused_before_the_write(self, tmp_path,
+                                                  monkeypatch):
+        real = checkpoint.mod_square_chain
+        blocks = []
+
+        def faulty(a, count):
+            out = real(a, count)
+            blocks.append(count)
+            if len(blocks) == 2:  # the block that ends at squaring 128
+                return FermatResidue(out.n, out.value ^ 1)
+            return out
+
+        monkeypatch.setattr(checkpoint, "mod_square_chain", faulty)
+        self.refused_then_resumed(tmp_path, monkeypatch, 12)
+
+    def test_fft_fault_refused_before_the_write(self, tmp_path,
+                                                monkeypatch):
+        # an off-by-one digit passes the roundoff guard; only the
+        # known-factor check sees it
+        fft = pytest.importorskip("fermatlab._fft")
+        real = fft._carry
+        steps = []
+
+        def faulty(values):
+            out = real(values)
+            steps.append(1)
+            if len(steps) == 100:
+                out[0] += 1
+            return out
+
+        monkeypatch.setattr(fft, "_carry", faulty)
+        self.refused_then_resumed(tmp_path, monkeypatch, 14)
 
     @pytest.mark.parametrize("seconds", ["nan", "-1"])
     def test_invalid_checkpoint_seconds_rejected(self, tmp_path, seconds):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import KNOWN_FACTORS, pseudoprime_base, run_cli, \
     spy_on_squarings
 
-from fermatlab import factors, oracle, primality
+from fermatlab import factors, oracle, primality, records
 from fermatlab.arith import FermatResidue, fermat_value, max_index, \
     reduce_fold
 from fermatlab.errors import (
@@ -20,9 +20,10 @@ from fermatlab.errors import (
 )
 from fermatlab.factors import lucas_search
 from fermatlab.primality import (
+    ChainTaps,
     Classification,
-    QuarterClass,
     QuarterTag,
+    Verdict,
     audit_range,
     chain_taps,
     classify_report,
@@ -226,63 +227,60 @@ def failed(outcomes):
 
 
 class TestAuditRules:
-    def _quarter(self, n, tag):
-        value = {QuarterTag.PLUS_ONE: 1,
-                 QuarterTag.MINUS_ONE: 1 << (1 << n),
-                 QuarterTag.OTHER: 7}[tag]
-        return QuarterClass(tag, FermatResidue(n, value))
+    def _rules(self, n, base, pepin_prime, congruence, tag):
+        """The rules of a verdict planted with a quarter residue of tag
+        and a full residue that is 1 exactly when congruence holds."""
+        quarter = {QuarterTag.PLUS_ONE: 1,
+                   QuarterTag.MINUS_ONE: 1 << (1 << n),
+                   QuarterTag.OTHER: 7}[tag]
+        taps = ChainTaps(quarter=FermatResidue(n, quarter),
+                         half=FermatResidue(n, 5),
+                         full=FermatResidue(n, 1 if congruence else 7))
+        return Verdict(n, base, pepin_prime, taps).rules
 
     def test_below_threshold_has_no_rules(self):
-        out = primality._audit_rules(
-            4, 3, False, True, self._quarter(4, QuarterTag.OTHER))
+        out = self._rules(4, 3, False, True, QuarterTag.OTHER)
         assert out == ()
 
     def test_pseudoprime_requires_quarter_one(self):
-        out = primality._audit_rules(
-            5, 7, False, True, self._quarter(5, QuarterTag.OTHER))
+        out = self._rules(5, 7, False, True, QuarterTag.OTHER)
         assert failed(out) == ["pseudoprime-quarter-one"]
         # only a failed rule says why
         assert [r.detail is None for r in out] == [False, True]
 
     def test_quarter_minus_one_requires_prime(self):
-        out = primality._audit_rules(
-            5, 7, False, False, self._quarter(5, QuarterTag.MINUS_ONE))
+        out = self._rules(5, 7, False, False, QuarterTag.MINUS_ONE)
         assert failed(out) == ["quarter-minus-one-implies-prime"]
 
     def test_base3_never_minus_one(self):
         # both sides of the iff are false here, so only two rules fire
-        out = primality._audit_rules(
-            5, 3, False, False, self._quarter(5, QuarterTag.MINUS_ONE))
+        out = self._rules(5, 3, False, False, QuarterTag.MINUS_ONE)
         assert set(failed(out)) == {
             "base3-quarter-not-minus-one",
             "quarter-minus-one-implies-prime",
         }
 
     def test_base3_iff_violated_by_quarter_one_without_pseudoprime(self):
-        out = primality._audit_rules(
-            5, 3, False, False, self._quarter(5, QuarterTag.PLUS_ONE))
+        out = self._rules(5, 3, False, False, QuarterTag.PLUS_ONE)
         assert failed(out) == ["base3-pseudoprime-iff-quarter-one"]
 
     def test_base3_iff_violated_by_pseudoprime_without_quarter_one(self):
-        out = primality._audit_rules(
-            5, 3, False, True, self._quarter(5, QuarterTag.OTHER))
+        out = self._rules(5, 3, False, True, QuarterTag.OTHER)
         assert set(failed(out)) == {
             "pseudoprime-quarter-one",
             "base3-pseudoprime-iff-quarter-one",
         }
 
     def test_consistent_inputs_pass(self):
-        out = primality._audit_rules(
-            5, 2, False, True, self._quarter(5, QuarterTag.PLUS_ONE))
+        out = self._rules(5, 2, False, True, QuarterTag.PLUS_ONE)
         assert failed(out) == []
 
     def test_applicable_rule_lists(self):
-        quarter = self._quarter(5, QuarterTag.OTHER)
         both = ["pseudoprime-quarter-one", "quarter-minus-one-implies-prime"]
-        assert [r.rule for r in primality._audit_rules(
-            5, 2, False, False, quarter)] == both
-        assert [r.rule for r in primality._audit_rules(
-            5, 3, False, False, quarter)] == both + [
+        assert [r.rule for r in self._rules(
+            5, 2, False, False, QuarterTag.OTHER)] == both
+        assert [r.rule for r in self._rules(
+            5, 3, False, False, QuarterTag.OTHER)] == both + [
                 "base3-quarter-not-minus-one",
                 "base3-pseudoprime-iff-quarter-one"]
 
@@ -302,8 +300,10 @@ class TestRealAudits:
         assert [(row.n, row.base) for row in report.rows] \
             == [(n, b) for n in range(5, 8) for b in (2, 3, 5)]
 
-    def test_non_coprime_base_becomes_gcd_row(self):
+    def test_non_coprime_base_becomes_gcd_row(self, monkeypatch):
+        calls = spy_on_chains(monkeypatch)
         report = audit_range([5], [641])
+        assert calls == [(5, 3)]  # the gcd is taken without a chain
         row = report.rows[0]
         assert not row.coprime
         assert row.gcd == 641
@@ -328,15 +328,16 @@ class TestRealAudits:
         report = audit_range([14], [b, p * b])
         assert report.rows[0].verdict is not None and report.all_passed
         assert (report.rows[1].coprime, report.rows[1].gcd) == (False, p)
-        quarter = QuarterClass(QuarterTag.OTHER, FermatResidue(14, 7))
-        out = primality._audit_rules(14, b, False, True, quarter)
+        taps = ChainTaps(quarter=FermatResidue(14, 7),
+                         half=FermatResidue(14, 5), full=FermatResidue(14, 1))
+        out = Verdict(14, b, False, taps).rules
         assert f"0x{b:x}" in out[0].detail
 
 
 class TestConstructedPseudoprimeBases:
-    """Bases other than 2 to which F_5 and F_6 are pseudoprimes, built
-    from one known factor (conftest.pseudoprime_base); every outcome
-    below follows from the construction, not from a chain."""
+    """Bases other than 2 to which F_5, F_6, F_12 and F_14 are
+    pseudoprimes, built from one known factor (conftest.pseudoprime_base);
+    every outcome below follows from the construction, not from a chain."""
 
     @pytest.mark.parametrize("n, p, alpha", KNOWN_FACTORS)
     def test_classify(self, n, p, alpha):
@@ -348,9 +349,18 @@ class TestConstructedPseudoprimeBases:
     @pytest.mark.parametrize("n, p, alpha", KNOWN_FACTORS)
     def test_audit_row(self, n, p, alpha):
         base = pseudoprime_base(n, p)
-        res = run_cli("audit", "--n-range", str(n), "--bases", f"5,{base}")
-        assert res.code == 0
-        row = res.json()["rows"][1]
+        try:
+            bases = f"5,{base}"
+        except ValueError:
+            # more than 4300 decimal digits, which the CLI cannot parse
+            # (a known defect), so the record is built here
+            doc = records.audit_record(audit_range([n], [5, base]), [n],
+                                       [5, base], 0.0)
+        else:
+            res = run_cli("audit", "--n-range", str(n), "--bases", bases)
+            assert res.code == 0
+            doc = res.json()
+        row = doc["rows"][1]
         assert int(row["base"], 16) == base
         assert row["classification"] == "pseudoprime-to-base"
         assert row["quarter_tag"] == "plus-one"
@@ -403,9 +413,11 @@ class TestAuditPool:
         calls = spy_on_chains(monkeypatch)
         usable_cpus(monkeypatch, 1)
         alone = audit_range(self.GRID, bases)
-        # one chain per (n, base), and a base-3 chain per n in any case
+        # one chain per coprime (n, base), and a base-3 chain per n in any
+        # case; the gcd pair runs none
         assert sorted(calls) == sorted(
-            (n, b) for n in self.GRID for b in {*bases, 3})
+            (n, b) for n in self.GRID for b in {*bases, 3}
+            if (n, b) != (12, 114689))
         calls.clear()
         primality.reset_prime_cache()
         methods = spy_on_start_methods(monkeypatch)

@@ -3,8 +3,9 @@
 clibench/tracer.py wraps `arith.mod_square_chain` as `(a, count,
 observer=None)` and forwards `(a, count)` when no observer is passed,
 which is every call now; it also wraps a `CheckpointWriter.__call__`
-that the writer no longer has.  These runs pin that contract from the
-library side.
+that the writer no longer has, and reads `primality._PRIME_CACHE` before
+each `fermat_is_prime`.  These runs pin that contract from the library
+side.
 """
 
 import json
@@ -68,6 +69,23 @@ def test_checkpointed_pepin_slice_is_counted(tmp_path):
 def test_pooled_audit_gives_the_same_record(tmp_path):
     # the chains of this audit run on worker processes
     args = ("audit", "--n-range", "10..12", "--bases", "2,3,5,7,114689")
+    proc, _ = run_traced(tmp_path, *args)
+    assert strip_timing(json.loads(proc.stdout)) \
+        == strip_timing(run_cli(*args).json())
+
+
+def test_traced_order_probes_the_prime_cache(tmp_path):
+    # a found alpha goes through fermat_is_prime, whose hook reads
+    # primality._PRIME_CACHE
+    args = ("order", "5", "--base", "2")
+    proc, doc = run_traced(tmp_path, *args)
+    assert doc["counts"]["primality.prime_cache_misses"] == 1
+    assert strip_timing(json.loads(proc.stdout)) \
+        == strip_timing(run_cli(*args).json())
+
+
+def test_traced_classify_gives_the_same_record(tmp_path):
+    args = ("classify", "9", "--base", "7")
     proc, _ = run_traced(tmp_path, *args)
     assert strip_timing(json.loads(proc.stdout)) \
         == strip_timing(run_cli(*args).json())
