@@ -22,10 +22,10 @@ exceeding it), or the carry does not settle within MAX_CARRY_PASSES,
 the squaring is redone from the previous digits by the integer multiply
 of arith and counted in `fallbacks`.
 
-`kernel` gives arith.mod_square_chain the (load, square, read)
-operations it loops over: a chain call stays in the digit domain from
-its start to its end, where it converts to an int; both conversions go
-through int.to_bytes / int.from_bytes and are linear in N.
+`square_chain` runs a whole arith.mod_square_chain call: it converts
+the residue to digits once, squares them `count` times and converts
+back once; both conversions go through int.to_bytes / int.from_bytes
+and are linear in N.
 numpy is imported here, and this module only on the first chain that
 uses it.
 """
@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import Kernel, _mulmod
+from .arith import _mulmod
 
 DIGIT_BITS = 16
 # N = 32 bits is two digits, the shortest right-angle transform (length 1)
@@ -147,10 +147,11 @@ def _square(digits: np.ndarray, plan: _Plan) -> np.ndarray:
                              plan.top - 1), plan)
 
 
-def kernel(n: int) -> Kernel:
-    """(load, square, read) for chains modulo F_n held as balanced
-    digits."""
+def square_chain(value: int, count: int, n: int) -> int:
+    """value^(2^count) modulo F_n, for a value in [0, 2^N], by `count`
+    squarings of its balanced digits."""
     plan = _plan(n)
-    return (functools.partial(to_digits, plan=plan),
-            functools.partial(_square, plan=plan),
-            functools.partial(to_int, plan=plan))
+    digits = to_digits(value, plan)
+    for _ in range(count):
+        digits = _square(digits, plan)
+    return to_int(digits, plan)

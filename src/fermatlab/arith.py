@@ -11,11 +11,12 @@ Exponents of interest here are all powers of two, so they are never
 materialised as integers: callers pass a squaring count instead
 (mod_square_chain).  (F_n - 1)/4 is "2^n - 2 squarings", not a number.
 
-mod_square_chain is the one loop that squares modulo F_n.  It drives a
-kernel: from n = FFT_MIN_INDEX on, the negacyclic FFT of _fft.py when
-numpy imports; below it, without numpy, and whenever that backend's
-roundoff guard fails, the integer multiply here.  It only squares:
-callers act between calls of at most CHAIN_BLOCK squarings.
+mod_square_chain is the one call that squares modulo F_n.  It hands the
+whole call to one backend: from n = FFT_MIN_INDEX on, the negacyclic FFT
+of _fft.py when numpy imports; below it and without numpy, the integer
+multiply here, which the FFT also falls back on whenever its roundoff
+guard fails.  It only squares: callers act between calls of at most
+CHAIN_BLOCK squarings.
 """
 
 from __future__ import annotations
@@ -23,18 +24,12 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Tuple
 
 from .errors import IndexBelowTwoError, IndexOutOfRangeError, \
     ModulusMismatchError
 
 DEFAULT_MAX_INDEX = 24
 MAX_INDEX_ENV = "FERMAT_LAB_MAX_N"
-
-# (load, square, read) of one squaring backend for one index: int to
-# chain state, state to its square mod F_n, state to the int residue.
-Kernel = Tuple[Callable[[int], Any], Callable[[Any], Any],
-               Callable[[Any], int]]
 
 # Smallest index whose chains run on the FFT backend: per squaring it
 # took 0.69x the time of the integer multiply at n=14 and 1.3x at n=13,
@@ -43,11 +38,11 @@ FFT_MIN_INDEX = 14
 
 # Squarings per mod_square_chain call for callers that act between
 # blocks (order_alpha, CheckpointWriter.run).  One call's own cost
-# (kernel, load, read, residue) against that of 64 squarings, best of
-# 5-7 on 2 cores, in two sessions: 3 us vs 38 us at n = 8, 3 us vs
-# 0.68 ms at n = 12, 21-40 us vs 4.1-8.0 ms at n = 14, 0.43 ms vs 69 ms
-# at n = 18 and 1.5 ms vs 274 ms at n = 20.  So 8% of a block at n = 8
-# and under 1% from n = 12.
+# (backend choice, digit conversions, residue) against that of 64
+# squarings, best of 5-7 on 2 cores, in two sessions: 3 us vs 38 us at
+# n = 8, 3 us vs 0.68 ms at n = 12, 21-40 us vs 4.1-8.0 ms at n = 14,
+# 0.43 ms vs 69 ms at n = 18 and 1.5 ms vs 274 ms at n = 20.  So 8% of
+# a block at n = 8 and under 1% from n = 12.
 CHAIN_BLOCK = 64
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
@@ -208,19 +203,6 @@ def _fft_backend():
     return _fft
 
 
-def _kernel(n: int) -> Kernel:
-    """The FFT kernel from FFT_MIN_INDEX when numpy imports, else the
-    integer multiply on plain ints."""
-    if n >= FFT_MIN_INDEX:
-        fft = _fft_backend()
-        if fft is not None:
-            return fft.kernel(n)
-    width = 1 << n
-    top = 1 << width
-    mask = top - 1
-    return (int, lambda v: _mulmod(v, v, width, top, mask), int)
-
-
 def mod_square_chain(a: FermatResidue, count: int) -> FermatResidue:
     """a^(2^count) mod F_n by `count` successive squarings.
 
@@ -230,8 +212,15 @@ def mod_square_chain(a: FermatResidue, count: int) -> FermatResidue:
     """
     if count < 0:
         raise ValueError(f"squaring count must be >= 0, got {count}")
-    load, square, read = _kernel(a.n)
-    x = load(a.value)
+    n = a.n
+    if n >= FFT_MIN_INDEX:
+        fft = _fft_backend()
+        if fft is not None:
+            return FermatResidue(n, fft.square_chain(a.value, count, n))
+    width = 1 << n
+    top = 1 << width
+    mask = top - 1
+    x = a.value
     for _ in range(count):
-        x = square(x)
-    return FermatResidue(a.n, read(x))
+        x = _mulmod(x, x, width, top, mask)
+    return FermatResidue(n, x)

@@ -7,10 +7,11 @@ resuming from garbage.  Writes go to a temp file in the same directory
 followed by an atomic rename; there is never a moment where the real
 filename holds a partial file.
 
-Where F_n has a known factor p, a residue that is not base^(2^index)
-modulo p is refused: on load, though it passes its digest (planted, or
-wrong before it was written), and before each write, so that a chain
-that goes wrong never overwrites the last good file.
+Where F_n has known factors, a residue that is not base^(2^index)
+modulo each of them is refused (factors.check_known_factor): on load,
+though it passes its digest (planted, or wrong before it was written),
+and before each write, so that a chain that goes wrong never overwrites
+the last good file.
 
 Only the half-residue chain of the pepin command is checkpointed, so
 every file's chain_kind is CHAIN_KIND.  One file per (n, base): the filename
@@ -32,7 +33,7 @@ from typing import Optional
 from .arith import CHAIN_BLOCK, FermatResidue, check_index, from_hex, \
     mod_square_chain, to_hex
 from .errors import CheckpointError
-from .factors import SMALLEST_KNOWN_FACTOR
+from .factors import check_known_factor
 
 CHECKPOINT_FORMAT_VERSION = 1
 CHAIN_KIND = "pepin"
@@ -94,17 +95,6 @@ def save_checkpoint(cp: Checkpoint, directory: Path) -> Path:
         os.fsync(fh.fileno())
     os.replace(tmp, path)
     return path
-
-
-def check_known_factor(n: int, base: int, index: int, residue: int,
-                       what: str) -> None:
-    """Raise CheckpointError, naming the residue `what`, unless it is
-    base^(2^index) modulo the smallest known factor of F_n, if any."""
-    p = SMALLEST_KNOWN_FACTOR.get(n)
-    if p is not None and residue % p != pow(base, pow(2, index, p - 1), p):
-        raise CheckpointError(
-            f"{what} is not base^(2^{index}) modulo "
-            f"the known factor {p} of F_{n}")
 
 
 def load_checkpoint(path: Path) -> Checkpoint:

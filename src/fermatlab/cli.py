@@ -7,7 +7,8 @@ rendering), diagnostics on stderr, and a fixed exit-code contract:
     1  selftest failure
     2  usage or precondition error (an unwritable --report or
        --checkpoint-dir included)
-    3  corrupt or mismatched checkpoint
+    3  corrupt or mismatched checkpoint, or a chain residue that fails
+       the known-factor check (factors.check_known_factor)
     4  congruence-rule violation (the headline event; see classify)
 
 Long half-residue runs can write checkpoints (--checkpoint-dir) and are
@@ -336,7 +337,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except CheckpointError as err:
-        _log(f"checkpoint problem: {err}")
+        _log(f"refused: {err}")
         return EXIT_CORRUPT_CHECKPOINT
     except (FermatLabError, ValueError, OSError) as err:
         _log(str(err))

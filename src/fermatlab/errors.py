@@ -42,7 +42,8 @@ class BaseNotCoprimeError(FermatLabError, ValueError):
 
 
 class CheckpointError(FermatLabError):
-    """Checkpoint file is unreadable, tampered with, or inconsistent."""
+    """Checkpoint file is unreadable, tampered with, or inconsistent, or
+    a chain residue fails the known-factor check."""
 
 
 class NotADivisorError(FermatLabError, ValueError):

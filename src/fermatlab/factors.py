@@ -8,6 +8,8 @@ validate_divisor_form exists as its own checkable step.
 
 The divisibility test never touches the fold-reduction path: p is tiny
 next to F_n, so 2^(2^n) mod p is computed by builtin pow modulo p.
+The published factors (KNOWN_FACTORS) check chain residues the same
+way (check_known_factor).
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 from math import isqrt
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .arith import check_chain_index, fermat_value
-from .errors import IndexOutOfRangeError, NotADivisorError
+from .errors import CheckpointError, IndexOutOfRangeError, \
+    NotADivisorError
 from .oracle import is_probable_prime
 
 _PRIMALITY_EXACT_BELOW = 1 << 64
@@ -34,30 +37,50 @@ _SIEVE_BOUND = 1 << 12
 # k values sieved at a time, so memory does not grow with k_max.
 _SIEVE_SEGMENT = 1 << 16
 
-# The smallest published prime factor of F_n, for each n <= 23 at which
-# F_n is composite and has one (F_20 has none).  A residue x of a chain
-# of base^(2^i) values must satisfy x = base^(2^i mod (p - 1)) (mod p),
-# which load_checkpoint checks with builtin pow.
-SMALLEST_KNOWN_FACTOR = {
-    5: 641,
-    6: 274177,
-    7: 59649589127497217,
-    8: 1238926361552897,
-    9: 2424833,
-    10: 45592577,
-    11: 319489,
-    12: 114689,
-    13: 2710954639361,
-    14: 116928085873074369829035993834596371340386703423373313,
-    15: 1214251009,
-    16: 825753601,
-    17: 31065037602817,
-    18: 13631489,
-    19: 70525124609,
-    21: 4485296422913,
-    22: 64658705994591851009055774868504577,
-    23: 167772161,
+# Every published prime factor of F_n, smallest first, for each n <= 23
+# at which F_n has one (F_20 has none).  A residue x of a chain of
+# base^(2^i) values must satisfy x = base^(2^i mod (p - 1)) (mod p) for
+# each of them, which check_known_factor tests with builtin pow.
+KNOWN_FACTORS: Dict[int, Tuple[int, ...]] = {
+    5: (641, 6700417),
+    6: (274177, 67280421310721),
+    7: (59649589127497217, 5704689200685129054721),
+    8: (1238926361552897,),
+    9: (2424833, 7455602825647884208337395736200454918783366342657),
+    10: (45592577, 6487031809, 4659775785220018543264560743076778192897),
+    11: (319489, 974849, 167988556341760475137, 3560841906445833920513),
+    12: (114689, 26017793, 63766529, 190274191361, 1256132134125569,
+         568630647535356955169033410940867804839360742060818433),
+    13: (2710954639361, 2663848877152141313, 3603109844542291969,
+         319546020820551643220672513),
+    14: (116928085873074369829035993834596371340386703423373313,),
+    15: (1214251009, 2327042503868417, 168768817029516972383024127016961),
+    16: (825753601, 188981757975021318420037633),
+    17: (31065037602817,
+         7751061099802522589358967058392886922693580423169),
+    18: (13631489, 81274690703860512587777),
+    19: (70525124609, 646730219521, 37590055514133754286524446080499713),
+    21: (4485296422913,),
+    22: (64658705994591851009055774868504577,),
+    23: (167772161,),
 }
+
+
+def check_known_factor(n: int, base: int, index: int, residue: int,
+                       what: str) -> None:
+    """Raise CheckpointError, naming the residue `what`, unless it is
+    base^(2^index) modulo every known factor of F_n.
+
+    A fault v2(p - 1) or more squarings back has left an error modulo p
+    of odd order, which is 1 with probability about 1/k_odd, where
+    p - 1 = k_odd * 2^v2(p - 1); the check misses the fault only where
+    that happens for every p.
+    """
+    for p in KNOWN_FACTORS.get(n, ()):
+        if residue % p != pow(base, pow(2, index, p - 1), p):
+            raise CheckpointError(
+                f"{what} is not base^(2^{index}) modulo "
+                f"the known factor {p} of F_{n}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from .arith import FermatResidue, check_chain_index, check_index, \
     fermat_value, mod_square_chain, reduce_fold
 from .errors import BaseNotCoprimeError, NonAdmissibleBaseError
-from .factors import _odd_primes
+from .factors import _odd_primes, check_known_factor
 
 # Bases for which the half-residue test decides primality.  Known good
 # bases; there is no general criterion here, hence an allowlist with an
@@ -182,12 +182,18 @@ class ChainTaps:
 
 
 def chain_taps(n: int, base: int) -> ChainTaps:
-    """Run one chain of 2^n squarings, read at its three tap points."""
+    """Run one chain of 2^n squarings, read at its three tap points.
+
+    The full residue must pass check_known_factor, or CheckpointError
+    is raised.
+    """
     check_chain_index(n)
     quarter = mod_square_chain(require_coprime(n, base), (1 << n) - 2)
     half = mod_square_chain(quarter, 1)
-    return ChainTaps(quarter=quarter, half=half,
-                     full=mod_square_chain(half, 1))
+    full = mod_square_chain(half, 1)
+    check_known_factor(n, base, 1 << n, full.value,
+                       f"full residue of base 0x{base:x}, not reported,")
+    return ChainTaps(quarter=quarter, half=half, full=full)
 
 
 def pepin_test(n: int, base: int = 3, allow_any_base: bool = False,
@@ -200,6 +206,8 @@ def pepin_test(n: int, base: int = 3, allow_any_base: bool = False,
     plainly false).  checkpoints, a checkpoint.CheckpointWriter built for
     the same (n, base), runs the chain instead: from its loaded
     checkpoint if it has one, writing and pausing between blocks.
+    Either way the half residue must pass check_known_factor, or
+    CheckpointError is raised.
     """
     check_chain_index(n)
     if base not in PEPIN_ADMISSIBLE_BASES and not allow_any_base:
@@ -217,6 +225,8 @@ def pepin_test(n: int, base: int = 3, allow_any_base: bool = False,
             f"0x{checkpoints.base:x}) given to (n={n}, base=0x{base:x})")
     else:
         half = checkpoints.run(start, total)
+    check_known_factor(n, base, total, half.value,
+                       f"half residue of base 0x{base:x}, not reported,")
     return half.is_minus_one, half
 
 

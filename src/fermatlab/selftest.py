@@ -11,7 +11,7 @@ Scope is deliberately small (n <= 8 and a few hundred random cases,
 plus a few chains at n = arith.FFT_MIN_INDEX): this is a smoke screen
 for broken arithmetic, not the full property suite in tests/.  The
 chains at the crossover go through mod_square_chain like every real
-chain, so they check the FFT kernel when numpy imports and the integer
+chain, so they check the FFT backend when numpy imports and the integer
 multiply when it does not; the battery runs the same checks either way.
 """
 

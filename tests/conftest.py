@@ -37,8 +37,8 @@ def v2(m: int) -> int:
 # (n, p, v2(p - 1)): the smallest known prime factor p of F_n and the
 # exponent alpha of the order of pseudoprime_base(n, p).  n = 14 runs on
 # the FFT kernel, with a base of more than 4300 decimal digits.
-KNOWN_FACTORS = [(n, factors.SMALLEST_KNOWN_FACTOR[n],
-                  v2(factors.SMALLEST_KNOWN_FACTOR[n] - 1))
+KNOWN_FACTORS = [(n, factors.KNOWN_FACTORS[n][0],
+                  v2(factors.KNOWN_FACTORS[n][0] - 1))
                  for n in (5, 6, 12, 14)]
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing
 import os
 
 import jsonschema
@@ -27,6 +28,26 @@ def fresh_prime_cache():
     primality.reset_prime_cache()
     yield
     primality.reset_prime_cache()
+
+
+def flip_bit_at(monkeypatch, step):
+    """Flip bit 0 of the step-th integer squaring of each process."""
+    real = arith._mulmod
+    calls = []
+
+    def faulty(x, y, width, top, mask):
+        out = real(x, y, width, top, mask)
+        calls.append(1)
+        return out ^ 1 if len(calls) == step else out
+
+    monkeypatch.setattr(arith, "_mulmod", faulty)
+
+
+def assert_refused(res):
+    """Exit 3, no record, and one stderr line naming the factor."""
+    assert (res.code, res.stdout) == (3, "")
+    assert "known factor" in res.stderr
+    assert res.stderr.count("\n") == 1
 
 
 class TestPepinCommand:
@@ -223,6 +244,31 @@ class TestPepinCheckpointFlow:
         monkeypatch.setattr(fft, "_carry", faulty)
         self.refused_then_resumed(tmp_path, monkeypatch, 14)
 
+    def test_fault_between_writes_refused(self, tmp_path, monkeypatch):
+        # squaring 70's residue is off in bit 0; the error passes the
+        # smallest factor of F_12 at 128, but not all six of them
+        flip_bit_at(monkeypatch, 70)
+        self.refused_then_resumed(tmp_path, monkeypatch, 12)
+
+    def test_fft_fault_in_a_plain_run_refused(self, monkeypatch):
+        # with no checkpoint written, only the final half residue is
+        # checked; before that check this exited 0 with a wrong residue
+        fft = pytest.importorskip("fermatlab._fft")
+        real = fft._carry
+        steps = []
+
+        def faulty(values):
+            out = real(values)
+            steps.append(1)
+            if len(steps) == 100:
+                out[0] += 1
+            return out
+
+        monkeypatch.setattr(fft, "_carry", faulty)
+        res = run_cli("pepin", "14")
+        assert_refused(res)
+        assert "half residue" in res.stderr
+
     @pytest.mark.parametrize("seconds", ["nan", "-1"])
     def test_invalid_checkpoint_seconds_rejected(self, tmp_path, seconds):
         target = tmp_path / "ck"
@@ -289,6 +335,12 @@ class TestClassifyCommand:
         assert flagged[0]["detail"] == "synthetic"
         assert "FAILED" in res.stderr
 
+    def test_chain_fault_refused(self, monkeypatch):
+        flip_bit_at(monkeypatch, 1000)
+        res = run_cli("classify", "12", "--base", "7")
+        assert_refused(res)
+        assert "full residue" in res.stderr
+
     def test_usage_errors(self):
         assert run_cli("classify", "1").code == 2
         assert run_cli("classify", "5", "--base", "641").code == 2
@@ -326,6 +378,17 @@ class TestAuditCommand:
         assert res.code == 0
         assert target.read_text(encoding="utf-8") == res.stdout
         schema_validator.validate(json.loads(res.stdout))
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the workers see the patched multiply only when forked")
+    def test_chain_fault_in_a_worker_refused(self, monkeypatch):
+        # each forked worker flips a bit in the first chain it runs
+        flip_bit_at(monkeypatch, 1000)
+        monkeypatch.setattr(primality, "_usable_cpus", lambda: 2)
+        assert_refused(run_cli("audit", "--n-range", "12..13",
+                               "--bases", "2,7"))
+        assert multiprocessing.active_children() == []
 
     def test_bad_arguments(self):
         assert run_cli("audit", "--n-range", "8..5").code == 2

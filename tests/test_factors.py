@@ -1,7 +1,9 @@
 """Divisor search in the k*2^(n+2)+1 family and form validation."""
 
+import importlib.util
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +13,7 @@ from fermatlab.arith import fermat_value
 from fermatlab.errors import IndexBelowTwoError, IndexOutOfRangeError, \
     NotADivisorError
 from fermatlab.factors import (
-    SMALLEST_KNOWN_FACTOR,
+    KNOWN_FACTORS,
     CandidateDivisor,
     cofactor,
     divides_fermat,
@@ -22,17 +24,32 @@ from fermatlab.oracle import is_probable_prime, naive_mod, trial_division
 from fermatlab.records import factor_record
 
 
+BENCHMARK_FACTORS = Path(__file__).resolve().parents[1] \
+    / "clibench" / "known_factors.py"
+
+
 class TestKnownFactorTable:
     def test_covers_every_index_with_a_published_factor(self):
-        assert sorted(SMALLEST_KNOWN_FACTOR) \
+        assert sorted(KNOWN_FACTORS) \
             == [n for n in range(5, 24) if n != 20]
 
-    @pytest.mark.parametrize("n", sorted(SMALLEST_KNOWN_FACTOR))
+    @pytest.mark.parametrize("n", sorted(KNOWN_FACTORS))
     def test_entry_is_a_prime_divisor_of_the_right_form(self, n):
-        p = SMALLEST_KNOWN_FACTOR[n]
-        assert divides_fermat(p, n)
-        assert (p - 1) % (1 << (n + 2)) == 0
-        assert is_probable_prime(p)
+        assert list(KNOWN_FACTORS[n]) == sorted(set(KNOWN_FACTORS[n]))
+        for p in KNOWN_FACTORS[n]:
+            assert divides_fermat(p, n)
+            assert (p - 1) % (1 << (n + 2)) == 0
+            assert is_probable_prime(p)
+
+    def test_same_as_the_benchmark_table(self):
+        # the benchmark checks output against its own copy, loaded by
+        # path since clibench is no package; the two must not drift
+        spec = importlib.util.spec_from_file_location(
+            "benchmark_known_factors", BENCHMARK_FACTORS)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert {n: tuple(ps) for n, ps in module.KNOWN_FACTORS.items()} \
+            == KNOWN_FACTORS
 
 
 class TestDividesFermat:

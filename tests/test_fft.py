@@ -1,11 +1,11 @@
-"""The FFT squaring kernel against the integer multiply it stands in for.
+"""The FFT squaring backend against the integer multiply it stands in for.
 
-The integer kernel of arith (`_mulmod`) is the reference: every chain
-run on the FFT kernel must give the same residues, at every step, also
+The integer multiply of arith (`_mulmod`) is the reference: every chain
+run on the FFT backend must give the same residues, at every step, also
 when the roundoff guard fires and the squaring is redone on integers.
 Chains below the crossover go through `mod_square_chain` with
-`arith.FFT_MIN_INDEX` lowered to the kernel's own minimum, so they run
-the production loop.
+`arith.FFT_MIN_INDEX` lowered to the backend's own minimum, so they run
+the production call.
 """
 
 import json
@@ -35,7 +35,7 @@ def int_chain(value: int, n: int, count: int) -> int:
 
 
 def fft_chain(value: int, n: int, count: int) -> int:
-    """mod_square_chain on the FFT kernel, also below the crossover."""
+    """mod_square_chain on the FFT backend, also below the crossover."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arith, "FFT_MIN_INDEX", _fft.MIN_INDEX)
         return mod_square_chain(FermatResidue(n, value), count).value
@@ -89,17 +89,17 @@ class TestAgainstIntegerChain:
 
     def test_index_below_minimum_refused(self):
         with pytest.raises(ValueError):
-            _fft.kernel(_fft.MIN_INDEX - 1)
+            _fft.square_chain(3, 1, _fft.MIN_INDEX - 1)
 
     def test_backend_follows_the_index(self, monkeypatch):
         calls = []
-        real = _fft.kernel
+        real = _fft.square_chain
 
-        def spy(n):
+        def spy(value, count, n):
             calls.append(n)
-            return real(n)
+            return real(value, count, n)
 
-        monkeypatch.setattr(_fft, "kernel", spy)
+        monkeypatch.setattr(_fft, "square_chain", spy)
         for n in (arith.FFT_MIN_INDEX - 1, arith.FFT_MIN_INDEX):
             got = mod_square_chain(FermatResidue(n, 3), 3).value
             assert got == int_chain(3, n, 3)
