@@ -20,14 +20,20 @@ Every squaring is guarded: when the largest distance of a transform
 output from its rounded value exceeds MAX_ROUNDOFF (a NaN counts as
 exceeding it), or the carry does not settle within MAX_CARRY_PASSES,
 the squaring is redone from the previous digits by the integer multiply
-of arith and counted in `fallbacks`.
+of arith and counted in `fallbacks`.  The distance is taken in place:
+the rounded values go to a buffer of their own, and the distances
+overwrite the product before one maximum is read.
 
 `square_chain` runs a whole arith.mod_square_chain call: it converts
 the residue to digits once, squares them `count` times and converts
 back once; both conversions go through int.to_bytes / int.from_bytes
-and are linear in N.
-numpy is imported here, and this module only on the first chain that
-uses it.
+and are linear in N.  Each call allocates its work arrays (`_Work`)
+once and every squaring of the call reuses them: the transform, the
+rounding and the carry all write with out= or in place, with no
+temporaries.  They are not part of the cached plan, so chains in two
+threads share nothing they write.
+numpy (>= 2.0, for out= on its FFT) is imported here, and this module
+only on the first chain that uses it.
 """
 
 from __future__ import annotations
@@ -39,6 +45,12 @@ from typing import Optional
 import numpy as np
 
 from .arith import _mulmod
+
+# the FFTs write with out=, new in numpy 2.0; with an older numpy,
+# arith squares on integers as it does without numpy
+if int(np.__version__.split(".")[0]) < 2:
+    raise ModuleNotFoundError("the FFT backend needs numpy >= 2.0",
+                              name="numpy")
 
 DIGIT_BITS = 16
 # N = 32 bits is two digits, the shortest right-angle transform (length 1)
@@ -54,6 +66,7 @@ MAX_CARRY_PASSES = 8
 fallbacks = 0
 
 _HALF = 1 << (DIGIT_BITS - 1)
+_MASK = (1 << DIGIT_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -104,44 +117,76 @@ def to_int(digits: np.ndarray, plan: _Plan) -> int:
     return value + plan.top + 1 if value < 0 else value
 
 
-def _transform(digits: np.ndarray, plan: _Plan) -> np.ndarray:
-    """The negacyclic square of the digit vector, unrounded, in digit order."""
+class _Work:
+    """The arrays one square_chain call squares on, reused by each of
+    its squarings.  They belong to that call alone, not to the cached
+    plan, so chains in two threads never share them."""
+
+    def __init__(self, plan: _Plan):
+        self.plan = plan
+        self.z = np.empty(plan.digits // 2, np.complex128)
+        self.product = np.empty(plan.digits)
+        self.rounded = np.empty(plan.digits)
+        # the next digits; a squaring that passes the guard swaps it
+        # with the digits it squared
+        self.spare = np.empty(plan.digits, np.int64)
+        self.high = np.empty(plan.digits, np.int64)
+
+
+def _transform(digits: np.ndarray, work: _Work) -> np.ndarray:
+    """The negacyclic square of the digit vector, unrounded, in digit
+    order, in work.product."""
+    plan, z, product = work.plan, work.z, work.product
     half = plan.digits // 2
-    z = np.empty(half, np.complex128)
     z.real = digits[:half]
     z.imag = digits[half:]
     z *= plan.weight
-    z = np.fft.fft(z)
+    np.fft.fft(z, out=z)
     z *= z
-    z = np.fft.ifft(z)
+    np.fft.ifft(z, out=z)
     z *= plan.unweight
-    return np.concatenate((z.real, z.imag))
+    product[:half] = z.real
+    product[half:] = z.imag
+    return product
 
 
-def _carry(values: np.ndarray) -> Optional[np.ndarray]:
-    """Digits in [-2^15, 2^15) with the same negacyclic value, or None
-    when the carry has not settled after MAX_CARRY_PASSES passes."""
+def _carry(values: np.ndarray, work: _Work) -> Optional[np.ndarray]:
+    """Digits in [-2^15, 2^15) with the same negacyclic value, carried
+    in place, or None when the carry has not settled after
+    MAX_CARRY_PASSES passes."""
+    high = work.high
+    # offset by 2^15, a digit in range is its low 16 bits and the rest
+    # is its carry; the offset survives each pass
+    values += _HALF
     for _ in range(MAX_CARRY_PASSES):
-        high = (values + _HALF) >> DIGIT_BITS
+        np.right_shift(values, DIGIT_BITS, out=high)
         if not high.any():
+            values -= _HALF
             return values
-        values -= high << DIGIT_BITS
+        values &= _MASK
         values[1:] += high[:-1]
         values[0] -= high[-1]
     return None
 
 
-def _square(digits: np.ndarray, plan: _Plan) -> np.ndarray:
+def _square(digits: np.ndarray, work: _Work) -> np.ndarray:
     global fallbacks
-    product = _transform(digits, plan)
-    rounded = np.rint(product)
-    roundoff = np.max(np.abs(product - rounded))
+    product = _transform(digits, work)
+    rounded = work.rounded
+    np.rint(product, out=rounded)
+    # the distance to the nearest integer overwrites the product
+    np.subtract(product, rounded, out=product)
+    np.abs(product, out=product)
     # written so that a NaN anywhere fails it
-    if roundoff <= MAX_ROUNDOFF:
-        carried = _carry(rounded.astype(np.int64))
+    if product.max() <= MAX_ROUNDOFF:
+        values = work.spare
+        values[:] = rounded
+        carried = _carry(values, work)
         if carried is not None:
+            work.spare = digits
             return carried
     fallbacks += 1
+    plan = work.plan
     value = to_int(digits, plan)
     return to_digits(_mulmod(value, value, plan.width, plan.top,
                              plan.top - 1), plan)
@@ -151,7 +196,8 @@ def square_chain(value: int, count: int, n: int) -> int:
     """value^(2^count) modulo F_n, for a value in [0, 2^N], by `count`
     squarings of its balanced digits."""
     plan = _plan(n)
+    work = _Work(plan)
     digits = to_digits(value, plan)
     for _ in range(count):
-        digits = _square(digits, plan)
+        digits = _square(digits, work)
     return to_int(digits, plan)

@@ -193,7 +193,7 @@ def mod_mul(a: FermatResidue, b: FermatResidue) -> FermatResidue:
 
 @functools.cache
 def _fft_backend():
-    """The FFT squaring module, or None when numpy is not installed."""
+    """The FFT squaring module, or None without numpy >= 2.0."""
     try:
         from . import _fft
     except ModuleNotFoundError as err:

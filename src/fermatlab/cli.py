@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 import time
 from pathlib import Path
@@ -55,6 +56,11 @@ EXIT_CORRUPT_CHECKPOINT = 3
 EXIT_THEOREM_VIOLATION = 4
 
 PROG = "fermatlab"
+
+# numpy starts OpenBLAS's thread pool when it is imported, which took
+# about 70 of its 160 ms on 2 cores; fermatlab never calls BLAS (numpy's
+# FFT is pocketfft).
+_BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
 
 def _log(message: str) -> None:
@@ -145,6 +151,30 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _replacing(path: Optional[str]):
+    """A file open for writing that takes the place of path only when
+    the block ends without an exception; None when path is None.
+
+    It is a temporary file beside path, created at once, so an unusable
+    path fails before the block runs.  On any failure it is removed and
+    path, if it exists, is left as it was.
+    """
+    if path is None:
+        yield None
+        return
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
+    out = open(tmp, "w", encoding="utf-8")
+    try:
+        with out:
+            yield out
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_audit(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     lo, hi = args.n_range
@@ -153,8 +183,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     # A refused grid leaves no report file; an unusable report path is
     # refused before the first chain, not after the whole audit.
     check_audit_grid(n_values, bases)
-    with (contextlib.nullcontext() if args.report is None
-          else open(args.report, "w", encoding="utf-8")) as out:
+    with _replacing(args.report) as out:
         report = audit_range(n_values, bases)
         elapsed = time.perf_counter() - t0
         doc = records.audit_record(report, [lo, hi], bases, elapsed)
@@ -331,11 +360,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OPENBLAS_NUM_THREADS=1 while the command runs, unless the caller
+    set it; afterwards os.environ is as it was."""
+    if _BLAS_THREADS in os.environ:
+        yield
+        return
+    os.environ[_BLAS_THREADS] = "1"
+    try:
+        yield
+    finally:
+        os.environ.pop(_BLAS_THREADS, None)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except CheckpointError as err:
         _log(f"refused: {err}")
         return EXIT_CORRUPT_CHECKPOINT

@@ -11,7 +11,7 @@ import pytest
 from conftest import SELFTEST_CHECKS, run_cli, run_cli_subprocess, \
     spy_on_squarings
 
-from fermatlab import arith, checkpoint, primality
+from fermatlab import arith, checkpoint, cli, primality
 from fermatlab.arith import FermatResidue, fermat_value
 from fermatlab.checkpoint import (
     Checkpoint,
@@ -234,8 +234,8 @@ class TestPepinCheckpointFlow:
         real = fft._carry
         steps = []
 
-        def faulty(values):
-            out = real(values)
+        def faulty(values, work):
+            out = real(values, work)
             steps.append(1)
             if len(steps) == 100:
                 out[0] += 1
@@ -257,8 +257,8 @@ class TestPepinCheckpointFlow:
         real = fft._carry
         steps = []
 
-        def faulty(values):
-            out = real(values)
+        def faulty(values, work):
+            out = real(values, work)
             steps.append(1)
             if len(steps) == 100:
                 out[0] += 1
@@ -581,6 +581,40 @@ class TestUsageSurface:
         assert run_cli("pepin", "5").code == 2
 
 
+class TestBlasThreads:
+    """Each command runs with OPENBLAS_NUM_THREADS=1 unless the caller
+    set it, and os.environ is left as it was found."""
+
+    VAR = "OPENBLAS_NUM_THREADS"
+
+    def seen_by_the_command(self, monkeypatch, *args):
+        seen = []
+        real = cli.pepin_test
+
+        def spy(*a, **kw):
+            seen.append(os.environ.get(self.VAR))
+            return real(*a, **kw)
+
+        monkeypatch.setattr(cli, "pepin_test", spy)
+        before = dict(os.environ)
+        res = run_cli(*args)
+        assert dict(os.environ) == before
+        return res.code, seen
+
+    @pytest.mark.parametrize("args, code",
+                             [(("pepin", "14"), 0),
+                              (("pepin", "5", "--base", "7"), 2)],
+                             ids=["pepin-14", "refused-base"])
+    def test_set_for_the_command_only(self, monkeypatch, args, code):
+        monkeypatch.delenv(self.VAR, raising=False)
+        assert self.seen_by_the_command(monkeypatch, *args) == (code, ["1"])
+
+    def test_caller_value_kept(self, monkeypatch):
+        monkeypatch.setenv(self.VAR, "2")
+        assert self.seen_by_the_command(monkeypatch, "pepin", "5") \
+            == (0, ["2"])
+
+
 class TestFileSystemErrors:
     """An unusable output path exits 2 with one line, not a traceback."""
 
@@ -612,6 +646,24 @@ class TestFileSystemErrors:
             res = run_cli("audit", *bad, "--report", str(target))
             assert res.code == 2
             assert not target.exists()
+
+    def test_refused_chain_leaves_no_report(self, tmp_path, monkeypatch):
+        flip_bit_at(monkeypatch, 300)
+        assert_refused(run_cli("audit", "--n-range", "9", "--bases", "2",
+                               "--report", str(tmp_path / "r.json")))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_chain_keeps_an_earlier_report(self, tmp_path,
+                                                   monkeypatch):
+        target = tmp_path / "r.json"
+        args = ("audit", "--n-range", "9", "--bases", "2",
+                "--report", str(target))
+        assert run_cli(*args).code == 0
+        before = target.read_bytes()
+        flip_bit_at(monkeypatch, 300)
+        assert_refused(run_cli(*args))
+        assert target.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [target]
 
     def test_unusable_checkpoint_dir_fails_before_the_chain(
             self, blocker, monkeypatch):

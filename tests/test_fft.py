@@ -9,8 +9,11 @@ the production call.
 """
 
 import json
+import os
+import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -105,6 +108,57 @@ class TestAgainstIntegerChain:
             assert got == int_chain(3, n, 3)
         assert calls == [arith.FFT_MIN_INDEX]
 
+    def test_numpy_before_2_squares_on_integers(self, monkeypatch):
+        # the backend's FFTs write with out=, which numpy 1.x lacks
+        monkeypatch.setattr(np, "__version__", "1.26.4")
+        monkeypatch.delitem(sys.modules, "fermatlab._fft")
+        monkeypatch.delattr("fermatlab._fft")
+        arith._fft_backend.cache_clear()
+        try:
+            assert arith._fft_backend() is None
+            n = arith.FFT_MIN_INDEX
+            got = mod_square_chain(FermatResidue(n, 3), 3).value
+            assert got == int_chain(3, n, 3)
+        finally:
+            arith._fft_backend.cache_clear()
+
+
+class TestNoSharedState:
+    def test_chains_in_two_threads(self):
+        # each call squares on arrays of its own, never on the plan's
+        n, count = 14, 200
+        modulus = (1 << (1 << n)) + 1
+        values = [3, modulus // 7]
+        got = {}
+
+        def run(value):
+            got[value] = _fft.square_chain(value, count, n)
+
+        threads = [threading.Thread(target=run, args=(value,))
+                   for value in values]
+        before = _fft.fallbacks
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {value: pow(value, 1 << count, modulus)
+                       for value in values}
+        assert _fft.fallbacks == before
+
+    def test_chain_at_18(self):
+        # the property tests stop at n = 16
+        n = 18
+        value = random.Random(n).getrandbits(1 << n)
+        before = _fft.fallbacks
+        assert _fft.square_chain(value, 64, n) == int_chain(value, n, 64)
+        assert _fft.fallbacks == before
+
 
 def _half_off(product):
     product[0] += 0.5
@@ -165,6 +219,17 @@ sys.exit(code)
 """
 
 
+# Run a CLI command in a fresh interpreter, then report on the last line
+# of stderr how many threads the process has.
+_THREADS_PROBE = """\
+import os, sys
+from fermatlab.cli import main
+code = main(sys.argv[1:])
+print(len(os.listdir("/proc/self/task")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
 def probe(mode: str, *args: str) -> subprocess.CompletedProcess:
     proc = subprocess.run([sys.executable, "-c", _PROBE, mode, *args],
                           capture_output=True, text=True, timeout=600)
@@ -202,6 +267,19 @@ class TestImportHygiene:
         # classify share the pool, as a one-row audit's
         assert loaded(probe("allow", "classify", "13", "--base", "7")) \
             == {"numpy": False, "multiprocessing": True}
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or primality._usable_cpus() < 2,
+                        reason="no /proc/self/task, or one usable CPU: "
+                               "no BLAS thread pool to start")
+    def test_pepin_starts_no_blas_threads(self):
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADS_PROBE, "pepin", "14"],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "1"
 
     def test_pepin_without_numpy_gives_the_same_record(self):
         blocked = probe("block", "pepin", "14")
