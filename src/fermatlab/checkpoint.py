@@ -89,11 +89,15 @@ def save_checkpoint(cp: Checkpoint, directory: Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / checkpoint_filename(cp.n, cp.base)
     tmp = directory / f".{path.name}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(cp.to_json())
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(cp.to_json())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -9,7 +9,7 @@ validate_divisor_form exists as its own checkable step.
 The divisibility test never touches the fold-reduction path: p is tiny
 next to F_n, so 2^(2^n) mod p is computed by builtin pow modulo p.
 The published factors (KNOWN_FACTORS) check chain residues the same
-way (check_known_factor).
+way (check_known_factor), and prove F_n composite (proven_factors).
 """
 
 from __future__ import annotations
@@ -81,6 +81,17 @@ def check_known_factor(n: int, base: int, index: int, residue: int,
             raise CheckpointError(
                 f"{what} is not base^(2^{index}) modulo "
                 f"the known factor {p} of F_{n}")
+
+
+def proven_factors(n: int) -> Tuple[int, ...]:
+    """The known factors of F_n that divides_fermat confirms.
+
+    Each one proves F_n composite in n squarings modulo p, where the
+    Pepin chain takes 2^n - 1 squarings modulo F_n to say the same.
+    Empty where F_n has no known factor (n < 5, n = 20, n > 23).
+    """
+    return tuple(p for p in KNOWN_FACTORS.get(n, ())
+                 if divides_fermat(p, n))
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,7 +5,8 @@ is therefore itself a power of two, 2^alpha.  order_alpha finds alpha
 by squaring upward, block by block, to the first residue equal to 1,
 which is minimal by construction.  If 2^n squarings never reach 1 the
 order has an odd part and the marker result NotTotallyEven is
-returned.
+returned.  A known factor p of F_n often proves that with no chain:
+base^(2^(2^n)) = 1 mod F_n implies it mod p, which builtin pow checks.
 
 On a composite F_n whose congruence holds, alpha is provably at most
 2^n - 2; order_alpha records whether that bound held in bound_satisfied
@@ -17,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import CHAIN_BLOCK, mod_square_chain
+from .arith import CHAIN_BLOCK, FermatResidue, mod_square_chain
+from .factors import check_known_factor, proven_factors
 from .primality import fermat_is_prime, require_coprime
 
 ORDER_BOUND_SLACK = 2  # composite + congruence: alpha <= 2^n - 2
@@ -42,7 +44,9 @@ class OrderResult:
     @property
     def squarings_used(self) -> int:
         """The chain index reached, alpha or 2^n, not the squarings done:
-        order_alpha squares up to the end of alpha's block and walks back."""
+        order_alpha squares up to the end of alpha's block and searches
+        it again, and a NotTotallyEven proven by a known factor of F_n
+        squares nothing."""
         return 1 << self.n if self.alpha is None else self.alpha
 
     @property
@@ -59,28 +63,62 @@ class OrderResult:
 def order_alpha(n: int, base: int) -> OrderResult:
     """Least alpha with base^(2^alpha) = 1 mod F_n, or NotTotallyEven.
 
-    The chain of at most 2^n squarings runs in blocks of CHAIN_BLOCK, and
-    only each block's end is tested for 1; the base itself is the chain's
-    entry at index 0.  A block that ends on 1 is walked again one
-    squaring at a time from its start, and the first 1 is alpha.  That
-    is exact because 1 is a fixed point of squaring: every entry past
-    alpha is 1 and none before it is.  A found alpha costs at most alpha
-    + CHAIN_BLOCK squarings, up to CHAIN_BLOCK of them in single-squaring
-    calls that walk its block again.
+    A known factor p of F_n with base^(2^(2^n)) != 1 mod p proves
+    NotTotallyEven, and then no chain runs.  Otherwise the chain of at
+    most 2^n squarings runs in blocks that double from 1 up to
+    CHAIN_BLOCK, and only each block's end is tested for 1; the base
+    itself is the chain's entry at index 0.  The block that ends on 1
+    is searched by halving (_first_one).  That is exact because 1 is a
+    fixed point of squaring: every entry past alpha is 1 and none before
+    it is.  So a found alpha below CHAIN_BLOCK costs under 3 * alpha
+    squarings, and any alpha at most 2 * CHAIN_BLOCK more than alpha, in
+    at most log2(CHAIN_BLOCK) chain calls after its block.  The
+    residues on either side of alpha, or the last one of a chain that
+    never reaches 1, must pass check_known_factor, or CheckpointError is
+    raised.
     """
     start = require_coprime(n, base)
+    for p in proven_factors(n):
+        if pow(base, pow(2, 1 << n, p - 1), p) != 1:
+            return OrderResult(n, base, None)
+    if start.is_one:
+        return OrderResult(n, base, 0, _bound(n, 0))
     limit = 1 << n
     index = 0
     while index < limit:
-        step = min(CHAIN_BLOCK, limit - index)
+        step = min(CHAIN_BLOCK, max(index, 1), limit - index)
         end = mod_square_chain(start, step)
         if end.is_one:
-            while not start.is_one:
-                start = mod_square_chain(start, 1)
-                index += 1
-            return OrderResult(n, base, index, _bound(n, index))
+            alpha = _first_one(n, base, start, index, step)
+            return OrderResult(n, base, alpha, _bound(n, alpha))
         start, index = end, index + step
+    check_known_factor(n, base, index, start.value,
+                       f"last residue of base 0x{base:x}, not reported,")
     return OrderResult(n, base, None)
+
+
+def _first_one(n: int, base: int, x: FermatResidue, index: int,
+               span: int) -> int:
+    """The index of the first 1 in the chain, given x at index, which is
+    not 1, and 1 at index + span.
+
+    Each call squares half the span from its lower end and keeps the
+    half that holds the first 1: at most ceil(log2(span)) calls and
+    span - 1 squarings.  The entries on either side of that 1 are
+    checked (check_known_factor): a fault that lands on 1 early fails
+    at the 1, and one that misses a 1 fails at the entry before it.
+    """
+    while span > 1:
+        half = span // 2
+        mid = mod_square_chain(x, half)
+        if mid.is_one:
+            span = half
+        else:
+            x, index, span = mid, index + half, span - half
+    what = f"of base 0x{base:x}, not reported,"
+    check_known_factor(n, base, index, x.value, f"residue {what}")
+    check_known_factor(n, base, index + 1, 1, f"residue 1 {what}")
+    return index + 1
 
 
 def _bound(n: int, alpha: int) -> Optional[bool]:

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from .arith import FermatResidue, check_chain_index, check_index, \
     fermat_value, mod_square_chain, reduce_fold
 from .errors import BaseNotCoprimeError, NonAdmissibleBaseError
-from .factors import _odd_primes, check_known_factor
+from .factors import _odd_primes, check_known_factor, proven_factors
 
 # Bases for which the half-residue test decides primality.  Known good
 # bases; there is no general criterion here, hence an allowlist with an
@@ -96,11 +96,12 @@ class Verdict:
     """Everything one classify run learned about (F_n, base).
 
     It holds the taps of base's chain and reads the rest from them.
-    pepin_prime always comes from a base-3 half residue; base 2 in
-    particular proves nothing about primality (2^((F_n-1)/2) never
-    lands on -1 for n >= 2), so the requested base only ever supplies
-    the pseudoprimality side.  rules holds the outcome of every rule
-    that applies to (n, base), in check order.
+    pepin_prime is False where a known factor divides F_n
+    (factors.proven_factors), and otherwise comes from a base-3 half
+    residue; base 2 in particular proves nothing about primality
+    (2^((F_n-1)/2) never lands on -1 for n >= 2), so the requested base
+    only ever supplies the pseudoprimality side.  rules holds the
+    outcome of every rule that applies to (n, base), in check order.
     """
 
     n: int
@@ -134,9 +135,13 @@ class Verdict:
 
     @property
     def squarings(self) -> int:
-        """The chain's 2^n squarings, plus the base-3 chain that decides
-        primality unless the base is 3, counted as a Pepin chain (2^n - 1
-        squarings) although audit_range runs that chain for all 2^n."""
+        """The chain's 2^n squarings, plus a Pepin chain (2^n - 1
+        squarings) for primality unless the base is 3.
+
+        That Pepin chain is counted whether or not it runs: a known
+        factor of F_n decides primality with no chain, and where none
+        is known audit_range runs a base-3 chain of all 2^n squarings.
+        The formula stays as it is so that records do not change."""
         if self.base == PEPIN_BASE:
             return 1 << self.n
         return (1 << (self.n + 1)) - 1
@@ -237,11 +242,15 @@ _PRIME_CACHE: Dict[int, bool] = {0: True, 1: True}
 
 
 def fermat_is_prime(n: int) -> bool:
-    """Primality of F_n, via the base-3 half residue, cached per index."""
+    """Primality of F_n, cached per index.
+
+    False where a known factor divides F_n (factors.proven_factors),
+    with no chain; otherwise the base-3 half residue decides.
+    """
     check_index(n)
     cached = _PRIME_CACHE.get(n)
     if cached is None:
-        cached, _ = pepin_test(n, PEPIN_BASE)
+        cached = not proven_factors(n) and pepin_test(n, PEPIN_BASE)[0]
         _PRIME_CACHE[n] = cached
     return cached
 
@@ -355,11 +364,12 @@ def audit_range(n_values, bases) -> AuditReport:
     """Classify every (n, base) of a grid, one chain per distinct pair.
 
     Every n and base is checked (check_audit_grid) before the first
-    chain runs.  Each n's primality comes from its base-3 chain, which
-    runs even when 3 is not among the bases (and then gives no row).
-    The chains are the only work, and they run on a process pool (see
-    _run_chains); the verdicts and rows are built here, in n_values then
-    bases order.
+    chain runs.  Each n's primality is False where a known factor
+    divides F_n (factors.proven_factors); for any other n it comes from
+    its base-3 chain, which then runs even when 3 is not among the
+    bases (and gives no row).  The chains are the only work, and they
+    run on a process pool (see _run_chains); the verdicts and rows are
+    built here, in n_values then bases order.
 
     Non-coprime bases do not abort the sweep and run no chain: the row
     records the gcd (a factor of F_n!).  Any violation in any row makes
@@ -369,15 +379,18 @@ def audit_range(n_values, bases) -> AuditReport:
     check_audit_grid(n_values, bases)
     gcds = {(n, base): gcd(base, fermat_value(n))
             for n in set(n_values) for base in bases}
+    composite = {n: bool(proven_factors(n)) for n in set(n_values)}
     chain_bases = list(dict.fromkeys([*bases, PEPIN_BASE]))
     # largest n first, so that the last chains to start are short ones
-    jobs = [(n, base) for n in sorted(set(n_values), reverse=True)
+    jobs = [(n, base) for n in sorted(composite, reverse=True)
             for base in chain_bases
-            if base == PEPIN_BASE or gcds[n, base] == 1]
+            if gcds.get((n, base)) == 1
+            or (base == PEPIN_BASE and not composite[n])]
     chains = dict(zip(jobs, _run_chains(jobs)))
     rows: List[AuditRow] = []
     for n in n_values:
-        pepin_prime = chains[n, PEPIN_BASE].half.is_minus_one
+        pepin_prime = not composite[n] \
+            and chains[n, PEPIN_BASE].half.is_minus_one
         _PRIME_CACHE.setdefault(n, pepin_prime)
         for base in bases:
             if gcds[n, base] != 1:

@@ -101,6 +101,20 @@ class TestRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] \
             == [checkpoint_filename(10, 3)]
 
+    def test_failed_write_leaves_only_the_earlier_file(self, tmp_path,
+                                                        monkeypatch):
+        path = save_checkpoint(make_checkpoint(index=100), tmp_path)
+        before = path.read_bytes()
+
+        def full_disk(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(checkpoint.os, "fsync", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(make_checkpoint(index=200), tmp_path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+
     def test_overwrite_same_chain(self, tmp_path):
         save_checkpoint(make_checkpoint(index=100), tmp_path)
         path = save_checkpoint(make_checkpoint(index=200), tmp_path)

@@ -468,6 +468,19 @@ class TestOrderCommand:
     def test_non_coprime_rejected(self):
         assert run_cli("order", "5", "--base", "641").code == 2
 
+    @pytest.mark.parametrize("step, what", [
+        # 2^16 + 1 in place of 2^16: the chain never reaches 1
+        (4, "last residue of base 0x2, not reported, is not base^(2^1024)"),
+        # 0 in place of the 1 at squaring 12: the search finds 16, not 11
+        (20, "residue of base 0x2, not reported, is not base^(2^15)"),
+    ], ids=["no-1", "late-1"])
+    def test_chain_fault_refused(self, monkeypatch, step, what):
+        # unfaulted, base 2 has alpha 11 on F_10
+        flip_bit_at(monkeypatch, step)
+        res = run_cli("order", "10", "--base", "2")
+        assert_refused(res)
+        assert what in res.stderr
+
 
 class TestSelftestCommand:
     def test_passes(self, schema_validator):

@@ -243,13 +243,16 @@ def loaded(proc: subprocess.CompletedProcess) -> dict:
 
 class TestImportHygiene:
     @pytest.mark.parametrize("args", [(), ("classify", "12", "--base", "7"),
+                                      ("classify", "13", "--base", "7"),
                                       ("order", "12", "--base", "5"),
                                       ("factor", "9", "--k-max", "100"),
                                       ("audit", "--n-range", "5..8")],
-                             ids=["import", "classify-12", "order-12",
-                                  "factor-9", "audit-5-8"])
+                             ids=["import", "classify-12", "classify-13",
+                                  "order-12", "factor-9", "audit-5-8"])
     def test_below_crossover_numpy_stays_unloaded(self, args):
-        # and so does multiprocessing, outside an audit worth a pool
+        # and so does multiprocessing, outside an audit worth a pool; a
+        # known factor of F_13 decides its primality, so classify 13
+        # runs one chain and starts no pool
         assert loaded(probe("allow", *args)) \
             == {"numpy": False, "multiprocessing": False}
 
@@ -258,14 +261,6 @@ class TestImportHygiene:
     def test_pooled_audit_loads_multiprocessing_only(self):
         assert loaded(probe("allow", "audit", "--n-range", "10..12",
                             "--bases", "2,3,5,7")) \
-            == {"numpy": False, "multiprocessing": True}
-
-    @pytest.mark.skipif(primality._usable_cpus() < 2,
-                        reason="one usable CPU: no classify is pooled")
-    def test_pooled_classify_loads_multiprocessing_only(self):
-        # 2 * 4^13 squarings times bits: the base and base-3 chains of
-        # classify share the pool, as a one-row audit's
-        assert loaded(probe("allow", "classify", "13", "--base", "7")) \
             == {"numpy": False, "multiprocessing": True}
 
     @pytest.mark.skipif(not sys.platform.startswith("linux")

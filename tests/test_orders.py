@@ -1,16 +1,18 @@
 """Power-of-two multiplicative orders and the composite-case bound."""
 
 import math
+from itertools import accumulate
 
 import pytest
 
 from conftest import KNOWN_FACTORS, pseudoprime_base, spy_on_squarings
 
-from fermatlab import oracle, orders, primality
+from fermatlab import factors, oracle, orders, primality
 from fermatlab.arith import CHAIN_BLOCK, fermat_value, mod_square_chain, \
     reduce_fold
 from fermatlab.errors import BaseNotCoprimeError
 from fermatlab.orders import order_alpha
+from fermatlab.primality import default_audit_bases
 
 
 @pytest.fixture(autouse=True)
@@ -130,12 +132,45 @@ class TestBlocks:
             assert r.alpha is not None and r.squarings_used == r.alpha
             assert r.alpha <= sum(counts) <= r.alpha + block
 
+    @pytest.mark.parametrize("block", [3, 4, CHAIN_BLOCK])
+    def test_found_alpha_searches_its_block_by_halving(self, monkeypatch,
+                                                       block):
+        monkeypatch.setattr(orders, "CHAIN_BLOCK", block)
+        counts = spy_on_squarings(monkeypatch, orders)
+        for n, base in [(5, 2), (6, pseudoprime_base(6, 274177)), (12, 2),
+                        (12, pseudoprime_base(12, 114689))]:
+            counts.clear()
+            alpha = order_alpha(n, base).alpha
+            # the blocks run up to the first end at or past alpha
+            blocks = next(i for i, end in enumerate(accumulate(counts), 1)
+                          if end >= alpha)
+            assert len(counts) - blocks <= (block - 1).bit_length()
+
     def test_not_totally_even_squares_the_whole_chain(self, monkeypatch):
+        # with no known factor to prove it, as at n = 20
+        monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
         counts = spy_on_squarings(monkeypatch, orders)
         r = order_alpha(10, 3)
         assert r.alpha is None and r.squarings_used == 1 << 10
         assert sum(counts) == 1 << 10
         assert max(counts) == CHAIN_BLOCK
+
+    def test_known_factor_proves_not_totally_even(self, monkeypatch):
+        counts = spy_on_squarings(monkeypatch, orders)
+        r = order_alpha(10, 3)
+        assert r.alpha is None and r.squarings_used == 1 << 10
+        assert counts == []
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_known_factors_agree_with_the_chain(monkeypatch, n):
+    bases = default_audit_bases() + [pseudoprime_base(n, p)
+                                     for p in factors.KNOWN_FACTORS[n]]
+    with_table = [order_alpha(n, base) for base in bases
+                  if math.gcd(base, fermat_value(n)) == 1]
+    monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
+    primality.reset_prime_cache()
+    assert with_table == [order_alpha(n, r.base) for r in with_table]
 
 
 class TestNoConversionPerStep:
@@ -153,6 +188,20 @@ class TestNoConversionPerStep:
             return real(digits, plan)
 
         monkeypatch.setattr(_fft, "to_int", counting)
+        # with no known factor, which would prove the result unsquared
+        monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
+        chains = spy_on_squarings(monkeypatch, orders)
         r = order_alpha(14, 5)
         assert r.alpha is None and r.squarings_used == 1 << 14
-        assert calls[0] <= (1 << 14) // CHAIN_BLOCK + 1
+        # the blocks double from 1 to CHAIN_BLOCK, then stay there
+        assert calls[0] == len(chains) \
+            == (1 << 14) // CHAIN_BLOCK + CHAIN_BLOCK.bit_length() - 1
+
+
+def test_order_at_18_runs_no_pepin_chain(monkeypatch):
+    # F_18's known factor decides the bound, which took a Pepin chain of
+    # 2^18 - 1 squarings; the search itself squares under 3 * alpha
+    counts = spy_on_squarings(monkeypatch)
+    r = order_alpha(18, 2)
+    assert (r.alpha, r.bound_satisfied) == (19, True)
+    assert sum(counts) < 3 * 19

@@ -303,7 +303,8 @@ class TestRealAudits:
     def test_non_coprime_base_becomes_gcd_row(self, monkeypatch):
         calls = spy_on_chains(monkeypatch)
         report = audit_range([5], [641])
-        assert calls == [(5, 3)]  # the gcd is taken without a chain
+        # the gcd is taken without a chain, and 641 proves F_5 composite
+        assert calls == []
         row = report.rows[0]
         assert not row.coprime
         assert row.gcd == 641
@@ -407,16 +408,19 @@ class TestAuditPool:
     # 114689 = 7*2^14 + 1 divides F_12, so one gcd row crosses the pool
     GRID = range(10, 13)
 
-    @pytest.mark.parametrize("bases", [[2, 3, 5, 114689], [2, 5, 114689]],
+    # both sets cost the same: three coprime chains at n = 12, enough
+    # for a pool (_POOL_MIN_COST)
+    @pytest.mark.parametrize("bases", [[2, 3, 5, 114689], [2, 5, 7, 114689]],
                              ids=["with-base-3", "without-base-3"])
     def test_pool_gives_the_same_report(self, monkeypatch, bases):
         calls = spy_on_chains(monkeypatch)
         usable_cpus(monkeypatch, 1)
         alone = audit_range(self.GRID, bases)
-        # one chain per coprime (n, base), and a base-3 chain per n in any
-        # case; the gcd pair runs none
+        # one chain per coprime (n, base); the gcd pair runs none, and
+        # F_10..F_12 have known factors, so no base-3 chain runs for
+        # primality alone
         assert sorted(calls) == sorted(
-            (n, b) for n in self.GRID for b in {*bases, 3}
+            (n, b) for n in self.GRID for b in bases
             if (n, b) != (12, 114689))
         calls.clear()
         primality.reset_prime_cache()
@@ -490,6 +494,9 @@ class TestClassifyIsAnAuditRow:
                 == audit_range([n], [base]).rows[0].verdict
 
     def test_pooled_classify_gives_the_same_verdict(self, monkeypatch):
+        # with no known factor, primality takes a base-3 chain, as at
+        # n = 20, and the two chains are worth a pool
+        monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
         calls = spy_on_chains(monkeypatch)
         usable_cpus(monkeypatch, 2)
         pooled = classify_report(13, 7)
@@ -497,6 +504,14 @@ class TestClassifyIsAnAuditRow:
         usable_cpus(monkeypatch, 1)
         assert classify_report(13, 7) == pooled
         assert sorted(calls) == [(13, 3), (13, 7)]
+
+    def test_known_factor_leaves_one_chain(self, monkeypatch):
+        calls = spy_on_chains(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        verdict = classify_report(13, 7)
+        assert calls == [(13, 7)]  # here: one job starts no pool
+        monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
+        assert classify_report(13, 7) == verdict
 
     def test_non_coprime_base_raises_before_any_chain(self, monkeypatch):
         calls = spy_on_chains(monkeypatch)
@@ -551,6 +566,15 @@ class TestPrimeCache:
         primality.reset_prime_cache()
         classify_report(5, 3)
         assert primality._PRIME_CACHE[5] is False
+
+    @pytest.mark.parametrize("n", [n for n in factors.KNOWN_FACTORS
+                                   if n <= 16])
+    def test_known_factor_agrees_with_the_chain(self, monkeypatch, n):
+        counts = spy_on_squarings(monkeypatch)
+        assert fermat_is_prime(n) is False
+        assert counts == []
+        prime, _ = pepin_test(n, 3)
+        assert prime is False
 
 
 class TestBaseSets:

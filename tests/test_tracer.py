@@ -42,8 +42,9 @@ def traced(tmp_path, *args):
     return run_traced(tmp_path, *args)[1]["counts"]
 
 
-def test_order_chain_is_counted(tmp_path):
-    counts = traced(tmp_path, "order", "14", "--base", "5")
+def test_classify_chain_is_counted(tmp_path):
+    # one FFT chain: F_14's known factor decides its primality
+    counts = traced(tmp_path, "classify", "14", "--base", "5")
     assert counts["arith.squarings"] == 1 << 14
 
 
