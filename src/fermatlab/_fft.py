@@ -24,14 +24,20 @@ of arith and counted in `fallbacks`.  The distance is taken in place:
 the rounded values go to a buffer of their own, and the distances
 overwrite the product before one maximum is read.
 
-`square_chain` runs a whole arith.mod_square_chain call: it converts
-the residue to digits once, squares them `count` times and converts
-back once; both conversions go through int.to_bytes / int.from_bytes
-and are linear in N.  Each call allocates its work arrays (`_Work`)
-once and every squaring of the call reuses them: the transform, the
-rounding and the carry all write with out= or in place, with no
-temporaries.  They are not part of the cached plan, so chains in two
-threads share nothing they write.
+`square_chain` runs a whole arith.mod_square_chain or mod_square_chains
+call: B residues at one index, one per row of a (B, L) digit array,
+squared together.  Every step above runs on the whole array (the FFTs
+along its last axis), so numpy's fixed cost per squaring is paid once
+for the B chains; a single chain is the batch of one.  The guard is
+taken over the whole batch, and a failed guard redoes that squaring of
+every row on integers, counted once.  A call converts each residue to
+digits once, squares `count` times and converts back once; both
+conversions go through int.to_bytes / int.from_bytes and are linear in
+N.  Each call allocates its work arrays (`_Work`) once and every
+squaring of the call reuses them: the transform, the rounding and the
+carry all write with out= or in place, with no temporaries.  They are
+not part of the cached plan, so chains in two threads share nothing
+they write.
 numpy (>= 2.0, for out= on its FFT) is imported here, and this module
 only on the first chain that uses it.
 """
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +68,8 @@ MAX_ROUNDOFF = 0.35
 MAX_CARRY_PASSES = 8
 
 # Squarings redone by the integer multiply because the guard failed,
-# counted over the life of the process.
+# counted over the life of the process, once per batch whatever its
+# number of rows.
 fallbacks = 0
 
 _HALF = 1 << (DIGIT_BITS - 1)
@@ -118,43 +125,51 @@ def to_int(digits: np.ndarray, plan: _Plan) -> int:
 
 
 class _Work:
-    """The arrays one square_chain call squares on, reused by each of
-    its squarings.  They belong to that call alone, not to the cached
-    plan, so chains in two threads never share them."""
+    """The arrays one square_chain call squares on, one row per chain,
+    reused by each of its squarings.  They belong to that call alone,
+    not to the cached plan, so chains in two threads never share them."""
 
-    def __init__(self, plan: _Plan):
+    def __init__(self, plan: _Plan, rows: int):
         self.plan = plan
-        self.z = np.empty(plan.digits // 2, np.complex128)
-        self.product = np.empty(plan.digits)
-        self.rounded = np.empty(plan.digits)
+        self.z = np.empty((rows, plan.digits // 2), np.complex128)
+        self.product = np.empty((rows, plan.digits))
+        self.rounded = np.empty((rows, plan.digits))
         # the next digits; a squaring that passes the guard swaps it
         # with the digits it squared
-        self.spare = np.empty(plan.digits, np.int64)
-        self.high = np.empty(plan.digits, np.int64)
+        self.spare = np.empty((rows, plan.digits), np.int64)
+        self.high = np.empty((rows, plan.digits), np.int64)
 
 
 def _transform(digits: np.ndarray, work: _Work) -> np.ndarray:
-    """The negacyclic square of the digit vector, unrounded, in digit
+    """The negacyclic square of each row of digits, unrounded, in digit
     order, in work.product."""
     plan, z, product = work.plan, work.z, work.product
     half = plan.digits // 2
-    z.real = digits[:half]
-    z.imag = digits[half:]
+    z.real = digits[:, :half]
+    z.imag = digits[:, half:]
     z *= plan.weight
     np.fft.fft(z, out=z)
     z *= z
     np.fft.ifft(z, out=z)
     z *= plan.unweight
-    product[:half] = z.real
-    product[half:] = z.imag
+    product[:, :half] = z.real
+    product[:, half:] = z.imag
     return product
 
 
 def _carry(values: np.ndarray, work: _Work) -> Optional[np.ndarray]:
-    """Digits in [-2^15, 2^15) with the same negacyclic value, carried
-    in place, or None when the carry has not settled after
+    """Digits in [-2^15, 2^15) with the same negacyclic value in each
+    row, carried in place, or None when the carry has not settled after
     MAX_CARRY_PASSES passes."""
     high = work.high
+    # One add over the rows laid end to end (a third of the time of a
+    # 2-D add at B = 25, n = 12) also puts each row's top carry on the
+    # next row's digit 0; a pass takes it back from there and puts it,
+    # negated, on its own row's digit 0.  The views are made once per
+    # call, not per pass.
+    flat, flat_high = values.reshape(-1), high.reshape(-1)
+    first, first_after, top, top_before = \
+        values[:, 0], values[1:, 0], high[:, -1], high[:-1, -1]
     # offset by 2^15, a digit in range is its low 16 bits and the rest
     # is its carry; the offset survives each pass
     values += _HALF
@@ -164,8 +179,9 @@ def _carry(values: np.ndarray, work: _Work) -> Optional[np.ndarray]:
             values -= _HALF
             return values
         values &= _MASK
-        values[1:] += high[:-1]
-        values[0] -= high[-1]
+        flat[1:] += flat_high[:-1]
+        first_after -= top_before
+        first -= top
     return None
 
 
@@ -187,17 +203,20 @@ def _square(digits: np.ndarray, work: _Work) -> np.ndarray:
             return carried
     fallbacks += 1
     plan = work.plan
-    value = to_int(digits, plan)
-    return to_digits(_mulmod(value, value, plan.width, plan.top,
-                             plan.top - 1), plan)
+    for row in digits:
+        value = to_int(row, plan)
+        row[:] = to_digits(_mulmod(value, value, plan.width, plan.top,
+                                   plan.top - 1), plan)
+    return digits
 
 
-def square_chain(value: int, count: int, n: int) -> int:
-    """value^(2^count) modulo F_n, for a value in [0, 2^N], by `count`
-    squarings of its balanced digits."""
+def square_chain(values: Sequence[int], count: int, n: int) -> List[int]:
+    """value^(2^count) modulo F_n for each of one or more values in
+    [0, 2^N], by `count` squarings of their balanced digits, all
+    values at once."""
     plan = _plan(n)
-    work = _Work(plan)
-    digits = to_digits(value, plan)
+    work = _Work(plan, len(values))
+    digits = np.stack([to_digits(value, plan) for value in values])
     for _ in range(count):
         digits = _square(digits, work)
-    return to_int(digits, plan)
+    return [to_int(row, plan) for row in digits]

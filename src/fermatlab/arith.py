@@ -11,12 +11,15 @@ Exponents of interest here are all powers of two, so they are never
 materialised as integers: callers pass a squaring count instead
 (mod_square_chain).  (F_n - 1)/4 is "2^n - 2 squarings", not a number.
 
-mod_square_chain is the one call that squares modulo F_n.  It hands the
-whole call to one backend: from n = FFT_MIN_INDEX on, the negacyclic FFT
-of _fft.py when numpy imports; below it and without numpy, the integer
-multiply here, which the FFT also falls back on whenever its roundoff
-guard fails.  It only squares: callers act between calls of at most
-CHAIN_BLOCK squarings.
+mod_square_chain squares one residue and mod_square_chains one or more
+at one index; they are the only calls that square modulo F_n.  Each
+hands the whole call to one backend, picked from n and the number of
+chains (chain_backend): the negacyclic FFT of _fft.py, which squares a
+batch together, from n = FFT_MIN_INDEX on and for at least
+FFT_MIN_BATCH[n] chains below it, when numpy imports; otherwise the
+integer multiply here, chain by chain, which the FFT also falls back on
+whenever its roundoff guard fails.  They only square: callers act
+between calls of at most CHAIN_BLOCK squarings.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
+from typing import List, Sequence
 
 from .errors import IndexBelowTwoError, IndexOutOfRangeError, \
     ModulusMismatchError
@@ -35,6 +39,28 @@ MAX_INDEX_ENV = "FERMAT_LAB_MAX_N"
 # took 0.69x the time of the integer multiply at n=14 and 1.3x at n=13,
 # and its share falls as n grows (table in CHANGES.md).
 FFT_MIN_INDEX = 14
+
+# Below FFT_MIN_INDEX, the least number B of chains at one index that
+# the FFT squares together faster than the integer multiply squares
+# them one after the other.  Time per chain and squaring of a batch of
+# B on the FFT over that of one chain on integers, from medians of 9
+# interleaved runs of 128-256 squarings, in 2-3 runs on 2 cores:
+#
+#   B     n = 10     11          12          13
+#   1     -          -           3.6-4.6     1.3-1.5
+#   2     -          -           1.9         0.77-0.89
+#   4     -          -           1.1-1.3     0.45-0.53
+#   6     -          -           0.87-0.88   -
+#   8     -          -           0.60-0.74   0.30-0.34
+#   16    -          1.1-1.4     -           -
+#   25    1.9        0.9-1.2     0.43-0.45   -
+#   32    -          0.91-1.04   -           -
+#   50    1.2-1.7    0.62-0.86   -           -
+#
+# A whole audit at n = 12 over 50 bases, B = 25 on each of 2 workers,
+# took 0.78 s against 1.95 s on integers (medians of 7); at n = 11 it
+# took 0.28 s against 0.25 s, so n = 11 waits for B = 50.
+FFT_MIN_BATCH = {11: 50, 12: 8, 13: 2}
 
 # Squarings per mod_square_chain call for callers that act between
 # blocks (order_alpha, CheckpointWriter.run).  One call's own cost
@@ -161,11 +187,11 @@ def _fold(x: int, width: int, top: int, mask: int) -> int:
 
 
 def _mulmod(x: int, y: int, width: int, top: int, mask: int) -> int:
-    # x, y in [0, top], so the product has at most three base-2^width digits
-    # and the highest one is 0 or 1; a single conditional add finishes the
-    # reduction.
+    # x, y in [0, top], so p <= 2^(2*width) and p >> width <= top: the
+    # fold p mod 2^width - p >> width lies in [-top, top), and a single
+    # conditional add finishes the reduction (x = y = top gives 1).
     p = x * y
-    s = (p & mask) - ((p >> width) & mask) + (p >> (width << 1))
+    s = (p & mask) - (p >> width)
     if s < 0:
         s += top + 1
     return s
@@ -203,20 +229,57 @@ def _fft_backend():
     return _fft
 
 
+def chain_backend(n: int, batch: int):
+    """The FFT squaring module when it squares `batch` chains at index n
+    together faster than the integer multiply squares them one by one
+    (FFT_MIN_INDEX, FFT_MIN_BATCH) and numpy >= 2.0 imports, else None.
+
+    A caller that will square such a batch in forked workers calls it
+    first, so that the workers inherit numpy instead of importing it.
+    """
+    if n >= FFT_MIN_INDEX \
+            or n in FFT_MIN_BATCH and batch >= FFT_MIN_BATCH[n]:
+        return _fft_backend()
+    return None
+
+
+def mod_square_chains(residues: Sequence[FermatResidue],
+                      count: int) -> List[FermatResidue]:
+    """a^(2^count) mod F_n for each of one or more residues a at one
+    index n, by `count` successive squarings.
+
+    Where chain_backend squares the batch on the FFT, all residues are
+    squared together; a single residue, or a batch left to the integer
+    multiply, goes chain by chain through mod_square_chain, so that a
+    lone chain has one way in.
+    """
+    if count < 0:
+        raise ValueError(f"squaring count must be >= 0, got {count}")
+    n = residues[0].n
+    if any(a.n != n for a in residues):
+        raise ModulusMismatchError(
+            "cannot square residues mod different F_n together")
+    fft = chain_backend(n, len(residues)) if len(residues) > 1 else None
+    if fft is None:
+        return [mod_square_chain(a, count) for a in residues]
+    return [FermatResidue(n, x) for x in fft.square_chain(
+        [a.value for a in residues], count, n)]
+
+
 def mod_square_chain(a: FermatResidue, count: int) -> FermatResidue:
     """a^(2^count) mod F_n by `count` successive squarings.
 
     This is how every exponent in this library is realised: the Fermat
     congruence exponent F_n - 1 is 2^n squarings, the Pepin exponent
     (F_n - 1)/2 is 2^n - 1, the quarter exponent (F_n - 1)/4 is 2^n - 2.
+    On the FFT it is the batch of one.
     """
     if count < 0:
         raise ValueError(f"squaring count must be >= 0, got {count}")
     n = a.n
-    if n >= FFT_MIN_INDEX:
-        fft = _fft_backend()
-        if fft is not None:
-            return FermatResidue(n, fft.square_chain(a.value, count, n))
+    fft = chain_backend(n, 1)
+    if fft is not None:
+        return FermatResidue(n, fft.square_chain([a.value], count, n)[0])
     width = 1 << n
     top = 1 << width
     mask = top - 1

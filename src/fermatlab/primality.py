@@ -24,10 +24,11 @@ import enum
 import os
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .arith import FermatResidue, check_chain_index, check_index, \
-    fermat_value, mod_square_chain, reduce_fold
+from .arith import FermatResidue, chain_backend, check_chain_index, \
+    check_index, fermat_value, mod_square_chain, mod_square_chains, \
+    reduce_fold
 from .errors import BaseNotCoprimeError, NonAdmissibleBaseError
 from .factors import _odd_primes, check_known_factor, proven_factors
 
@@ -48,7 +49,12 @@ AUDIT_MIN_INDEX = 5
 # and close.  Whole `audit` processes over 50 bases, pooled vs not
 # (medians of 15 alternating runs, 2 cores): n = 10 (2^25.7) 183 vs
 # 201 ms, n = 5..10 (2^26.1) 242 vs 223 ms, n = 10..11 (2^27.7) 409 vs
-# 623 ms.  So the pool breaks even near here; n = 5..8 is 2^22.
+# 623 ms.  So the pool breaks even near here; n = 5..8 is 2^22.  The
+# model prices integer chains; batched ones cost less (arith.FFT_MIN_BATCH)
+# but only start at 2^28 (n = 12 over 16 chains, n = 13 over 4).  There,
+# two batches on the pool against one batch alone (medians of 7, numpy
+# loaded) took 0.56 vs 0.58 s and 0.84 vs 0.84 s, and n = 12 over 50
+# bases 0.85 vs 1.22 s: even at the smallest batched audit, then ahead.
 _POOL_MIN_COST = 1 << 26
 
 
@@ -192,13 +198,22 @@ def chain_taps(n: int, base: int) -> ChainTaps:
     The full residue must pass check_known_factor, or CheckpointError
     is raised.
     """
+    return _batch_taps(n, [base])[0]
+
+
+def _batch_taps(n: int, bases: Sequence[int]) -> List[ChainTaps]:
+    """chain_taps of each base, the chains squared together
+    (arith.mod_square_chains)."""
     check_chain_index(n)
-    quarter = mod_square_chain(require_coprime(n, base), (1 << n) - 2)
-    half = mod_square_chain(quarter, 1)
-    full = mod_square_chain(half, 1)
-    check_known_factor(n, base, 1 << n, full.value,
-                       f"full residue of base 0x{base:x}, not reported,")
-    return ChainTaps(quarter=quarter, half=half, full=full)
+    quarters = mod_square_chains([require_coprime(n, base) for base in bases],
+                                 (1 << n) - 2)
+    halves = mod_square_chains(quarters, 1)
+    fulls = mod_square_chains(halves, 1)
+    for base, full in zip(bases, fulls):
+        check_known_factor(n, base, 1 << n, full.value,
+                           f"full residue of base 0x{base:x}, not reported,")
+    return [ChainTaps(quarter=quarter, half=half, full=full)
+            for quarter, half, full in zip(quarters, halves, fulls)]
 
 
 def pepin_test(n: int, base: int = 3, allow_any_base: bool = False,
@@ -409,10 +424,11 @@ def check_audit_grid(n_values, bases) -> None:
         _check_base(base)
 
 
-def _chain_job(job: Tuple[int, int]) -> ChainTaps:
-    """The taps of one (n, base) chain.  At module level, so that a pool
-    pickles it by name and forked workers see a patched chain_taps."""
-    return chain_taps(*job)
+def _chain_task(task: Tuple[int, Tuple[int, ...]]) -> List[ChainTaps]:
+    """_batch_taps of one (n, bases) task.  At module level, so that a
+    pool pickles it by name and forked workers see a patched
+    _batch_taps."""
+    return _batch_taps(*task)
 
 
 def _usable_cpus() -> int:
@@ -422,31 +438,62 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _tasks(jobs: List[Tuple[int, int]],
+           cpus: int) -> List[Tuple[int, Tuple[int, ...]]]:
+    """The (n, bases) tasks that run jobs, in their order.
+
+    The chains at one n are independent and equally long.  Where
+    arith.chain_backend squares min(cpus, chains) round-robin batches
+    of them on the FFT, each batch is one task; elsewhere each chain
+    is.
+    """
+    by_n: Dict[int, List[int]] = {}
+    for n, base in jobs:
+        by_n.setdefault(n, []).append(base)
+    tasks = []
+    for n, bases in by_n.items():
+        parts = min(cpus, len(bases))
+        if chain_backend(n, len(bases) // parts) is not None:
+            tasks += [(n, tuple(bases[i::parts])) for i in range(parts)]
+        else:
+            tasks += [(n, (base,)) for base in bases]
+    return tasks
+
+
 def _run_chains(jobs: List[Tuple[int, int]]) -> List[ChainTaps]:
-    """_chain_job over jobs, in order, on min(usable CPUs, jobs) processes.
+    """The taps of each (n, base) job, in order, from _chain_task over
+    _tasks(jobs) on min(usable CPUs, tasks) processes.
 
     A single CPU, or chains that cost less than starting the pool
     (_POOL_MIN_COST), run here instead.  multiprocessing is imported
-    only when the pool is used: the import alone costs 7-11 ms.
+    only when the pool is used: the import alone costs 7-11 ms.  A
+    batch's backend is chosen, and numpy imported, before any fork.
     """
-    workers = min(_usable_cpus(), len(jobs))
+    cpus = _usable_cpus()
+    tasks = _tasks(jobs, cpus)
+    workers = min(cpus, len(tasks))
     if workers < 2 or sum(4 ** n for n, _ in jobs) < _POOL_MIN_COST:
-        return [_chain_job(job) for job in jobs]
-    import multiprocessing
-    import signal
-    import threading
-    # Pinned, not the platform default: fork starts 2 workers in 14-20 ms,
-    # against about 80 ms for spawn or forkserver, and they begin with
-    # this process's modules loaded.  A fork copies no other thread, and
-    # a lock one of them held stays held in the child, so a process with
-    # threads (or without fork) spawns its workers.
-    fork = threading.active_count() == 1 \
-        and "fork" in multiprocessing.get_all_start_methods()
-    # Workers ignore Ctrl-C; the parent gets it, and leaving the with
-    # block terminates them, as it does when a job raises.
-    with multiprocessing.get_context("fork" if fork else "spawn").Pool(
-            workers, initializer=signal.signal,
-            initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-        # one job per task, so that no worker idles while another holds
-        # a queue of long chains
-        return pool.map(_chain_job, jobs, chunksize=1)
+        done = [_chain_task(task) for task in tasks]
+    else:
+        import multiprocessing
+        import signal
+        import threading
+        # Pinned, not the platform default: fork starts 2 workers in
+        # 14-20 ms, against about 80 ms for spawn or forkserver, and they
+        # begin with this process's modules loaded.  A fork copies no
+        # other thread, and a lock one of them held stays held in the
+        # child, so a process with threads (or without fork) spawns its
+        # workers.
+        fork = threading.active_count() == 1 \
+            and "fork" in multiprocessing.get_all_start_methods()
+        # Workers ignore Ctrl-C; the parent gets it, and leaving the with
+        # block terminates them, as it does when a task raises.
+        with multiprocessing.get_context("fork" if fork else "spawn").Pool(
+                workers, initializer=signal.signal,
+                initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+            # one task per message, so that no worker idles while
+            # another holds a queue of long chains
+            done = pool.map(_chain_task, tasks, chunksize=1)
+    taps = {(n, base): chain for (n, bases), chains in zip(tasks, done)
+            for base, chain in zip(bases, chains)}
+    return [taps[job] for job in jobs]

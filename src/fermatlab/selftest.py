@@ -8,11 +8,12 @@ one of those functions at runtime must make the battery fail, which is
 itself tested.
 
 Scope is deliberately small (n <= 8 and a few hundred random cases,
-plus a few chains at n = arith.FFT_MIN_INDEX): this is a smoke screen
-for broken arithmetic, not the full property suite in tests/.  The
-chains at the crossover go through mod_square_chain like every real
-chain, so they check the FFT backend when numpy imports and the integer
-multiply when it does not; the battery runs the same checks either way.
+plus a few chains at n = arith.FFT_MIN_INDEX and one batch of n = 12
+chains): this is a smoke screen for broken arithmetic, not the full
+property suite in tests/.  The chains at the crossovers go through
+mod_square_chain and mod_square_chains like every real chain, so they
+check the FFT backend when numpy imports and the integer multiply when
+it does not; the battery runs the same checks either way.
 """
 
 from __future__ import annotations
@@ -140,6 +141,30 @@ def _check_crossover_chains(rng: random.Random
     return out
 
 
+def _check_batched_chains(rng: random.Random
+                          ) -> List[oracle.OracleReport]:
+    # n = 12 chains enough to be squared together, and a batch of one
+    # at the crossover, against builtin pow
+    out = []
+    for n, rows in ((12, arith.FFT_MIN_BATCH[12]), (arith.FFT_MIN_INDEX, 1)):
+        m = arith.fermat_value(n)
+        top = m - 1
+        values = [top, 0, 1, *(rng.randrange(top + 1)
+                               for _ in range(rows))][:rows]
+        count = rng.randrange(1, 40)
+        got = arith.mod_square_chains(
+            [arith.FermatResidue(n, value) for value in values], count)
+        for value, residue in zip(values, got):
+            want = pow(value, 1 << count, m)
+            if residue.value != want:
+                out.append(_report("batched-chains-vs-pow",
+                                   f"n={n} x={value:#x} count={count}",
+                                   want, residue.value))
+    out.append(_report("batched-chains-vs-pow", "batches complete",
+                       True, True))
+    return out
+
+
 def _check_pepin_verdicts() -> List[oracle.OracleReport]:
     out = []
     for n, want in [(2, True), (3, True), (4, True), (5, False)]:
@@ -261,6 +286,7 @@ def run_selftest() -> SelftestResult:
          lambda: _check_oracle_self_consistency(rng)),
         ("square-chains", lambda: _check_square_chains(rng)),
         ("crossover-chains", lambda: _check_crossover_chains(rng)),
+        ("batched-chains", lambda: _check_batched_chains(rng)),
         ("pepin-verdicts", _check_pepin_verdicts),
         ("quarter-and-congruence", _check_quarter_and_congruence),
         ("orders", _check_orders),

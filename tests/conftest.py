@@ -25,8 +25,9 @@ settings.register_profile(
 settings.load_profile("fermatlab")
 
 
-# the same with and without numpy: the crossover group runs either way
-SELFTEST_CHECKS = 47
+# the same with and without numpy: the crossover and batch groups run
+# either way
+SELFTEST_CHECKS = 48
 
 
 def v2(m: int) -> int:
@@ -58,17 +59,25 @@ def pseudoprime_base(n: int, p: int) -> int:
 
 
 def spy_on_squarings(monkeypatch, *modules):
-    """The count of every mod_square_chain call made from modules, by
+    """The count of every chain squared by a mod_square_chain or
+    mod_square_chains call made from modules, one entry per chain, by
     default from every library module that makes one."""
     counts = []
-    real = arith.mod_square_chain
+    real, real_batch = arith.mod_square_chain, arith.mod_square_chains
 
     def counting(a, count):
         counts.append(count)
         return real(a, count)
 
+    def counting_batch(residues, count):
+        counts.extend([count] * len(residues))
+        return real_batch(residues, count)
+
     for module in modules or (checkpoint, orders, primality):
-        monkeypatch.setattr(module, "mod_square_chain", counting)
+        for name, spy in (("mod_square_chain", counting),
+                          ("mod_square_chains", counting_batch)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
     return counts
 
 

@@ -10,6 +10,7 @@ from fermatlab.arith import (
     from_hex,
     mod_mul,
     mod_square_chain,
+    mod_square_chains,
     reduce_fold,
     to_hex,
 )
@@ -144,6 +145,26 @@ class TestModMul:
         got = mod_mul(FermatResidue(n, x), FermatResidue(n, y)).value
         assert got == oracle.naive_mod(x * y, fermat_value(n))
 
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_fold_at_the_edges(self, n):
+        # x * y <= 2^(2N), so p mod 2^N - p >> 2^N is the whole fold,
+        # also for 2^N * 2^N
+        top = 1 << (1 << n)
+        for x in (0, 1, top):
+            for y in (0, 1, top):
+                got = arith._mulmod(x, y, 1 << n, top, top - 1)
+                assert got == oracle.naive_mod(x * y, top + 1)
+
+    @given(st.data())
+    def test_fold_matches_division_oracle(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=13))
+        top = 1 << (1 << n)
+        values = st.one_of(st.sampled_from([0, 1, top]),
+                           st.integers(min_value=0, max_value=top))
+        x, y = data.draw(values), data.draw(values)
+        got = arith._mulmod(x, y, 1 << n, top, top - 1)
+        assert got == oracle.naive_mod(x * y, top + 1)
+
     @given(st.data())
     def test_canonical_range(self, data):
         n = data.draw(st.integers(min_value=0, max_value=8))
@@ -164,6 +185,23 @@ class TestSquareChain:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             mod_square_chain(FermatResidue(2, 3), -1)
+        with pytest.raises(ValueError):
+            mod_square_chains([FermatResidue(2, 3)] * 2, -1)
+
+    def test_batch_needs_one_index(self):
+        with pytest.raises(ModulusMismatchError):
+            mod_square_chains([FermatResidue(5, 3), FermatResidue(6, 3)], 1)
+
+    @given(st.data())
+    def test_batch_matches_single_chains(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=8))
+        top = 1 << (1 << n)
+        residues = [FermatResidue(n, v) for v in data.draw(st.lists(
+            st.integers(min_value=0, max_value=top), min_size=1,
+            max_size=8))]
+        count = data.draw(st.integers(min_value=0, max_value=40))
+        assert mod_square_chains(residues, count) \
+            == [mod_square_chain(a, count) for a in residues]
 
     @given(st.data())
     def test_chain_composition(self, data):

@@ -20,6 +20,7 @@ from fermatlab.checkpoint import (
     save_checkpoint,
 )
 from fermatlab.factors import CandidateDivisor
+from fermatlab.primality import default_audit_bases
 from fermatlab.records import strip_timing
 
 
@@ -238,7 +239,7 @@ class TestPepinCheckpointFlow:
             out = real(values, work)
             steps.append(1)
             if len(steps) == 100:
-                out[0] += 1
+                out[..., 0] += 1
             return out
 
         monkeypatch.setattr(fft, "_carry", faulty)
@@ -261,7 +262,7 @@ class TestPepinCheckpointFlow:
             out = real(values, work)
             steps.append(1)
             if len(steps) == 100:
-                out[0] += 1
+                out[..., 0] += 1
             return out
 
         monkeypatch.setattr(fft, "_carry", faulty)
@@ -388,6 +389,34 @@ class TestAuditCommand:
         monkeypatch.setattr(primality, "_usable_cpus", lambda: 2)
         assert_refused(run_cli("audit", "--n-range", "12..13",
                                "--bases", "2,7"))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the workers see the patched carry only when forked")
+    def test_fft_fault_in_a_batched_worker_refused(self, tmp_path,
+                                                   monkeypatch):
+        # each forked worker squares one batch of the n = 12 chains on
+        # the FFT, and adds 1 to digit 0 of every row at its 100th carry
+        fft = pytest.importorskip("fermatlab._fft")
+        real = fft._carry
+        steps = []
+
+        def faulty(values, work):
+            out = real(values, work)
+            steps.append(1)
+            if len(steps) == 100:
+                out[..., 0] += 1
+            return out
+
+        monkeypatch.setattr(fft, "_carry", faulty)
+        monkeypatch.setattr(primality, "_usable_cpus", lambda: 2)
+        bases = default_audit_bases()[:2 * arith.FFT_MIN_BATCH[12]]
+        report = tmp_path / "r.json"
+        assert_refused(run_cli("audit", "--n-range", "12", "--bases",
+                               ",".join(map(str, bases)),
+                               "--report", str(report)))
+        assert not report.exists()
         assert multiprocessing.active_children() == []
 
     def test_bad_arguments(self):

@@ -1,14 +1,16 @@
 """The FFT squaring backend against the integer multiply it stands in for.
 
 The integer multiply of arith (`_mulmod`) is the reference: every chain
-run on the FFT backend must give the same residues, at every step, also
-when the roundoff guard fires and the squaring is redone on integers.
+run on the FFT backend, alone or in a batch, must give the same
+residues, at every step, also when the roundoff guard fires and the
+squaring is redone on integers.
 Chains below the crossover go through `mod_square_chain` with
 `arith.FFT_MIN_INDEX` lowered to the backend's own minimum, so they run
 the production call.
 """
 
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -92,7 +94,7 @@ class TestAgainstIntegerChain:
 
     def test_index_below_minimum_refused(self):
         with pytest.raises(ValueError):
-            _fft.square_chain(3, 1, _fft.MIN_INDEX - 1)
+            _fft.square_chain([3], 1, _fft.MIN_INDEX - 1)
 
     def test_backend_follows_the_index(self, monkeypatch):
         calls = []
@@ -132,7 +134,7 @@ class TestNoSharedState:
         got = {}
 
         def run(value):
-            got[value] = _fft.square_chain(value, count, n)
+            got[value], = _fft.square_chain([value], count, n)
 
         threads = [threading.Thread(target=run, args=(value,))
                    for value in values]
@@ -156,23 +158,23 @@ class TestNoSharedState:
         n = 18
         value = random.Random(n).getrandbits(1 << n)
         before = _fft.fallbacks
-        assert _fft.square_chain(value, 64, n) == int_chain(value, n, 64)
+        assert _fft.square_chain([value], 64, n) == [int_chain(value, n, 64)]
         assert _fft.fallbacks == before
 
 
 def _half_off(product):
-    product[0] += 0.5
+    product[..., 0] += 0.5
 
 
 def _nan(product):
-    product[3] = np.nan
+    product[..., 3] = np.nan
 
 
 def _ripple(product):
     # integral, so the roundoff test passes; the carry then runs along
     # every digit and round the negacyclic wrap, past any pass limit
     product[:] = (1 << 15) - 1
-    product[0] = 1 << 15
+    product[..., 0] = 1 << 15
 
 
 class TestRoundoffGuard:
@@ -203,6 +205,71 @@ class TestRoundoffGuard:
         assert _fft.fallbacks - before == len(steps)
 
 
+class TestBatches:
+    COUNT = 9
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 25])
+    @pytest.mark.parametrize("n", range(_fft.MIN_INDEX, 15))
+    def test_each_row_is_its_own_chain(self, n, rows):
+        top = 1 << (1 << n)
+        rng = random.Random(100 * n + rows)
+        values = [top, 0, 1, *(rng.randrange(top + 1)
+                               for _ in range(rows))][:rows]
+        before = _fft.fallbacks
+        got = _fft.square_chain(values, self.COUNT, n)
+        assert got == [_fft.square_chain([value], self.COUNT, n)[0]
+                       for value in values]
+        assert got == [int_chain(value, n, self.COUNT) for value in values]
+        assert got == [pow(value, 1 << self.COUNT, top + 1)
+                       for value in values]
+        assert _fft.fallbacks == before
+
+    @pytest.mark.parametrize("fault", [_half_off, _nan, _ripple],
+                             ids=["roundoff-0.5", "nan", "carry-unsettled"])
+    def test_fault_in_one_row_redoes_the_batch(self, monkeypatch, fault):
+        # the guard is taken over the whole batch, so one bad row sends
+        # that squaring of every row to the integer multiply, once
+        n, rows, step = 10, 7, 5
+        top = 1 << (1 << n)
+        values = [top, 0, 1, *range(3, 3 + rows - 3)]
+        real = _fft._transform
+        calls = [0]
+
+        def faulty(digits, work):
+            calls[0] += 1
+            product = real(digits, work)
+            if calls[0] == step:
+                fault(product[3:4])
+            return product
+
+        monkeypatch.setattr(_fft, "_transform", faulty)
+        before = _fft.fallbacks
+        got = _fft.square_chain(values, self.COUNT, n)
+        assert got == [int_chain(value, n, self.COUNT) for value in values]
+        assert _fft.fallbacks - before == 1
+
+    def test_backend_follows_index_and_batch(self, monkeypatch):
+        calls = []
+        real = _fft.square_chain
+
+        def spy(values, count, n):
+            calls.append((n, len(values)))
+            return real(values, count, n)
+
+        monkeypatch.setattr(_fft, "square_chain", spy)
+        least = arith.FFT_MIN_BATCH
+        cases = [(n, rows) for n in sorted(least)
+                 for rows in (least[n] - 1, least[n])]
+        cases += [(min(least) - 1, 64), (arith.FFT_MIN_INDEX, 1)]
+        for n, rows in cases:
+            residues = [FermatResidue(n, 3 + row) for row in range(rows)]
+            got = arith.mod_square_chains(residues, 2)
+            assert [a.value for a in got] \
+                == [int_chain(3 + row, n, 2) for row in range(rows)]
+        assert calls == [(n, least[n]) for n in sorted(least)] \
+            + [(arith.FFT_MIN_INDEX, 1)]
+
+
 # Run a CLI command in a fresh interpreter, then report on the last line
 # of stderr which of numpy and multiprocessing were loaded, as JSON; a
 # first argument of "block" makes numpy unimportable.
@@ -226,6 +293,22 @@ import os, sys
 from fermatlab.cli import main
 code = main(sys.argv[1:])
 print(len(os.listdir("/proc/self/task")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+# Run a CLI command in a fresh interpreter with 2 usable CPUs, then
+# report on the last line of stderr, as JSON, whether numpy was loaded
+# at each fork.
+_FORK_PROBE = """\
+import json, os, sys
+forks = []
+os.register_at_fork(before=lambda: forks.append("numpy" in sys.modules))
+from fermatlab import primality
+primality._usable_cpus = lambda: 2
+from fermatlab.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(forks), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -262,6 +345,19 @@ class TestImportHygiene:
         assert loaded(probe("allow", "audit", "--n-range", "10..12",
                             "--bases", "2,3,5,7")) \
             == {"numpy": False, "multiprocessing": True}
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="without fork, each worker imports numpy itself")
+    def test_batched_audit_loads_numpy_before_the_fork(self):
+        # the n = 12 chains run in two batches of 25; the workers
+        # inherit numpy from the parent instead of each importing it
+        proc = subprocess.run(
+            [sys.executable, "-c", _FORK_PROBE, "audit", "--n-range",
+             "5..12"], capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        forks = json.loads(proc.stderr.splitlines()[-1])
+        assert forks and all(forks)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux")
                         or primality._usable_cpus() < 2,

@@ -372,18 +372,19 @@ FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def spy_on_chains(monkeypatch, fail_at=None):
-    """Record the (n, base) of every chain this process runs; the chain
-    of fail_at raises instead."""
+    """Record the (n, base) of every chain this process runs, alone or
+    in a batch; a batch with the chain of fail_at raises instead."""
     calls = []
-    real = primality.chain_taps
+    real = primality._batch_taps
 
-    def spy(n, base):
-        calls.append((n, base))
-        if (n, base) == fail_at:
+    def spy(n, bases):
+        chains = [(n, base) for base in bases]
+        calls.extend(chains)
+        if fail_at in chains:
             raise RuntimeError(f"chain {fail_at} broke")
-        return real(n, base)
+        return real(n, bases)
 
-    monkeypatch.setattr(primality, "chain_taps", spy)
+    monkeypatch.setattr(primality, "_batch_taps", spy)
     return calls
 
 
@@ -543,6 +544,7 @@ class TestChainIndexRule:
             raise AssertionError("work started before the index check")
 
         monkeypatch.setattr(primality, "mod_square_chain", refuse)
+        monkeypatch.setattr(primality, "mod_square_chains", refuse)
         monkeypatch.setattr(factors, "divides_fermat", refuse)
         monkeypatch.setenv("FERMAT_LAB_MAX_N", "7")
 
