@@ -30,14 +30,15 @@ squared together.  Every step above runs on the whole array (the FFTs
 along its last axis), so numpy's fixed cost per squaring is paid once
 for the B chains; a single chain is the batch of one.  The guard is
 taken over the whole batch, and a failed guard redoes that squaring of
-every row on integers, counted once.  A call converts each residue to
-digits once, squares `count` times and converts back once; both
-conversions go through int.to_bytes / int.from_bytes and are linear in
-N.  Each call allocates its work arrays (`_Work`) once and every
-squaring of the call reuses them: the transform, the rounding and the
-carry all write with out= or in place, with no temporaries.  They are
-not part of the cached plan, so chains in two threads share nothing
-they write.
+every row on integers, counted once.  A call converts the batch to
+digits once, squares `count` times and converts back once.  Both
+conversions take the whole batch through one bytes string (to_bytes of
+each residue joined, and one numpy read of it; one tobytes per sign,
+sliced per row for from_bytes) and are linear in N.  Each call
+allocates its work arrays (`_Work`) once and every squaring of the
+call reuses them: the transform, the rounding and the carry all write
+with out= or in place, with no temporaries.  They are not part of the
+cached plan, so chains in two threads share nothing they write.
 numpy (>= 2.0, for out= on its FFT) is imported here, and this module
 only on the first chain that uses it.
 """
@@ -98,30 +99,35 @@ def _plan(n: int) -> _Plan:
                  weight=np.exp(1j * angle), unweight=np.exp(-1j * angle))
 
 
-def to_digits(value: int, plan: _Plan) -> np.ndarray:
-    """Balanced digits of a residue value in [0, 2^N]."""
-    if value == plan.top:
-        digits = np.zeros(plan.digits, np.int64)
-        digits[0] = -1
-        return digits
-    digits = np.frombuffer(value.to_bytes(2 * plan.digits, "little"),
-                           dtype="<u2").astype(np.int64)
+def to_digits(values: Sequence[int], plan: _Plan) -> np.ndarray:
+    """Balanced digits of residue values in [0, 2^N], one row each."""
+    size = 2 * plan.digits
+    # 2^N, the value of -1, is written as 0 and given digit 0 = -1 below
+    blob = b"".join((0 if value == plan.top else value).to_bytes(
+        size, "little") for value in values)
+    digits = np.frombuffer(blob, dtype="<u2").astype(np.int64).reshape(
+        len(values), plan.digits)
     # one pass leaves every digit within [-2^15 - 1, 2^15]: a digit that
     # received a carry cannot have given one
     high = digits >> (DIGIT_BITS - 1)
     digits -= high << DIGIT_BITS
-    digits[1:] += high[:-1]
-    digits[0] -= high[-1]
+    digits[:, 1:] += high[:, :-1]
+    digits[:, 0] -= high[:, -1]
+    digits[[value == plan.top for value in values], 0] = -1
     return digits
 
 
-def to_int(digits: np.ndarray, plan: _Plan) -> int:
-    """The residue value in [0, 2^N] of balanced digits."""
-    pos = np.maximum(digits, 0).astype("<u2").tobytes()
-    neg = np.maximum(-digits, 0).astype("<u2").tobytes()
-    value = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+def to_int(digits: np.ndarray, plan: _Plan) -> List[int]:
+    """The residue values in [0, 2^N] of rows of balanced digits."""
+    size = 2 * plan.digits
+    pos = memoryview(np.maximum(digits, 0).astype("<u2").tobytes())
+    neg = memoryview(np.maximum(-digits, 0).astype("<u2").tobytes())
+    values = (int.from_bytes(pos[i:i + size], "little")
+              - int.from_bytes(neg[i:i + size], "little")
+              for i in range(0, len(pos), size))
     # |value| < 2^N, so one addition of F_n makes it canonical
-    return value + plan.top + 1 if value < 0 else value
+    return [value + plan.top + 1 if value < 0 else value
+            for value in values]
 
 
 class _Work:
@@ -203,10 +209,9 @@ def _square(digits: np.ndarray, work: _Work) -> np.ndarray:
             return carried
     fallbacks += 1
     plan = work.plan
-    for row in digits:
-        value = to_int(row, plan)
-        row[:] = to_digits(_mulmod(value, value, plan.width, plan.top,
-                                   plan.top - 1), plan)
+    digits[:] = to_digits([_mulmod(value, value, plan.width, plan.top,
+                                   plan.top - 1)
+                           for value in to_int(digits, plan)], plan)
     return digits
 
 
@@ -216,7 +221,7 @@ def square_chain(values: Sequence[int], count: int, n: int) -> List[int]:
     values at once."""
     plan = _plan(n)
     work = _Work(plan, len(values))
-    digits = np.stack([to_digits(value, plan) for value in values])
+    digits = to_digits(values, plan)
     for _ in range(count):
         digits = _square(digits, work)
-    return [to_int(row, plan) for row in digits]
+    return to_int(digits, plan)

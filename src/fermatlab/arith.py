@@ -18,8 +18,13 @@ chains (chain_backend): the negacyclic FFT of _fft.py, which squares a
 batch together, from n = FFT_MIN_INDEX on and for at least
 FFT_MIN_BATCH[n] chains below it, when numpy imports; otherwise the
 integer multiply here, chain by chain, which the FFT also falls back on
-whenever its roundoff guard fails.  They only square: callers act
-between calls of at most CHAIN_BLOCK squarings.
+whenever its roundoff guard fails.  They only square.
+
+square_blocks drives every chain of the library: it advances one or
+more chains from an index through the stops its caller names, in
+mod_square_chains calls that end at each stop and at each multiple of
+CHAIN_BLOCK, and yields between calls, where the caller acts (reads a
+tap, tests for 1, writes a checkpoint) or leaves.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import IndexBelowTwoError, IndexOutOfRangeError, \
     ModulusMismatchError
@@ -62,13 +67,15 @@ FFT_MIN_INDEX = 14
 # took 0.28 s against 0.25 s, so n = 11 waits for B = 50.
 FFT_MIN_BATCH = {11: 50, 12: 8, 13: 2}
 
-# Squarings per mod_square_chain call for callers that act between
-# blocks (order_alpha, CheckpointWriter.run).  One call's own cost
+# The longest mod_square_chains call of square_blocks, which also ends
+# its calls at the multiples of CHAIN_BLOCK.  One call's own cost
 # (backend choice, digit conversions, residue) against that of 64
 # squarings, best of 5-7 on 2 cores, in two sessions: 3 us vs 38 us at
 # n = 8, 3 us vs 0.68 ms at n = 12, 21-40 us vs 4.1-8.0 ms at n = 14,
 # 0.43 ms vs 69 ms at n = 18 and 1.5 ms vs 274 ms at n = 20.  So 8% of
-# a block at n = 8 and under 1% from n = 12.
+# a block at n = 8 and about 1% from n = 12 for one chain.  A batch of
+# 25 at n = 12 costs 0.18 ms vs 6.6 ms (2.7%); building its 25
+# FermatResidue is 40 us of that, the digit conversions 100 us.
 CHAIN_BLOCK = 64
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
@@ -287,3 +294,23 @@ def mod_square_chain(a: FermatResidue, count: int) -> FermatResidue:
     for _ in range(count):
         x = _mulmod(x, x, width, top, mask)
     return FermatResidue(n, x)
+
+
+def square_blocks(residues: Sequence[FermatResidue], index: int,
+                  stops: Iterable[int]
+                  ) -> Iterator[Tuple[int, List[FermatResidue]]]:
+    """Square residues, the entries at `index` of chains at one n,
+    through each of the ascending `stops`, and yield (index, residues)
+    after each mod_square_chains call.
+
+    A call ends at every stop and at every multiple of CHAIN_BLOCK, so
+    none is longer than CHAIN_BLOCK squarings; stops at or below index
+    are skipped.  Callers act between yields and end the chain by
+    leaving the loop: nothing is squared past the last yield taken.
+    """
+    for stop in stops:
+        while index < stop:
+            end = min(stop, (index // CHAIN_BLOCK + 1) * CHAIN_BLOCK)
+            residues = mod_square_chains(residues, end - index)
+            index = end
+            yield index, residues

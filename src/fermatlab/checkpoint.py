@@ -27,11 +27,12 @@ import os
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
-from .arith import CHAIN_BLOCK, FermatResidue, check_index, from_hex, \
-    mod_square_chain, to_hex
+from .arith import FermatResidue, check_index, from_hex, square_blocks, \
+    to_hex
 from .errors import CheckpointError
 from .factors import check_known_factor
 
@@ -210,13 +211,15 @@ class CheckpointWriter:
     The directory is created, and a checkpoint of this chain loaded into
     .resumed (None when there is none), when the writer is built: an
     unusable directory or a corrupt file fails before the first squaring.
-    run() squares from .resumed, or from its start, in chain calls of at
-    most CHAIN_BLOCK squarings, and writes a checkpoint after a call that
-    ends at a multiple of `every_squarings`, or `every_seconds` (0 turns
-    that off) after the last write.  The seconds are checked only where a
-    call ends, so such a write can come up to one block late.  It always
-    writes at the pause index, max(stop_after, resumed index + 1), and
-    then raises ChainPaused.  Indices are those of the whole chain.
+    run() squares from .resumed, or from its start, on
+    arith.square_blocks, with stops at the multiples of
+    `every_squarings`, at the pause index and at the chain's end; it
+    acts only between blocks.  It writes a checkpoint at each such
+    multiple, and where a block ends `every_seconds` (0 turns that off)
+    after the last write, so such a write can come up to one block late.
+    It always writes at the pause index, max(stop_after, resumed index
+    + 1), and then raises ChainPaused.  Indices are those of the whole
+    chain.
     Each residue is checked (check_known_factor) before it is written; a
     wrong one raises CheckpointError and leaves the last file in place.
     Call finished() after a completed chain to remove the file; a stale
@@ -257,11 +260,9 @@ class CheckpointWriter:
         pause = max(self.stop_after or total + 1, index + 1)
         every = self.every_squarings
         last_write = time.monotonic()
-        while index < total:
-            end = min(total, pause, index + CHAIN_BLOCK,
-                      (index // every + 1) * every)
-            x = mod_square_chain(x, end - index)
-            index = end
+        end = min(pause, total)
+        for index, (x,) in square_blocks(
+                [x], index, chain(range(every, end, every), [end])):
             if index % every == 0 or index == pause or (
                     self.every_seconds > 0
                     and time.monotonic() - last_write >= self.every_seconds):

@@ -102,6 +102,18 @@ def _parse_range(text: str):
     return lo, hi
 
 
+def _at_least(kind, low):
+    """An argparse type: kind(text), refused below low or as NaN."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:  # NaN included
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: ..."
+    return parse
+
+
 def cmd_pepin(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     writer: Optional[CheckpointWriter] = None
@@ -307,11 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "then carries no primality claim")
     p.add_argument("--checkpoint-dir", metavar="DIR",
                    help="directory for resumable chain state")
-    p.add_argument("--checkpoint-every", type=int,
+    p.add_argument("--checkpoint-every", type=_at_least(int, 1),
                    default=DEFAULT_EVERY_SQUARINGS, metavar="SQUARINGS",
                    help="checkpoint cadence in squarings "
                         f"(default {DEFAULT_EVERY_SQUARINGS})")
-    p.add_argument("--checkpoint-seconds", type=float,
+    p.add_argument("--checkpoint-seconds", type=_at_least(float, 0),
                    default=DEFAULT_EVERY_SECONDS, metavar="SECONDS",
                    help="also checkpoint after this many seconds, "
                         "checked between blocks of squarings; 0 turns "

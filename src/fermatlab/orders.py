@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import CHAIN_BLOCK, FermatResidue, mod_square_chain
+from .arith import FermatResidue, square_blocks
 from .factors import check_known_factor, proven_factors
 from .primality import fermat_is_prime, require_coprime
 
@@ -65,12 +65,13 @@ def order_alpha(n: int, base: int) -> OrderResult:
 
     A known factor p of F_n with base^(2^(2^n)) != 1 mod p proves
     NotTotallyEven, and then no chain runs.  Otherwise the chain of at
-    most 2^n squarings runs in blocks that double from 1 up to
-    CHAIN_BLOCK, and only each block's end is tested for 1; the base
-    itself is the chain's entry at index 0.  The block that ends on 1
-    is searched by halving (_first_one).  That is exact because 1 is a
-    fixed point of squaring: every entry past alpha is 1 and none before
-    it is.  So a found alpha below CHAIN_BLOCK costs under 3 * alpha
+    most 2^n squarings runs on arith.square_blocks with a stop at each
+    power of two, so its blocks double from 1 up to arith.CHAIN_BLOCK
+    and then keep that length, and only each block's end is tested for
+    1; the base itself is the chain's entry at index 0.  The block that
+    ends on 1 is searched by halving (_first_one).  That is exact
+    because 1 is a fixed point of squaring: every entry past alpha is 1
+    and none before it is.  So a found alpha below CHAIN_BLOCK costs under 3 * alpha
     squarings, and any alpha at most 2 * CHAIN_BLOCK more than alpha, in
     at most log2(CHAIN_BLOCK) chain calls after its block.  The
     residues on either side of alpha, or the last one of a chain that
@@ -83,16 +84,14 @@ def order_alpha(n: int, base: int) -> OrderResult:
             return OrderResult(n, base, None)
     if start.is_one:
         return OrderResult(n, base, 0, _bound(n, 0))
-    limit = 1 << n
-    index = 0
-    while index < limit:
-        step = min(CHAIN_BLOCK, max(index, 1), limit - index)
-        end = mod_square_chain(start, step)
-        if end.is_one:
-            alpha = _first_one(n, base, start, index, step)
+    index, x = 0, start
+    for end, (y,) in square_blocks([start], 0,
+                                   [1 << k for k in range(n + 1)]):
+        if y.is_one:
+            alpha = _first_one(n, base, x, index, end - index)
             return OrderResult(n, base, alpha, _bound(n, alpha))
-        start, index = end, index + step
-    check_known_factor(n, base, index, start.value,
+        index, x = end, y
+    check_known_factor(n, base, index, x.value,
                        f"last residue of base 0x{base:x}, not reported,")
     return OrderResult(n, base, None)
 
@@ -110,7 +109,8 @@ def _first_one(n: int, base: int, x: FermatResidue, index: int,
     """
     while span > 1:
         half = span // 2
-        mid = mod_square_chain(x, half)
+        # inside one block of square_blocks, so in one call
+        _, (mid,) = next(square_blocks([x], index, [index + half]))
         if mid.is_one:
             span = half
         else:

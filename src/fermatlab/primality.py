@@ -27,8 +27,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import FermatResidue, chain_backend, check_chain_index, \
-    check_index, fermat_value, mod_square_chain, mod_square_chains, \
-    reduce_fold
+    check_index, fermat_value, reduce_fold, square_blocks
 from .errors import BaseNotCoprimeError, NonAdmissibleBaseError
 from .factors import _odd_primes, check_known_factor, proven_factors
 
@@ -203,14 +202,16 @@ def chain_taps(n: int, base: int) -> ChainTaps:
 
 def _batch_taps(n: int, bases: Sequence[int]) -> List[ChainTaps]:
     """chain_taps of each base, the chains squared together
-    (arith.mod_square_chains)."""
+    (arith.square_blocks), keeping only the three tapped states."""
     check_chain_index(n)
-    quarters = mod_square_chains([require_coprime(n, base) for base in bases],
-                                 (1 << n) - 2)
-    halves = mod_square_chains(quarters, 1)
-    fulls = mod_square_chains(halves, 1)
+    last = 1 << n
+    quarters, halves, fulls = [
+        residues for index, residues in square_blocks(
+            [require_coprime(n, base) for base in bases], 0,
+            (last - 2, last - 1, last))
+        if index >= last - 2]
     for base, full in zip(bases, fulls):
-        check_known_factor(n, base, 1 << n, full.value,
+        check_known_factor(n, base, last, full.value,
                            f"full residue of base 0x{base:x}, not reported,")
     return [ChainTaps(quarter=quarter, half=half, full=full)
             for quarter, half, full in zip(quarters, halves, fulls)]
@@ -238,7 +239,8 @@ def pepin_test(n: int, base: int = 3, allow_any_base: bool = False,
     start = require_coprime(n, base)
     total = (1 << n) - 1
     if checkpoints is None:
-        half = mod_square_chain(start, total)
+        for _, (half,) in square_blocks([start], 0, [total]):
+            pass
     elif (checkpoints.n, checkpoints.base) != (n, base):
         raise ValueError(
             f"checkpoint writer for (n={checkpoints.n}, base="

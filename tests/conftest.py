@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fermatlab import arith, checkpoint, factors, orders, primality, \
-    records
+from fermatlab import arith, factors, records
 from fermatlab.cli import main
 
 # big-int cases vary wildly in size; wall-clock deadlines just add noise
@@ -58,26 +57,18 @@ def pseudoprime_base(n: int, p: int) -> int:
     return 1 + rest * ((g - 1) * pow(rest, -1, p) % p)
 
 
-def spy_on_squarings(monkeypatch, *modules):
-    """The count of every chain squared by a mod_square_chain or
-    mod_square_chains call made from modules, one entry per chain, by
-    default from every library module that makes one."""
+def spy_on_squarings(monkeypatch):
+    """The count of every chain squared by an arith.mod_square_chains
+    call, one entry per chain: every chain of the library is squared by
+    arith.square_blocks, which makes such calls only."""
     counts = []
-    real, real_batch = arith.mod_square_chain, arith.mod_square_chains
+    real = arith.mod_square_chains
 
-    def counting(a, count):
-        counts.append(count)
-        return real(a, count)
-
-    def counting_batch(residues, count):
+    def counting(residues, count):
         counts.extend([count] * len(residues))
-        return real_batch(residues, count)
+        return real(residues, count)
 
-    for module in modules or (checkpoint, orders, primality):
-        for name, spy in (("mod_square_chain", counting),
-                          ("mod_square_chains", counting_batch)):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(arith, "mod_square_chains", counting)
     return counts
 
 

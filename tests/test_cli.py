@@ -11,7 +11,7 @@ import pytest
 from conftest import SELFTEST_CHECKS, run_cli, run_cli_subprocess, \
     spy_on_squarings
 
-from fermatlab import arith, checkpoint, cli, primality
+from fermatlab import arith, cli, primality
 from fermatlab.arith import FermatResidue, fermat_value
 from fermatlab.checkpoint import (
     Checkpoint,
@@ -214,7 +214,7 @@ class TestPepinCheckpointFlow:
 
     def test_chain_fault_refused_before_the_write(self, tmp_path,
                                                   monkeypatch):
-        real = checkpoint.mod_square_chain
+        real = arith.mod_square_chain
         blocks = []
 
         def faulty(a, count):
@@ -224,7 +224,7 @@ class TestPepinCheckpointFlow:
                 return FermatResidue(out.n, out.value ^ 1)
             return out
 
-        monkeypatch.setattr(checkpoint, "mod_square_chain", faulty)
+        monkeypatch.setattr(arith, "mod_square_chain", faulty)
         self.refused_then_resumed(tmp_path, monkeypatch, 12)
 
     def test_fft_fault_refused_before_the_write(self, tmp_path,
@@ -278,6 +278,15 @@ class TestPepinCheckpointFlow:
         assert (res.code, res.stdout) == (2, "")
         assert "seconds" in res.stderr
         assert not target.exists()
+
+    @pytest.mark.parametrize("flag", ["--checkpoint-every=0",
+                                      "--checkpoint-seconds=-1",
+                                      "--checkpoint-seconds=nan"])
+    def test_invalid_cadence_rejected_without_a_dir(self, flag):
+        # refused by the parser, whether or not a directory is given
+        res = run_cli("pepin", "5", flag)
+        assert (res.code, res.stdout) == (2, "")
+        assert flag.split("=")[0] in res.stderr
 
     def test_index_past_half_chain_refused(self, tmp_path):
         # the n=5 half chain is 31 squarings, so index 32 cannot be real
@@ -553,7 +562,8 @@ class TestSelftestCommand:
         real = fft.to_int
 
         def off_by_one(digits, plan):
-            return (real(digits, plan) + 1) % (plan.top + 1)
+            return [(value + 1) % (plan.top + 1)
+                    for value in real(digits, plan)]
 
         monkeypatch.setattr(fft, "to_int", off_by_one)
         assert run_cli("selftest").code == 1

@@ -56,13 +56,14 @@ def edge_or_any(n: int):
 class TestDigitConversion:
     @given(st.data())
     def test_round_trip(self, data):
+        # a batch, so that a row of -1 sits beside rows of other values
         n = data.draw(st.integers(min_value=_fft.MIN_INDEX, max_value=16))
-        value = data.draw(edge_or_any(n))
+        values = data.draw(st.lists(edge_or_any(n), min_size=1, max_size=4))
         plan = _fft._plan(n)
-        digits = _fft.to_digits(value, plan)
-        assert len(digits) == (1 << n) // _fft.DIGIT_BITS
+        digits = _fft.to_digits(values, plan)
+        assert digits.shape == (len(values), (1 << n) // _fft.DIGIT_BITS)
         assert np.abs(digits).max() <= (1 << 15) + 1
-        assert _fft.to_int(digits, plan) == value
+        assert _fft.to_int(digits, plan) == values
 
 
 class TestAgainstIntegerChain:

@@ -7,9 +7,11 @@ import pytest
 
 from conftest import KNOWN_FACTORS, pseudoprime_base, spy_on_squarings
 
-from fermatlab import factors, oracle, orders, primality
+from fermatlab import arith, factors, oracle, primality
 from fermatlab.arith import CHAIN_BLOCK, fermat_value, mod_square_chain, \
     reduce_fold
+from fermatlab.checkpoint import ChainPaused, Checkpoint, \
+    CheckpointWriter, load_matching, save_checkpoint
 from fermatlab.errors import BaseNotCoprimeError
 from fermatlab.orders import order_alpha
 from fermatlab.primality import default_audit_bases
@@ -116,17 +118,19 @@ class TestBlocks:
                                      block):
         # 3 leaves a short last block at every n; 4 makes the last entry
         # of F_2's chain a block end
-        monkeypatch.setattr(orders, "CHAIN_BLOCK", block)
+        monkeypatch.setattr(arith, "CHAIN_BLOCK", block)
         for (n, base), want in naive_orders.items():
             assert order_alpha(n, base).order == want, (n, base, block)
 
     @pytest.mark.parametrize("block", [1, 3, CHAIN_BLOCK])
     def test_found_alpha_costs_at_most_one_block_more(self, monkeypatch,
                                                       block):
-        monkeypatch.setattr(orders, "CHAIN_BLOCK", block)
-        counts = spy_on_squarings(monkeypatch, orders)
+        monkeypatch.setattr(arith, "CHAIN_BLOCK", block)
+        counts = spy_on_squarings(monkeypatch)
         for n, base in [(2, 1), (5, 2), (6, pseudoprime_base(6, 274177)),
                         (12, 2)]:
+            # the Pepin chain that _bound runs for F_2 is not the search's
+            primality.fermat_is_prime(n)
             counts.clear()
             r = order_alpha(n, base)
             assert r.alpha is not None and r.squarings_used == r.alpha
@@ -135,8 +139,8 @@ class TestBlocks:
     @pytest.mark.parametrize("block", [3, 4, CHAIN_BLOCK])
     def test_found_alpha_searches_its_block_by_halving(self, monkeypatch,
                                                        block):
-        monkeypatch.setattr(orders, "CHAIN_BLOCK", block)
-        counts = spy_on_squarings(monkeypatch, orders)
+        monkeypatch.setattr(arith, "CHAIN_BLOCK", block)
+        counts = spy_on_squarings(monkeypatch)
         for n, base in [(5, 2), (6, pseudoprime_base(6, 274177)), (12, 2),
                         (12, pseudoprime_base(12, 114689))]:
             counts.clear()
@@ -146,17 +150,98 @@ class TestBlocks:
                           if end >= alpha)
             assert len(counts) - blocks <= (block - 1).bit_length()
 
+    @staticmethod
+    def assert_ends_on_stops(counts, block, stops, start=0):
+        """Each call of a chain that starts at index start ends on one of
+        stops or on a multiple of the block length."""
+        ends = list(accumulate(counts, initial=start))[1:]
+        assert all(end in stops or end % block == 0 for end in ends), \
+            (block, ends)
+        return ends
+
+    @pytest.mark.parametrize("block", [1, 3, 4, CHAIN_BLOCK])
+    def test_taps_and_pepin_agree_with_pow(self, monkeypatch, block):
+        monkeypatch.setattr(arith, "CHAIN_BLOCK", block)
+        counts = spy_on_squarings(monkeypatch)
+        for n in (2, 5, 10):
+            last, m = 1 << n, fermat_value(n)
+            counts.clear()
+            taps = primality.chain_taps(n, 7)
+            assert [taps.quarter.value, taps.half.value, taps.full.value] \
+                == [pow(7, 1 << k, m) for k in (last - 2, last - 1, last)]
+            self.assert_ends_on_stops(counts, block,
+                                      {last - 2, last - 1, last})
+            counts.clear()
+            half = primality.pepin_test(n, 3)[1]
+            assert half.value == pow(3, 1 << (last - 1), m)
+            self.assert_ends_on_stops(counts, block, {last - 1})
+
+    @pytest.mark.parametrize("block", [1, 3, 4, CHAIN_BLOCK])
+    def test_batched_audit_row_agrees_with_pow(self, monkeypatch, block):
+        # one CPU, so that the batch of 8 chains at n = 12 squares here,
+        # on the FFT, where the spy sees it
+        pytest.importorskip("numpy")
+        monkeypatch.setattr(arith, "CHAIN_BLOCK", block)
+        monkeypatch.setattr(primality, "_usable_cpus", lambda: 1)
+        counts = spy_on_squarings(monkeypatch)
+        n, bases = 12, default_audit_bases()[:8]
+        last, m = 1 << n, fermat_value(n)
+        report = primality.audit_range([n], bases)
+        # one entry per chain, so each call of the batch is len(bases)
+        # equal entries
+        calls = counts[::len(bases)]
+        assert counts == [c for c in calls for _ in bases]
+        assert self.assert_ends_on_stops(calls, block,
+                                         {last - 2, last - 1, last})[-1] \
+            == last
+        for row in report.rows:
+            quarter = pow(row.base, 1 << (last - 2), m)
+            taps = row.verdict.taps
+            assert [taps.quarter.value, taps.half.value, taps.full.value] \
+                == [quarter, quarter ** 2 % m, quarter ** 4 % m], row.base
+
+    @pytest.mark.parametrize("block", [1, 3, 4, CHAIN_BLOCK])
+    def test_leaving_the_loop_squares_nothing_further(self, monkeypatch,
+                                                      block):
+        monkeypatch.setattr(arith, "CHAIN_BLOCK", block)
+        counts = spy_on_squarings(monkeypatch)
+        blocks = arith.square_blocks([reduce_fold(3, 10)], 0, [1 << 10])
+        for index, (x,) in blocks:
+            break
+        assert (index, counts) == (block, [block])
+        assert x.value == pow(3, 1 << block, fermat_value(10))
+
+    @pytest.mark.parametrize("block", [1, 3, 4, CHAIN_BLOCK])
+    def test_resumed_writer_cuts_at_block_multiples(self, tmp_path,
+                                                    monkeypatch, block):
+        # block ends count from the chain's start, not from the resumed
+        # index: 64 and 128 at block = 64, then the pause at 130
+        m = fermat_value(8)
+        save_checkpoint(Checkpoint.capture(8, 3, 5, pow(3, 1 << 5, m)),
+                        tmp_path)
+        monkeypatch.setattr(arith, "CHAIN_BLOCK", block)
+        writer = CheckpointWriter(8, 3, tmp_path, every_squarings=10 ** 9,
+                                  every_seconds=0, stop_after=130)
+        counts = spy_on_squarings(monkeypatch)
+        with pytest.raises(ChainPaused) as paused:
+            primality.pepin_test(8, checkpoints=writer)
+        assert paused.value.index == 130
+        ends = self.assert_ends_on_stops(counts, block, {130}, start=5)
+        assert ends == [end for end in range(6, 131)
+                        if end % block == 0 or end == 130]
+        assert load_matching(tmp_path, 8, 3).residue == pow(3, 1 << 130, m)
+
     def test_not_totally_even_squares_the_whole_chain(self, monkeypatch):
         # with no known factor to prove it, as at n = 20
         monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
-        counts = spy_on_squarings(monkeypatch, orders)
+        counts = spy_on_squarings(monkeypatch)
         r = order_alpha(10, 3)
         assert r.alpha is None and r.squarings_used == 1 << 10
         assert sum(counts) == 1 << 10
         assert max(counts) == CHAIN_BLOCK
 
     def test_known_factor_proves_not_totally_even(self, monkeypatch):
-        counts = spy_on_squarings(monkeypatch, orders)
+        counts = spy_on_squarings(monkeypatch)
         r = order_alpha(10, 3)
         assert r.alpha is None and r.squarings_used == 1 << 10
         assert counts == []
@@ -190,7 +275,7 @@ class TestNoConversionPerStep:
         monkeypatch.setattr(_fft, "to_int", counting)
         # with no known factor, which would prove the result unsquared
         monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
-        chains = spy_on_squarings(monkeypatch, orders)
+        chains = spy_on_squarings(monkeypatch)
         r = order_alpha(14, 5)
         assert r.alpha is None and r.squarings_used == 1 << 14
         # the blocks double from 1 to CHAIN_BLOCK, then stay there

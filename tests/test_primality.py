@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import KNOWN_FACTORS, pseudoprime_base, run_cli, \
     spy_on_squarings
 
-from fermatlab import factors, oracle, primality, records
+from fermatlab import arith, factors, oracle, primality, records
 from fermatlab.arith import FermatResidue, fermat_value, max_index, \
     reduce_fold
 from fermatlab.errors import (
@@ -543,8 +543,8 @@ class TestChainIndexRule:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the index check")
 
-        monkeypatch.setattr(primality, "mod_square_chain", refuse)
-        monkeypatch.setattr(primality, "mod_square_chains", refuse)
+        monkeypatch.setattr(arith, "mod_square_chain", refuse)
+        monkeypatch.setattr(arith, "mod_square_chains", refuse)
         monkeypatch.setattr(factors, "divides_fermat", refuse)
         monkeypatch.setenv("FERMAT_LAB_MAX_N", "7")
 
