@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import sys
 import time
@@ -169,13 +170,16 @@ def _replacing(path: Optional[str]):
     the block ends without an exception; None when path is None.
 
     It is a temporary file beside path, created at once, so an unusable
-    path fails before the block runs.  On any failure it is removed and
-    path, if it exists, is left as it was.
+    path fails before the block runs; so does a directory, which it
+    could not replace.  On any failure it is removed and path, if it
+    exists, is left as it was.
     """
     if path is None:
         yield None
         return
     target = Path(path)
+    if target.is_dir() and not target.is_symlink():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
     out = open(tmp, "w", encoding="utf-8")
     try:

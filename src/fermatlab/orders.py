@@ -71,12 +71,12 @@ def order_alpha(n: int, base: int) -> OrderResult:
     1; the base itself is the chain's entry at index 0.  The block that
     ends on 1 is searched by halving (_first_one).  That is exact
     because 1 is a fixed point of squaring: every entry past alpha is 1
-    and none before it is.  So a found alpha below CHAIN_BLOCK costs under 3 * alpha
-    squarings, and any alpha at most 2 * CHAIN_BLOCK more than alpha, in
-    at most log2(CHAIN_BLOCK) chain calls after its block.  The
-    residues on either side of alpha, or the last one of a chain that
-    never reaches 1, must pass check_known_factor, or CheckpointError is
-    raised.
+    and none before it is.  So a found alpha below CHAIN_BLOCK costs
+    under 3 * alpha squarings, and any alpha at most 2 * CHAIN_BLOCK
+    more than alpha, in at most log2(CHAIN_BLOCK) chain calls after its
+    block.  The residues on either side of alpha, or the last one of a
+    chain that never reaches 1, must pass check_known_factor, or
+    CheckpointError is raised.
     """
     start = require_coprime(n, base)
     for p in proven_factors(n):

@@ -45,15 +45,17 @@ AUDIT_MIN_INDEX = 5
 # squarings times bits of F_n (4^n per chain at index n).  One squaring
 # cost 1.1-1.8 ns per bit at n = 9..12 (best of 5, 2 cores), and the pool
 # 7-11 ms to import multiprocessing plus 14-20 ms to fork 2 workers, map
-# and close.  Whole `audit` processes over 50 bases, pooled vs not
-# (medians of 15 alternating runs, 2 cores): n = 10 (2^25.7) 183 vs
-# 201 ms, n = 5..10 (2^26.1) 242 vs 223 ms, n = 10..11 (2^27.7) 409 vs
-# 623 ms.  So the pool breaks even near here; n = 5..8 is 2^22.  The
-# model prices integer chains; batched ones cost less (arith.FFT_MIN_BATCH)
-# but only start at 2^28 (n = 12 over 16 chains, n = 13 over 4).  There,
-# two batches on the pool against one batch alone (medians of 7, numpy
-# loaded) took 0.56 vs 0.58 s and 0.84 vs 0.84 s, and n = 12 over 50
-# bases 0.85 vs 1.22 s: even at the smallest batched audit, then ahead.
+# and close.  Whole `audit` processes over 50 bases, each index's chains
+# in two round-robin batches on the pool vs one batch in one process
+# (medians of 21 alternating runs, 2 cores, shared host): n = 10
+# (2^25.6) 197 vs 207 ms, n = 5..10 (2^26.1) 252 vs 263 ms, n = 10..11
+# (2^28.0) 474 vs 622 ms.  So the pool breaks even near here; n = 5..8
+# is 2^22.  The model prices integer chains; batches on the FFT cost
+# less (arith.FFT_MIN_BATCH) but only start at 2^28 (n = 12 over 16
+# chains, n = 13 over 4).  There, two batches on the pool against one
+# batch alone (medians of 7, numpy loaded) took 0.56 vs 0.58 s and 0.84
+# vs 0.84 s, and n = 12 over 50 bases 0.85 vs 1.22 s: even at the
+# smallest batched audit, then ahead.
 _POOL_MIN_COST = 1 << 26
 
 
@@ -231,6 +233,7 @@ def pepin_test(n: int, base: int = 3, allow_any_base: bool = False,
     CheckpointError is raised.
     """
     check_chain_index(n)
+    _check_base(base)
     if base not in PEPIN_ADMISSIBLE_BASES and not allow_any_base:
         raise NonAdmissibleBaseError(
             f"base 0x{base:x} is not in the admissible set "
@@ -399,11 +402,10 @@ def audit_range(n_values, bases) -> AuditReport:
     composite = {n: bool(proven_factors(n)) for n in set(n_values)}
     chain_bases = list(dict.fromkeys([*bases, PEPIN_BASE]))
     # largest n first, so that the last chains to start are short ones
-    jobs = [(n, base) for n in sorted(composite, reverse=True)
-            for base in chain_bases
-            if gcds.get((n, base)) == 1
+    chains = _run_chains({
+        n: [base for base in chain_bases if gcds.get((n, base)) == 1
             or (base == PEPIN_BASE and not composite[n])]
-    chains = dict(zip(jobs, _run_chains(jobs)))
+        for n in sorted(composite, reverse=True)})
     rows: List[AuditRow] = []
     for n in n_values:
         pepin_prime = not composite[n] \
@@ -440,46 +442,34 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _tasks(jobs: List[Tuple[int, int]],
-           cpus: int) -> List[Tuple[int, Tuple[int, ...]]]:
-    """The (n, bases) tasks that run jobs, in their order.
+def _run_chains(bases_by_n: Dict[int, List[int]]
+                ) -> Dict[Tuple[int, int], ChainTaps]:
+    """The taps of each chain, keyed by (n, base), from the chain bases
+    of each n, largest n first.
 
-    The chains at one n are independent and equally long.  Where
-    arith.chain_backend squares min(cpus, chains) round-robin batches
-    of them on the FFT, each batch is one task; elsewhere each chain
-    is.
-    """
-    by_n: Dict[int, List[int]] = {}
-    for n, base in jobs:
-        by_n.setdefault(n, []).append(base)
-    tasks = []
-    for n, bases in by_n.items():
-        parts = min(cpus, len(bases))
-        if chain_backend(n, len(bases) // parts) is not None:
-            tasks += [(n, tuple(bases[i::parts])) for i in range(parts)]
-        else:
-            tasks += [(n, (base,)) for base in bases]
-    return tasks
-
-
-def _run_chains(jobs: List[Tuple[int, int]]) -> List[ChainTaps]:
-    """The taps of each (n, base) job, in order, from _chain_task over
-    _tasks(jobs) on min(usable CPUs, tasks) processes.
-
-    A single CPU, or chains that cost less than starting the pool
-    (_POOL_MIN_COST), run here instead.  multiprocessing is imported
-    only when the pool is used: the import alone costs 7-11 ms.  A
-    batch's backend is chosen, and numpy imported, before any fork.
+    The chains at one n are independent and equally long, so they are
+    split round-robin into min(usable CPUs, chains) batches, and
+    _chain_task runs each batch as one task, on min(usable CPUs, tasks)
+    processes.  A single CPU, or chains that cost less than starting the
+    pool (_POOL_MIN_COST), run here instead.  multiprocessing is
+    imported only when the pool is used: the import alone costs 7-11
+    ms.  arith.mod_square_chains picks each batch's backend.
     """
     cpus = _usable_cpus()
-    tasks = _tasks(jobs, cpus)
+    tasks = [(n, tuple(bases[i::cpus])) for n, bases in bases_by_n.items()
+             for i in range(min(cpus, len(bases)))]
     workers = min(cpus, len(tasks))
-    if workers < 2 or sum(4 ** n for n, _ in jobs) < _POOL_MIN_COST:
+    cost = sum(4 ** n * len(bases) for n, bases in bases_by_n.items())
+    if workers < 2 or cost < _POOL_MIN_COST:
         done = [_chain_task(task) for task in tasks]
     else:
         import multiprocessing
         import signal
         import threading
+        # numpy, for a batch that will run on the FFT, is imported here,
+        # before the fork, so that the workers inherit it.
+        for n, bases in tasks:
+            chain_backend(n, len(bases))
         # Pinned, not the platform default: fork starts 2 workers in
         # 14-20 ms, against about 80 ms for spawn or forkserver, and they
         # begin with this process's modules loaded.  A fork copies no
@@ -496,6 +486,5 @@ def _run_chains(jobs: List[Tuple[int, int]]) -> List[ChainTaps]:
             # one task per message, so that no worker idles while
             # another holds a queue of long chains
             done = pool.map(_chain_task, tasks, chunksize=1)
-    taps = {(n, base): chain for (n, bases), chains in zip(tasks, done)
+    return {(n, base): chain for (n, bases), chains in zip(tasks, done)
             for base, chain in zip(bases, chains)}
-    return [taps[job] for job in jobs]

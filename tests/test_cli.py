@@ -85,6 +85,13 @@ class TestPepinCommand:
         assert res.code == 2
         assert "admissible" in res.stderr
 
+    @pytest.mark.parametrize("override", [(), ("--allow-any-base",)],
+                             ids=["admissible-only", "any-base"])
+    def test_negative_base_rejected(self, override):
+        res = run_cli("pepin", "5", "--base", "-3", *override)
+        assert (res.code, res.stdout) == (2, "")
+        assert res.stderr == "fermatlab: base must be >= 0, got -3\n"
+
     def test_any_base_override(self, schema_validator):
         res = run_cli("pepin", "5", "--base", "2", "--allow-any-base")
         assert res.code == 0
@@ -691,6 +698,20 @@ class TestFileSystemErrors:
                       "--report", str(blocker / "r.json"))
         assert (res.code, res.stdout, jobs) == (2, "", [])
         assert res.stderr.startswith("fermatlab: ")
+
+    def test_directory_report_fails_before_the_chains(self, tmp_path,
+                                                      monkeypatch):
+        target = tmp_path / "reports"
+        target.mkdir()
+        jobs = []
+        monkeypatch.setattr(primality, "_run_chains", jobs.append)
+        res = run_cli("audit", "--n-range", "12..13",
+                      "--report", str(target))
+        assert (res.code, res.stdout, jobs) == (2, "", [])
+        assert res.stderr.startswith("fermatlab: ")
+        assert res.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
 
     def test_refused_audit_leaves_no_report(self, tmp_path):
         target = tmp_path / "r.json"

@@ -462,6 +462,22 @@ class TestAuditPool:
         audit_range(range(5, 9), default_audit_bases())
         assert len(calls) == 4 * 50
 
+    def test_each_index_splits_its_chains_round_robin(self, monkeypatch):
+        # one task per batch of min(CPUs, chains) at every index, whatever
+        # the backend; F_5..F_8 have known factors, so no base-3 chain
+        batches = []
+        real = primality._batch_taps
+
+        def spy(n, bases):
+            batches.append((n, tuple(bases)))
+            return real(n, bases)
+
+        monkeypatch.setattr(primality, "_batch_taps", spy)
+        usable_cpus(monkeypatch, 2)
+        audit_range(range(5, 9), [2, 5, 7, 11])
+        assert batches == [(n, bases) for n in (8, 7, 6, 5)
+                           for bases in ((2, 7), (5, 11))]
+
     @pytest.mark.skipif(
         not FORK, reason="the workers see the patched chain only when forked")
     def test_worker_error_reaches_the_caller(self, monkeypatch):
