@@ -46,8 +46,7 @@ only on the first chain that uses it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -77,8 +76,7 @@ _HALF = 1 << (DIGIT_BITS - 1)
 _MASK = (1 << DIGIT_BITS) - 1
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """Sizes and transform weights for one Fermat index."""
 
     width: int        # N = 2^n bits

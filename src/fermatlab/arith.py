@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import IndexBelowTwoError, IndexOutOfRangeError, \
     ModulusMismatchError
@@ -134,8 +133,13 @@ def from_hex(text: str) -> int:
     return int(text, 16)
 
 
-@dataclass(frozen=True, slots=True)
-class FermatResidue:
+# The fields; a NamedTuple cannot define __new__, so the subclass checks.
+class _Residue(NamedTuple):
+    n: int
+    value: int
+
+
+class FermatResidue(_Residue):
     """Canonical residue modulo F_n, with value in [0, 2^(2^n)] inclusive.
 
     The range is exactly the complete residue system 0..F_n-1; keeping the
@@ -143,14 +147,18 @@ class FermatResidue:
     Instances are immutable and safe to share across threads.
     """
 
-    n: int
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_index(self.n)
-        if not 0 <= self.value <= (1 << (1 << self.n)):
-            raise ValueError(
-                f"residue value out of range for F_{self.n}")
+    def __new__(cls, n: int, value: int):
+        check_index(n)
+        if not 0 <= value <= (1 << (1 << n)):
+            raise ValueError(f"residue value out of range for F_{n}")
+        return tuple.__new__(cls, (n, value))
+
+    @classmethod
+    def _make(cls, values):
+        # so that _replace checks too
+        return cls(*values)
 
     @property
     def is_one(self) -> bool:

@@ -25,11 +25,10 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import FermatResidue, check_index, from_hex, square_blocks, \
     to_hex
@@ -53,8 +52,7 @@ def checkpoint_filename(n: int, base: int) -> str:
     return f"{CHAIN_KIND}_n{n}_b{tag}.ckpt.json"
 
 
-@dataclass(frozen=True, slots=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     n: int
     base: int
     squaring_index: int

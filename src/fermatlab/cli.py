@@ -17,6 +17,10 @@ refused with exit 3 rather than silently restarted, since a bad file
 usually means trouble outside this program.  --stop-after ends the run
 cleanly right after writing a checkpoint, which is also how the resume
 machinery is exercised in tests.
+
+Each command imports the modules it runs when it runs, so that a call
+loads no other command's code: every call is a fresh process, and most
+of a short one is start-up.
 """
 
 from __future__ import annotations
@@ -29,26 +33,6 @@ import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
-
-from . import records
-from .checkpoint import (
-    DEFAULT_EVERY_SECONDS,
-    DEFAULT_EVERY_SQUARINGS,
-    ChainPaused,
-    CheckpointWriter,
-)
-from .errors import CheckpointError, FermatLabError
-from .factors import lucas_search
-from .orders import order_alpha
-from .primality import (
-    PEPIN_ADMISSIBLE_BASES,
-    audit_range,
-    check_audit_grid,
-    classify_report,
-    default_audit_bases,
-    pepin_test,
-)
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAILURE = 1
@@ -69,6 +53,7 @@ def _log(message: str) -> None:
 
 
 def _emit(doc: Dict[str, object], fmt: str) -> None:
+    from . import records
     if fmt == "json":
         sys.stdout.write(records.dump(doc))
     else:
@@ -116,6 +101,9 @@ def _at_least(kind, low):
 
 
 def cmd_pepin(args: argparse.Namespace) -> int:
+    from . import records
+    from .checkpoint import ChainPaused, CheckpointWriter
+    from .primality import PEPIN_ADMISSIBLE_BASES, pepin_test
     t0 = time.perf_counter()
     writer: Optional[CheckpointWriter] = None
     if args.stop_after is not None and args.checkpoint_dir is None:
@@ -123,11 +111,13 @@ def cmd_pepin(args: argparse.Namespace) -> int:
              "somewhere to be resumable)")
         return EXIT_USAGE
     if args.checkpoint_dir is not None:
+        # an option left out keeps the writer's default cadence
+        cadence = {key: value for key, value in (
+            ("every_squarings", args.checkpoint_every),
+            ("every_seconds", args.checkpoint_seconds)) if value is not None}
         writer = CheckpointWriter(
             args.n, args.base, Path(args.checkpoint_dir),
-            every_squarings=args.checkpoint_every,
-            every_seconds=args.checkpoint_seconds,
-            stop_after=args.stop_after)
+            stop_after=args.stop_after, **cadence)
         cp = writer.resumed
         if cp is not None:
             _log(f"resuming n={args.n} base={args.base} from squaring "
@@ -153,6 +143,8 @@ def cmd_pepin(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from . import records
+    from .primality import classify_report
     t0 = time.perf_counter()
     verdict = classify_report(args.n, args.base)
     elapsed = time.perf_counter() - t0
@@ -192,6 +184,9 @@ def _replacing(path: Optional[str]):
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from . import records
+    from .primality import audit_range, check_audit_grid, \
+        default_audit_bases
     t0 = time.perf_counter()
     lo, hi = args.n_range
     n_values = range(lo, hi + 1)
@@ -215,6 +210,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
+    from . import records
+    from .factors import lucas_search
     t0 = time.perf_counter()
     found = lucas_search(args.n, args.k_max, args.prime_filter)
     elapsed = time.perf_counter() - t0
@@ -229,6 +226,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
+    from . import records
+    from .orders import order_alpha
     t0 = time.perf_counter()
     result = order_alpha(args.n, args.base)
     elapsed = time.perf_counter() - t0
@@ -237,6 +236,8 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from . import records
+    from .selftest import run_selftest
     result = run_selftest()
     _emit(records.selftest_record(result.passed, result.checks_run,
                                   list(result.failures)), args.format)
@@ -324,14 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-dir", metavar="DIR",
                    help="directory for resumable chain state")
     p.add_argument("--checkpoint-every", type=_at_least(int, 1),
-                   default=DEFAULT_EVERY_SQUARINGS, metavar="SQUARINGS",
-                   help="checkpoint cadence in squarings "
-                        f"(default {DEFAULT_EVERY_SQUARINGS})")
+                   metavar="SQUARINGS",
+                   help="checkpoint cadence in squarings (default: "
+                        "the library's, checkpoint.DEFAULT_EVERY_SQUARINGS)")
     p.add_argument("--checkpoint-seconds", type=_at_least(float, 0),
-                   default=DEFAULT_EVERY_SECONDS, metavar="SECONDS",
+                   metavar="SECONDS",
                    help="also checkpoint after this many seconds, "
                         "checked between blocks of squarings; 0 turns "
-                        f"it off (default {DEFAULT_EVERY_SECONDS:g})")
+                        "it off (default: the library's, "
+                        "checkpoint.DEFAULT_EVERY_SECONDS)")
     p.add_argument("--stop-after", type=int, metavar="INDEX",
                    help="write a checkpoint at this squaring index (>= 1) "
                         "and exit cleanly (resume by rerunning)")
@@ -393,6 +395,7 @@ def _one_blas_thread():
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .errors import CheckpointError, FermatLabError
     try:
         with _one_blas_thread():
             return args.func(args)

@@ -14,11 +14,10 @@ way (check_known_factor), and prove F_n composite (proven_factors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 from math import isqrt
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .arith import check_chain_index, fermat_value
 from .errors import CheckpointError, IndexOutOfRangeError, \
@@ -94,8 +93,14 @@ def proven_factors(n: int) -> Tuple[int, ...]:
                  if divides_fermat(p, n))
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateDivisor:
+# The fields; a NamedTuple cannot define __new__, so the subclass checks.
+class _Candidate(NamedTuple):
+    n: int
+    k: int
+    prime: Optional[bool]
+
+
+class CandidateDivisor(_Candidate):
     """One candidate p = k * 2^(n+2) + 1, held as (n, k) and its primality.
 
     p and the k-form flag are derived from (n, k), so they cannot
@@ -105,13 +110,17 @@ class CandidateDivisor:
     but carries no primality claim.
     """
 
-    n: int
-    k: int
-    prime: Optional[bool] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+    def __new__(cls, n: int, k: int, prime: Optional[bool] = None):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        return tuple.__new__(cls, (n, k, prime))
+
+    @classmethod
+    def _make(cls, values):
+        # so that _replace checks too
+        return cls(*values)
 
     @property
     def p(self) -> int:

@@ -13,9 +13,8 @@ correct, not fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 def naive_mod(x: int, m: int) -> int:
@@ -134,8 +133,7 @@ def is_probable_prime(m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """One cross-check: what was compared, both values, and the verdict.
 
     `check` names the comparison (e.g. "reduce-fold-vs-divmod"), `subject`

@@ -15,8 +15,7 @@ so sweeps can assert it across a whole range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import FermatResidue, square_blocks
 from .factors import check_known_factor, proven_factors
@@ -25,8 +24,7 @@ from .primality import fermat_is_prime, require_coprime
 ORDER_BOUND_SLACK = 2  # composite + congruence: alpha <= 2^n - 2
 
 
-@dataclass(frozen=True, slots=True)
-class OrderResult:
+class OrderResult(NamedTuple):
     """Order of `base` mod F_n expressed through its exponent alpha.
 
     alpha = k means ord(base) = 2^k exactly.  alpha = None is the

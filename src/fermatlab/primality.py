@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import FermatResidue, chain_backend, check_chain_index, \
     check_index, fermat_value, reduce_fold, square_blocks
@@ -65,8 +64,7 @@ class QuarterTag(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True, slots=True)
-class QuarterClass:
+class QuarterClass(NamedTuple):
     """The quarter residue, classified by its tag."""
 
     residue: FermatResidue
@@ -86,8 +84,7 @@ class Classification(enum.Enum):
     COMPOSITE_NON_PSEUDOPRIME = "composite-non-pseudoprime"
 
 
-@dataclass(frozen=True, slots=True)
-class RuleOutcome:
+class RuleOutcome(NamedTuple):
     """One quarter-residue rule checked on a verdict, named by its key.
 
     detail says what went wrong, and is set only when the rule failed.
@@ -98,8 +95,7 @@ class RuleOutcome:
     detail: Optional[str] = None
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Everything one classify run learned about (F_n, base).
 
     It holds the taps of base's chain and reads the rest from them.
@@ -184,8 +180,7 @@ def _check_base(base: int) -> None:
         raise ValueError(f"base must be >= 0, got {base}")
 
 
-@dataclass(frozen=True, slots=True)
-class ChainTaps:
+class ChainTaps(NamedTuple):
     """Quarter, half and full residues taken from a single chain."""
 
     quarter: FermatResidue
@@ -351,8 +346,7 @@ def default_audit_bases() -> List[int]:
     return [2, *_odd_primes()[:49]]
 
 
-@dataclass(frozen=True, slots=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     """One (n, base) line of an audit sweep: the gcd of a base that shares
     a factor with F_n, or the verdict of a coprime one."""
 
@@ -366,8 +360,7 @@ class AuditRow:
         return self.gcd is None
 
 
-@dataclass(frozen=True, slots=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     rows: Tuple[AuditRow, ...]
 
     @property

@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from .arith import to_hex
-from .checkpoint import CHAIN_KIND
-from .factors import CandidateDivisor, cofactor, validate_divisor_form
-from .orders import OrderResult
-from .oracle import OracleReport
-from .primality import PEPIN_BASE, AuditReport, QuarterClass, \
-    RuleOutcome, Verdict
+
+# Only annotations name these; each builder imports what it calls, so
+# that a command loads no module it does not run.
+if TYPE_CHECKING:
+    from .factors import CandidateDivisor
+    from .orders import OrderResult
+    from .oracle import OracleReport
+    from .primality import AuditReport, QuarterClass, RuleOutcome, Verdict
 
 RECORD_FORMAT_VERSION = 1
 LIBRARY_VERSION = "0.1.0"
@@ -77,6 +79,7 @@ def pepin_record(n: int, base: int, admissible: bool, pepin_prime: bool,
 
 def paused_record(n: int, base: int, stopped_after: int,
                   checkpoint_path: str, elapsed: float) -> Dict[str, object]:
+    from .checkpoint import CHAIN_KIND
     doc = _envelope("pepin-paused")
     doc.update({
         "n": n,
@@ -91,6 +94,7 @@ def paused_record(n: int, base: int, stopped_after: int,
 
 
 def classify_record(verdict: Verdict, elapsed: float) -> Dict[str, object]:
+    from .primality import PEPIN_BASE
     doc = _envelope("classify")
     doc.update({
         "n": verdict.n,
@@ -147,6 +151,7 @@ def audit_record(report: AuditReport, n_range: List[int], bases: List[int],
 def factor_record(n: int, k_max: int, prime_filter: bool,
                   found: List[CandidateDivisor],
                   elapsed: float) -> Dict[str, object]:
+    from .factors import cofactor, validate_divisor_form
     entries: List[Dict[str, object]] = []
     violations: List[Dict[str, object]] = []
     for d in found:

@@ -19,8 +19,7 @@ it does not; the battery runs the same checks either way.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import arith, factors, oracle, orders, primality
 
@@ -28,8 +27,7 @@ SELFTEST_SEED = 0x5EED
 RANDOM_CASES_PER_INDEX = 200
 
 
-@dataclass(frozen=True, slots=True)
-class SelftestResult:
+class SelftestResult(NamedTuple):
     passed: bool
     checks_run: int
     failures: Tuple[oracle.OracleReport, ...]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
+from typing import List
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -42,6 +43,13 @@ KNOWN_FACTORS = [(n, factors.KNOWN_FACTORS[n][0],
                  for n in (5, 6, 12, 14)]
 
 
+def _two_power_generator(p: int) -> int:
+    """An element of order exactly 2^v2(p - 1) modulo the prime p."""
+    h = next(h for h in range(2, p) if pow(h, (p - 1) // 2, p) == p - 1)
+    # h is a non-residue, so g^(2^(v - 1)) = -1
+    return pow(h, (p - 1) >> v2(p - 1), p)
+
+
 def pseudoprime_base(n: int, p: int) -> int:
     """A base to which F_n is a Fermat pseudoprime, from one factor p.
 
@@ -51,10 +59,36 @@ def pseudoprime_base(n: int, p: int) -> int:
     library under test.
     """
     rest = ((1 << (1 << n)) + 1) // p
-    h = next(h for h in range(2, p) if pow(h, (p - 1) // 2, p) == p - 1)
-    v = v2(p - 1)
-    g = pow(h, (p - 1) >> v, p)  # h is a non-residue, so g^(2^(v - 1)) = -1
+    g = _two_power_generator(p)
     return 1 + rest * ((g - 1) * pow(rest, -1, p) % p)
+
+
+# n = 5..11, where F_n is completely factored, and the exponent alpha of
+# the order of full_crt_base(n): max v2(p - 1) over the prime factors.
+FULL_CRT_ALPHAS = {5: 7, 6: 8, 7: 9, 8: 11, 9: 16, 10: 14, 11: 14}
+
+
+def complete_factorisation(n: int) -> List[int]:
+    """The prime factors of F_n, n = 5..11: factors.KNOWN_FACTORS[n] and
+    the quotient they leave, which is 1 for n = 5..7 and a prime for
+    n = 8..11."""
+    rest = (1 << (1 << n)) + 1
+    for p in factors.KNOWN_FACTORS[n]:
+        rest //= p
+    return [*factors.KNOWN_FACTORS[n], *([rest] if rest > 1 else [])]
+
+
+def full_crt_base(n: int) -> int:
+    """A base to which F_n is a Fermat pseudoprime, from all its factors.
+
+    b = g_i (mod p_i) for every prime factor p_i, where g_i has order
+    exactly 2^v2(p_i - 1) modulo p_i, combined by the Chinese remainder
+    theorem (F_n is squarefree).  So ord(b) mod F_n is 2^max v2(p_i - 1),
+    the largest a base of 2-power order can have.  Builtin pow only.
+    """
+    m = (1 << (1 << n)) + 1
+    return sum(m // p * (_two_power_generator(p) * pow(m // p, -1, p) % p)
+               for p in complete_factorisation(n)) % m
 
 
 def spy_on_squarings(monkeypatch):

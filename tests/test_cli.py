@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: records, exit codes, checkpoint flows."""
 
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -11,7 +10,7 @@ import pytest
 from conftest import SELFTEST_CHECKS, run_cli, run_cli_subprocess, \
     spy_on_squarings
 
-from fermatlab import arith, cli, primality
+from fermatlab import arith, primality
 from fermatlab.arith import FermatResidue, fermat_value
 from fermatlab.checkpoint import (
     Checkpoint,
@@ -338,8 +337,8 @@ class TestClassifyCommand:
 
         def first_fails(*args):
             first, *rest = real(*args)
-            return (dataclasses.replace(first, passed=False,
-                                        detail="synthetic"), *rest)
+            return (first._replace(passed=False, detail="synthetic"),
+                    *rest)
 
         monkeypatch.setattr(primality, "_audit_rules", first_fails)
         res = run_cli("classify", "5")
@@ -473,7 +472,7 @@ class TestFactorCommand:
         # 257 = F_3 divides itself; forcing it through the search result
         # path fabricates a "prime divisor with power-of-two k"
         fake = CandidateDivisor(3, 8, prime=True)
-        monkeypatch.setattr("fermatlab.cli.lucas_search",
+        monkeypatch.setattr("fermatlab.factors.lucas_search",
                             lambda *a, **k: [fake])
         res = run_cli("factor", "3")
         assert res.code == 4
@@ -648,13 +647,13 @@ class TestBlasThreads:
 
     def seen_by_the_command(self, monkeypatch, *args):
         seen = []
-        real = cli.pepin_test
+        real = primality.pepin_test
 
         def spy(*a, **kw):
             seen.append(os.environ.get(self.VAR))
             return real(*a, **kw)
 
-        monkeypatch.setattr(cli, "pepin_test", spy)
+        monkeypatch.setattr(primality, "pepin_test", spy)
         before = dict(os.environ)
         res = run_cli(*args)
         assert dict(os.environ) == before

@@ -2,7 +2,6 @@
 
 import importlib.util
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -273,11 +272,11 @@ class TestValidation:
         # 257 = 8 * 2^5 + 1 is F_3 itself: an exact divisor whose k is a
         # power of two, which the record must flag only when called prime
         self_divisor = CandidateDivisor(3, 8)
-        fake_prime = replace(self_divisor, prime=True)
+        fake_prime = self_divisor._replace(prime=True)
         doc = factor_record(3, 8, False, [fake_prime], 0.0)
         assert [v["k"] for v in doc["violations"]] == [8]
         assert doc["found"][0]["divisor_form_valid"] is False
-        fake_composite = replace(self_divisor, prime=False)
+        fake_composite = self_divisor._replace(prime=False)
         doc = factor_record(3, 8, False, [fake_composite], 0.0)
         assert doc["violations"] == []
 

@@ -275,14 +275,20 @@ class TestBatches:
 # of stderr which of numpy and multiprocessing were loaded, as JSON; a
 # first argument of "block" makes numpy unimportable.
 _PROBE = """\
-import json, sys
+import sys
+bare = set(sys.modules)
 if sys.argv[1] == "block":
     sys.modules["numpy"] = None
-from fermatlab.cli import main
-code = main(sys.argv[2:]) if len(sys.argv) > 2 else 0
-print(json.dumps({name: sys.modules.get(name) is not None
-                  for name in ("numpy", "multiprocessing")}),
-      file=sys.stderr)
+if sys.argv[1] == "package":
+    import fermatlab
+    code = 0
+else:
+    from fermatlab.cli import main
+    code = main(sys.argv[2:]) if len(sys.argv) > 2 else 0
+loaded = sorted(name for name, module in sys.modules.items()
+                if module is not None and name not in bare)
+import json
+print(json.dumps(loaded), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -321,8 +327,12 @@ def probe(mode: str, *args: str) -> subprocess.CompletedProcess:
     return proc
 
 
-def loaded(proc: subprocess.CompletedProcess) -> dict:
-    return json.loads(proc.stderr.splitlines()[-1])
+def loaded(proc: subprocess.CompletedProcess) -> set:
+    """The modules a probe loaded beyond those of a bare interpreter."""
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+POOL_AND_NUMPY = {"numpy", "multiprocessing"}
 
 
 class TestImportHygiene:
@@ -337,15 +347,14 @@ class TestImportHygiene:
         # and so does multiprocessing, outside an audit worth a pool; a
         # known factor of F_13 decides its primality, so classify 13
         # runs one chain and starts no pool
-        assert loaded(probe("allow", *args)) \
-            == {"numpy": False, "multiprocessing": False}
+        assert loaded(probe("allow", *args)) & POOL_AND_NUMPY == set()
 
     @pytest.mark.skipif(primality._usable_cpus() < 2,
                         reason="one usable CPU: no audit is pooled")
     def test_pooled_audit_loads_multiprocessing_only(self):
         assert loaded(probe("allow", "audit", "--n-range", "10..12",
-                            "--bases", "2,3,5,7")) \
-            == {"numpy": False, "multiprocessing": True}
+                            "--bases", "2,3,5,7")) & POOL_AND_NUMPY \
+            == {"multiprocessing"}
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
@@ -375,7 +384,7 @@ class TestImportHygiene:
 
     def test_pepin_without_numpy_gives_the_same_record(self):
         blocked = probe("block", "pepin", "14")
-        assert not loaded(blocked)["numpy"]
+        assert "numpy" not in loaded(blocked)
         with_numpy = run_cli("pepin", "14")
         assert with_numpy.code == 0
         assert strip_timing(with_numpy.json()) \
@@ -383,7 +392,46 @@ class TestImportHygiene:
 
     def test_selftest_runs_the_same_checks_without_numpy(self):
         blocked = probe("block", "selftest")
-        assert loaded(blocked) == {"numpy": False, "multiprocessing": False}
+        assert loaded(blocked) & POOL_AND_NUMPY == set()
         with_numpy = run_cli("selftest").json()
         assert json.loads(blocked.stdout)["checks_run"] \
             == with_numpy["checks_run"] == SELFTEST_CHECKS
+
+
+class TestCommandImports:
+    """Each CLI call loads only the modules its command runs."""
+
+    @pytest.mark.parametrize("mode, modules", [
+        ("package", {"fermatlab"}),
+        ("allow", {"fermatlab", "fermatlab.cli"})],
+        ids=["import-fermatlab", "import-fermatlab-cli"])
+    def test_imports_load_no_other_fermatlab_module(self, mode, modules):
+        assert {name for name in loaded(probe(mode))
+                if name.partition(".")[0] == "fermatlab"} == modules
+
+    def test_factor_loads_no_chain_code(self):
+        assert loaded(probe("allow", "factor", "9", "--k-max", "100")) \
+            & {"fermatlab.primality", "fermatlab.orders",
+               "fermatlab.checkpoint", "fermatlab.selftest"} == set()
+
+    @pytest.mark.parametrize("args", [("classify", "12", "--base", "7"),
+                                      ("order", "12", "--base", "5")],
+                             ids=["classify-12", "order-12"])
+    def test_queries_load_no_checkpoint_code(self, args):
+        assert loaded(probe("allow", *args)) \
+            & {"fermatlab.checkpoint", "fermatlab.selftest", "hashlib",
+               "datetime"} == set()
+
+    @pytest.mark.parametrize("args", [
+        (), ("pepin", "14"),
+        ("pepin", "8", "--checkpoint-dir", "{tmp}", "--stop-after", "5"),
+        ("classify", "12", "--base", "7"), ("order", "12", "--base", "5"),
+        ("factor", "9", "--k-max", "100"), ("audit", "--n-range", "5..8"),
+        ("audit", "--n-range", "10..12", "--bases", "2,3,5,7"),
+        ("selftest",)],
+        ids=["import", "pepin-14", "pepin-checkpoint", "classify-12",
+             "order-12", "factor-9", "audit-5-8", "audit-pooled",
+             "selftest"])
+    def test_no_command_loads_dataclasses(self, args, tmp_path):
+        args = [arg.format(tmp=tmp_path) for arg in args]
+        assert "dataclasses" not in loaded(probe("allow", *args))

@@ -6,8 +6,9 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import KNOWN_FACTORS, pseudoprime_base, run_cli, \
-    spy_on_squarings
+from conftest import FULL_CRT_ALPHAS, KNOWN_FACTORS, \
+    complete_factorisation, full_crt_base, pseudoprime_base, run_cli, \
+    spy_on_squarings, v2
 
 from fermatlab import arith, factors, oracle, primality, records
 from fermatlab.arith import FermatResidue, fermat_value, max_index, \
@@ -366,6 +367,43 @@ class TestConstructedPseudoprimeBases:
         assert row["classification"] == "pseudoprime-to-base"
         assert row["quarter_tag"] == "plus-one"
         assert row["rules"] and all(r["passed"] for r in row["rules"])
+
+
+class TestFullCrtPseudoprimeBases:
+    """Bases to which F_5..F_11 are pseudoprimes, built from the complete
+    factorisation of F_n (conftest.full_crt_base), so that the order of
+    the base is as large as a 2-power order can be; checked through the
+    CLI."""
+
+    @pytest.mark.parametrize("n", sorted(FULL_CRT_ALPHAS))
+    def test_order(self, n):
+        assert FULL_CRT_ALPHAS[n] \
+            == max(v2(p - 1) for p in complete_factorisation(n))
+        res = run_cli("order", str(n), "--base", str(full_crt_base(n)))
+        assert res.code == 0
+        doc = res.json()
+        assert doc["alpha"] == FULL_CRT_ALPHAS[n]
+        assert doc["bound_satisfied"] is True
+
+    @pytest.mark.parametrize("n", sorted(FULL_CRT_ALPHAS))
+    def test_classify_and_audit_row(self, n):
+        base = full_crt_base(n)
+        res = run_cli("classify", str(n), "--base", str(base))
+        assert res.code == 0
+        verdict = res.json()
+        assert verdict["classification"] == "pseudoprime-to-base"
+        assert verdict["quarter"]["tag"] == "plus-one"
+        assert verdict["audit_rules"] \
+            and all(r["passed"] for r in verdict["audit_rules"])
+        res = run_cli("audit", "--n-range", str(n), "--bases", str(base))
+        assert res.code == 0
+        [row] = res.json()["rows"]
+        assert row["base"] == verdict["base"]
+        assert (row["quarter_tag"], row["fermat_congruence_holds"],
+                row["pepin_prime"], row["classification"], row["rules"]) \
+            == (verdict["quarter"]["tag"],
+                verdict["fermat_congruence_holds"], verdict["pepin_prime"],
+                verdict["classification"], verdict["audit_rules"])
 
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
