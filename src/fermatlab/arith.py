@@ -24,7 +24,14 @@ square_blocks drives every chain of the library: it advances one or
 more chains from an index through the stops its caller names, in
 mod_square_chains calls that end at each stop and at each multiple of
 CHAIN_BLOCK, and yields between calls, where the caller acts (reads a
-tap, tests for 1, writes a checkpoint) or leaves.
+tap, tests for 1, writes a checkpoint) or leaves.  Before it yields it
+checks the residues against the known factors of F_n
+(factors.check_known_factor): every chain at each stop, and a lone
+chain at every block end, so no caller reads an unchecked residue.
+One check cost 0.015 ms against 0.049 ms for a block of 64 squarings
+at n = 8, 0.082 vs 1.19 ms at n = 12, 0.062 vs 5.3 ms at n = 14, 0.29
+vs 24 ms at n = 18 and 4.2 vs 739 ms at n = 22: about 1% from n = 14
+up.
 """
 
 from __future__ import annotations
@@ -304,21 +311,36 @@ def mod_square_chain(a: FermatResidue, count: int) -> FermatResidue:
     return FermatResidue(n, x)
 
 
-def square_blocks(residues: Sequence[FermatResidue], index: int,
-                  stops: Iterable[int]
+def square_blocks(bases: Sequence[int], residues: Sequence[FermatResidue],
+                  index: int, stops: Iterable[int]
                   ) -> Iterator[Tuple[int, List[FermatResidue]]]:
-    """Square residues, the entries at `index` of chains at one n,
-    through each of the ascending `stops`, and yield (index, residues)
-    after each mod_square_chains call.
+    """Square residues, the entries at `index` of the chains of `bases`
+    at one n, through each of the ascending `stops`, and yield (index,
+    residues) after each mod_square_chains call.
 
     A call ends at every stop and at every multiple of CHAIN_BLOCK, so
     none is longer than CHAIN_BLOCK squarings; stops at or below index
     are skipped.  Callers act between yields and end the chain by
     leaving the loop: nothing is squared past the last yield taken.
+
+    Before a yield, factors.check_known_factor raises CheckpointError
+    for a residue that is not its base^(2^index) modulo a known factor
+    of F_n.  It checks every chain at each stop, and a lone chain at
+    every block end as well: every caller that reads between stops
+    runs a lone chain, whose checks cost a few ms in all below n = 14
+    and about 1% of each block from n = 14 up (figures above).  A batch
+    is read only at its stops (the audit's taps), and checking 25
+    chains at every block end cost 13-100% of their block at n = 7..13.
     """
+    # factors imports this module
+    from .factors import check_known_factor
     for stop in stops:
         while index < stop:
             end = min(stop, (index // CHAIN_BLOCK + 1) * CHAIN_BLOCK)
             residues = mod_square_chains(residues, end - index)
             index = end
+            if index == stop or len(residues) == 1:
+                for base, x in zip(bases, residues):
+                    check_known_factor(x.n, base, index, x.value,
+                                       f"chain residue of base 0x{base:x}")
             yield index, residues

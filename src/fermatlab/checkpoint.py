@@ -3,15 +3,15 @@
 A checkpoint captures (n, base, squaring index, residue) of a chain
 plus a truncated-sha256 digest of exactly those payload fields, so a
 torn or hand-edited file is rejected on load rather than silently
-resuming from garbage.  Writes go to a temp file in the same directory
-followed by an atomic rename; there is never a moment where the real
-filename holds a partial file.
+resuming from garbage.  Writes go through records.replacing: a temp
+file in the same directory, fsynced, then an atomic rename; there is
+never a moment where the real filename holds a partial file.
 
 Where F_n has known factors, a residue that is not base^(2^index)
 modulo each of them is refused (factors.check_known_factor): on load,
 though it passes its digest (planted, or wrong before it was written),
-and before each write, so that a chain that goes wrong never overwrites
-the last good file.
+and, by arith.square_blocks, at every block end of the chain, so that
+a chain that goes wrong never overwrites the last good file.
 
 Only the half-residue chain of the pepin command is checkpointed, so
 every file's chain_kind is CHAIN_KIND.  One file per (n, base): the filename
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from datetime import datetime, timezone
 from itertools import chain
@@ -34,6 +33,7 @@ from .arith import FermatResidue, check_index, from_hex, square_blocks, \
     to_hex
 from .errors import CheckpointError
 from .factors import check_known_factor
+from .records import replacing
 
 CHECKPOINT_FORMAT_VERSION = 1
 CHAIN_KIND = "pepin"
@@ -87,16 +87,8 @@ def save_checkpoint(cp: Checkpoint, directory: Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / checkpoint_filename(cp.n, cp.base)
-    tmp = directory / f".{path.name}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(cp.to_json())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path) as out:
+        out.write(cp.to_json())
     return path
 
 
@@ -218,10 +210,12 @@ class CheckpointWriter:
     It always writes at the pause index, max(stop_after, resumed index
     + 1), and then raises ChainPaused.  Indices are those of the whole
     chain.
-    Each residue is checked (check_known_factor) before it is written; a
-    wrong one raises CheckpointError and leaves the last file in place.
-    Call finished() after a completed chain to remove the file; a stale
-    checkpoint of a finished run would otherwise shadow future runs.
+    The chain is a lone chain of square_blocks, which checks every
+    block's end against the known factors of F_n before run() sees it:
+    a wrong residue raises CheckpointError there and is never written,
+    so the last good file stays.  A run that reaches the chain's end
+    deletes the file; a stale checkpoint of a finished run would
+    otherwise shadow future runs.  A paused run keeps it.
     """
 
     def __init__(self, n: int, base: int, directory: Path,
@@ -248,7 +242,8 @@ class CheckpointWriter:
     def run(self, start: FermatResidue, total: int) -> FermatResidue:
         """The entry at index `total` of the chain whose index 0 is `start`.
 
-        It starts from the loaded checkpoint instead, when there is one.
+        It starts from the loaded checkpoint instead, when there is one,
+        and deletes the checkpoint file when it returns.
         """
         index, x = 0, start
         if self.resumed is not None:
@@ -260,24 +255,17 @@ class CheckpointWriter:
         last_write = time.monotonic()
         end = min(pause, total)
         for index, (x,) in square_blocks(
-                [x], index, chain(range(every, end, every), [end])):
+                [self.base], [x], index,
+                chain(range(every, end, every), [end])):
             if index % every == 0 or index == pause or (
                     self.every_seconds > 0
                     and time.monotonic() - last_write >= self.every_seconds):
-                check_known_factor(
-                    self.n, self.base, index, x.value,
-                    f"chain residue at squaring {index}, not written,")
                 path = save_checkpoint(
                     Checkpoint.capture(self.n, self.base, index, x.value),
                     self.directory)
                 last_write = time.monotonic()
                 if index == pause:
                     raise ChainPaused(index, path)
+        (self.directory / checkpoint_filename(self.n, self.base)).unlink(
+            missing_ok=True)
         return x
-
-    def finished(self) -> None:
-        path = self.directory / checkpoint_filename(self.n, self.base)
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            pass

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import os
 import sys
 import time
@@ -133,8 +132,6 @@ def cmd_pepin(args: argparse.Namespace) -> int:
         _emit(records.paused_record(args.n, args.base, pause.index,
                                     str(pause.path), elapsed), args.format)
         return EXIT_OK
-    if writer is not None:
-        writer.finished()
     elapsed = time.perf_counter() - t0
     _emit(records.pepin_record(args.n, args.base,
                                args.base in PEPIN_ADMISSIBLE_BASES,
@@ -156,33 +153,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@contextlib.contextmanager
-def _replacing(path: Optional[str]):
-    """A file open for writing that takes the place of path only when
-    the block ends without an exception; None when path is None.
-
-    It is a temporary file beside path, created at once, so an unusable
-    path fails before the block runs; so does a directory, which it
-    could not replace.  On any failure it is removed and path, if it
-    exists, is left as it was.
-    """
-    if path is None:
-        yield None
-        return
-    target = Path(path)
-    if target.is_dir() and not target.is_symlink():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    tmp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
-    out = open(tmp, "w", encoding="utf-8")
-    try:
-        with out:
-            yield out
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def cmd_audit(args: argparse.Namespace) -> int:
     from . import records
     from .primality import audit_range, check_audit_grid, \
@@ -194,7 +164,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     # A refused grid leaves no report file; an unusable report path is
     # refused before the first chain, not after the whole audit.
     check_audit_grid(n_values, bases)
-    with _replacing(args.report) as out:
+    with records.replacing(args.report) if args.report is not None \
+            else contextlib.nullcontext() as out:
         report = audit_range(n_values, bases)
         elapsed = time.perf_counter() - t0
         doc = records.audit_record(report, [lo, hi], bases, elapsed)

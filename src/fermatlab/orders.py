@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .arith import FermatResidue, square_blocks
-from .factors import check_known_factor, proven_factors
+from .factors import proven_factors
 from .primality import fermat_is_prime, require_coprime
 
 ORDER_BOUND_SLACK = 2  # composite + congruence: alpha <= 2^n - 2
@@ -72,9 +72,9 @@ def order_alpha(n: int, base: int) -> OrderResult:
     and none before it is.  So a found alpha below CHAIN_BLOCK costs
     under 3 * alpha squarings, and any alpha at most 2 * CHAIN_BLOCK
     more than alpha, in at most log2(CHAIN_BLOCK) chain calls after its
-    block.  The residues on either side of alpha, or the last one of a
-    chain that never reaches 1, must pass check_known_factor, or
-    CheckpointError is raised.
+    block.  Each block's end, and each residue the search reads, is
+    checked against the known factors of F_n by arith.square_blocks,
+    which raises CheckpointError for a wrong one.
     """
     start = require_coprime(n, base)
     for p in proven_factors(n):
@@ -83,39 +83,34 @@ def order_alpha(n: int, base: int) -> OrderResult:
     if start.is_one:
         return OrderResult(n, base, 0, _bound(n, 0))
     index, x = 0, start
-    for end, (y,) in square_blocks([start], 0,
+    for end, (y,) in square_blocks([base], [start], 0,
                                    [1 << k for k in range(n + 1)]):
         if y.is_one:
-            alpha = _first_one(n, base, x, index, end - index)
+            alpha = _first_one(base, x, index, end - index)
             return OrderResult(n, base, alpha, _bound(n, alpha))
         index, x = end, y
-    check_known_factor(n, base, index, x.value,
-                       f"last residue of base 0x{base:x}, not reported,")
     return OrderResult(n, base, None)
 
 
-def _first_one(n: int, base: int, x: FermatResidue, index: int,
-               span: int) -> int:
-    """The index of the first 1 in the chain, given x at index, which is
-    not 1, and 1 at index + span.
+def _first_one(base: int, x: FermatResidue, index: int, span: int) -> int:
+    """The index of the first 1 in the chain of base, given x at index,
+    which is not 1, and 1 at index + span.
 
     Each call squares half the span from its lower end and keeps the
     half that holds the first 1: at most ceil(log2(span)) calls and
-    span - 1 squarings.  The entries on either side of that 1 are
-    checked (check_known_factor): a fault that lands on 1 early fails
-    at the 1, and one that misses a 1 fails at the entry before it.
+    span - 1 squarings.  Each call ends one lone-chain block of
+    arith.square_blocks, so each residue it reads is checked there
+    against the known factors of F_n: a fault that lands on 1 early
+    fails at that 1, and one that misses a 1 fails where it is read.
     """
     while span > 1:
         half = span // 2
         # inside one block of square_blocks, so in one call
-        _, (mid,) = next(square_blocks([x], index, [index + half]))
+        _, (mid,) = next(square_blocks([base], [x], index, [index + half]))
         if mid.is_one:
             span = half
         else:
             x, index, span = mid, index + half, span - half
-    what = f"of base 0x{base:x}, not reported,"
-    check_known_factor(n, base, index, x.value, f"residue {what}")
-    check_known_factor(n, base, index + 1, 1, f"residue 1 {what}")
     return index + 1
 
 

@@ -28,7 +28,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .arith import FermatResidue, chain_backend, check_chain_index, \
     check_index, fermat_value, reduce_fold, square_blocks
 from .errors import BaseNotCoprimeError, NonAdmissibleBaseError
-from .factors import _odd_primes, check_known_factor, proven_factors
+from .factors import _odd_primes, proven_factors
 
 # Bases for which the half-residue test decides primality.  Known good
 # bases; there is no general criterion here, hence an allowlist with an
@@ -191,25 +191,25 @@ class ChainTaps(NamedTuple):
 def chain_taps(n: int, base: int) -> ChainTaps:
     """Run one chain of 2^n squarings, read at its three tap points.
 
-    The full residue must pass check_known_factor, or CheckpointError
-    is raised.
+    arith.square_blocks checks its residues against the known factors
+    of F_n, and raises CheckpointError for a wrong one.
     """
     return _batch_taps(n, [base])[0]
 
 
 def _batch_taps(n: int, bases: Sequence[int]) -> List[ChainTaps]:
     """chain_taps of each base, the chains squared together
-    (arith.square_blocks), keeping only the three tapped states."""
+    (arith.square_blocks), keeping only the three tapped states.
+
+    The three taps are the stops, so square_blocks has checked each of
+    them, in every chain, before it is read."""
     check_chain_index(n)
     last = 1 << n
     quarters, halves, fulls = [
         residues for index, residues in square_blocks(
-            [require_coprime(n, base) for base in bases], 0,
+            bases, [require_coprime(n, base) for base in bases], 0,
             (last - 2, last - 1, last))
         if index >= last - 2]
-    for base, full in zip(bases, fulls):
-        check_known_factor(n, base, last, full.value,
-                           f"full residue of base 0x{base:x}, not reported,")
     return [ChainTaps(quarter=quarter, half=half, full=full)
             for quarter, half, full in zip(quarters, halves, fulls)]
 
@@ -224,8 +224,9 @@ def pepin_test(n: int, base: int = 3, allow_any_base: bool = False,
     plainly false).  checkpoints, a checkpoint.CheckpointWriter built for
     the same (n, base), runs the chain instead: from its loaded
     checkpoint if it has one, writing and pausing between blocks.
-    Either way the half residue must pass check_known_factor, or
-    CheckpointError is raised.
+    Either way the chain is one lone chain of arith.square_blocks, which
+    checks every block's end against the known factors of F_n and
+    raises CheckpointError for a wrong residue.
     """
     check_chain_index(n)
     _check_base(base)
@@ -237,7 +238,7 @@ def pepin_test(n: int, base: int = 3, allow_any_base: bool = False,
     start = require_coprime(n, base)
     total = (1 << n) - 1
     if checkpoints is None:
-        for _, (half,) in square_blocks([start], 0, [total]):
+        for _, (half,) in square_blocks([base], [start], 0, [total]):
             pass
     elif (checkpoints.n, checkpoints.base) != (n, base):
         raise ValueError(
@@ -245,8 +246,6 @@ def pepin_test(n: int, base: int = 3, allow_any_base: bool = False,
             f"0x{checkpoints.base:x}) given to (n={n}, base=0x{base:x})")
     else:
         half = checkpoints.run(start, total)
-    check_known_factor(n, base, total, half.value,
-                       f"half residue of base 0x{base:x}, not reported,")
     return half.is_minus_one, half
 
 
@@ -268,12 +267,6 @@ def fermat_is_prime(n: int) -> bool:
         cached = not proven_factors(n) and pepin_test(n, PEPIN_BASE)[0]
         _PRIME_CACHE[n] = cached
     return cached
-
-
-def reset_prime_cache() -> None:
-    """Drop cached verdicts (for tests that deliberately break arith)."""
-    _PRIME_CACHE.clear()
-    _PRIME_CACHE.update({0: True, 1: True})
 
 
 def quarter_residue(n: int, base: int) -> QuarterClass:

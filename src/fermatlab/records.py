@@ -10,12 +10,19 @@ Records avoid anything nondeterministic except elapsed_seconds: the
 resume test compares an interrupted-and-resumed run against a clean run
 field by field, and only timing may differ.  Resume provenance therefore
 goes to the log on stderr, never into the record.
+
+Every file the CLI writes, a record or a checkpoint, goes through
+replacing, so that its path never holds a partial file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
+import os
 from importlib import resources
+from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from .arith import to_hex
@@ -215,6 +222,34 @@ def selftest_record(passed: bool, checks_run: int,
         ],
     })
     return doc
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A text file open for writing that takes the place of path only
+    when the block ends without an exception.
+
+    It is a temporary file beside path, created at once, so an unusable
+    path fails before the block runs; so does a directory, which it
+    could not replace.  It is flushed and fsynced before the replace.
+    On any failure it is removed and path, if it exists, is left as it
+    was.
+    """
+    target = Path(path)
+    if target.is_dir() and not target.is_symlink():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                str(path))
+    tmp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
+    out = open(tmp, "w", encoding="utf-8")
+    try:
+        with out:
+            yield out
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def dump(doc: Dict[str, object]) -> str:

@@ -13,7 +13,7 @@ from typing import List
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fermatlab import arith, factors, records
+from fermatlab import arith, factors, primality, records
 from fermatlab.cli import main
 
 # big-int cases vary wildly in size; wall-clock deadlines just add noise
@@ -89,6 +89,17 @@ def full_crt_base(n: int) -> int:
     m = (1 << (1 << n)) + 1
     return sum(m // p * (_two_power_generator(p) * pow(m // p, -1, p) % p)
                for p in complete_factorisation(n)) % m
+
+
+@pytest.fixture
+def fresh_prime_cache(monkeypatch):
+    """primality._PRIME_CACHE as at import, for the test: a test that
+    breaks arith must not leave wrong verdicts behind.  Calling the
+    fixture's value starts another fresh cache."""
+    def fresh():
+        monkeypatch.setattr(primality, "_PRIME_CACHE", {0: True, 1: True})
+    fresh()
+    return fresh
 
 
 def spy_on_squarings(monkeypatch):

@@ -1,13 +1,14 @@
 """Checkpoint persistence: atomic writes, strict loads, pause/resume."""
 
 import json
+import os
 import re
 
 import pytest
 
 from conftest import spy_on_squarings
 
-from fermatlab import checkpoint
+from fermatlab import arith, checkpoint
 from fermatlab.arith import CHAIN_BLOCK, fermat_value, mod_square_chain, \
     reduce_fold, to_hex
 from fermatlab.checkpoint import (
@@ -109,7 +110,7 @@ class TestRoundTrip:
         def full_disk(fd):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(checkpoint.os, "fsync", full_disk)
+        monkeypatch.setattr(os, "fsync", full_disk)
         with pytest.raises(OSError, match="No space left"):
             save_checkpoint(make_checkpoint(index=200), tmp_path)
         assert list(tmp_path.iterdir()) == [path]
@@ -267,12 +268,15 @@ class TestCheckpointWriter:
         with pytest.raises(OSError):
             CheckpointWriter(10, 3, blocker)
 
-    def test_squaring_cadence(self, tmp_path):
+    def test_squaring_cadence(self, tmp_path, monkeypatch):
         # the n=6 half chain is 63 squarings, so the last write lands at 48
+        saved = []
+        monkeypatch.setattr(checkpoint, "save_checkpoint",
+                            lambda cp, directory: saved.append(cp))
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=16, every_seconds=0)
         pepin_test(6, checkpoints=writer)
-        cp = load_matching(tmp_path, 6, 3)
+        cp = saved[-1]
         assert cp.squaring_index == 48
 
     def test_no_write_before_cadence(self, tmp_path):
@@ -282,12 +286,15 @@ class TestCheckpointWriter:
         assert load_matching(tmp_path, 6, 3) is None
         assert list(tmp_path.iterdir()) == []
 
-    def test_time_cadence(self, tmp_path):
+    def test_time_cadence(self, tmp_path, monkeypatch):
+        saved = []
+        monkeypatch.setattr(checkpoint, "save_checkpoint",
+                            lambda cp, directory: saved.append(cp))
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=10 ** 9,
                                   every_seconds=1e-9)
         pepin_test(6, checkpoints=writer)
-        assert load_matching(tmp_path, 6, 3) is not None
+        assert saved
 
     @pytest.mark.parametrize("n", [6, 8, 10])
     @pytest.mark.parametrize("every", [1, 3, 16, 64, 10 ** 9])
@@ -372,14 +379,27 @@ class TestCheckpointWriter:
         with pytest.raises(ValueError, match="checkpoint writer for"):
             pepin_test(n, base, checkpoints=writer)
 
-    def test_finished_removes_file(self, tmp_path):
+    def test_completed_run_leaves_no_file(self, tmp_path):
+        # written at 16, 32 and 48, then deleted at the chain's end
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=16, every_seconds=0)
         pepin_test(6, checkpoints=writer)
-        path = tmp_path / checkpoint_filename(6, 3)
-        assert path.exists()
-        writer.finished()
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
 
-    def test_finished_tolerates_absence(self, tmp_path):
-        CheckpointWriter(6, 3, tmp_path).finished()
+    def test_run_refused_at_its_last_block_keeps_the_last_file(
+            self, tmp_path, monkeypatch):
+        # squaring 50 goes wrong, in the block from 48 to the end at 63
+        real = arith._mulmod
+        calls = []
+
+        def faulty(x, y, width, top, mask):
+            calls.append(1)
+            out = real(x, y, width, top, mask)
+            return out ^ 1 if len(calls) == 50 else out
+
+        monkeypatch.setattr(arith, "_mulmod", faulty)
+        writer = CheckpointWriter(6, 3, tmp_path,
+                                  every_squarings=16, every_seconds=0)
+        with pytest.raises(CheckpointError, match=r"base\^\(2\^63\)"):
+            pepin_test(6, checkpoints=writer)
+        assert load_matching(tmp_path, 6, 3).squaring_index == 48

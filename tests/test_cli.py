@@ -23,11 +23,7 @@ from fermatlab.primality import default_audit_bases
 from fermatlab.records import strip_timing
 
 
-@pytest.fixture(autouse=True)
-def fresh_prime_cache():
-    primality.reset_prime_cache()
-    yield
-    primality.reset_prime_cache()
+pytestmark = pytest.mark.usefixtures("fresh_prime_cache")
 
 
 def flip_bit_at(monkeypatch, step):
@@ -209,7 +205,7 @@ class TestPepinCheckpointFlow:
                 "--checkpoint-every", "64")
         res = run_cli(*args)
         assert (res.code, res.stdout) == (3, "")
-        assert "not written" in res.stderr
+        assert "chain residue of base 0x3 is not base^(2^128)" in res.stderr
         assert load_matching(tmp_path, n, 3).squaring_index == 64
         monkeypatch.undo()
         res = run_cli(*args)
@@ -258,8 +254,9 @@ class TestPepinCheckpointFlow:
         self.refused_then_resumed(tmp_path, monkeypatch, 12)
 
     def test_fft_fault_in_a_plain_run_refused(self, monkeypatch):
-        # with no checkpoint written, only the final half residue is
-        # checked; before that check this exited 0 with a wrong residue
+        # with no checkpoint written, the end of the block that holds the
+        # fault is checked; before any check this exited 0 with a wrong
+        # residue
         fft = pytest.importorskip("fermatlab._fft")
         real = fft._carry
         steps = []
@@ -274,7 +271,26 @@ class TestPepinCheckpointFlow:
         monkeypatch.setattr(fft, "_carry", faulty)
         res = run_cli("pepin", "14")
         assert_refused(res)
-        assert "half residue" in res.stderr
+        assert "chain residue of base 0x3 is not base^(2^128)" in res.stderr
+
+    def test_chain_fault_in_a_plain_run_refused(self, monkeypatch):
+        # refused at the end of the block that holds squaring 1000, not
+        # at the chain's end, 4095
+        flip_bit_at(monkeypatch, 1000)
+        res = run_cli("pepin", "12")
+        assert_refused(res)
+        assert "chain residue of base 0x3 is not base^(2^1024)" in res.stderr
+
+    def test_fault_refused_before_a_timed_write(self, tmp_path, monkeypatch):
+        # every block end is due by time alone, so the file is at 64
+        # when the fault at squaring 70 is refused at 128
+        flip_bit_at(monkeypatch, 70)
+        res = run_cli("pepin", "12", "--checkpoint-dir", str(tmp_path),
+                      "--checkpoint-every", str(10 ** 9),
+                      "--checkpoint-seconds", "1e-9")
+        assert_refused(res)
+        assert "base^(2^128)" in res.stderr
+        assert load_matching(tmp_path, 12, 3).squaring_index == 64
 
     @pytest.mark.parametrize("seconds", ["nan", "-1"])
     def test_invalid_checkpoint_seconds_rejected(self, tmp_path, seconds):
@@ -355,7 +371,7 @@ class TestClassifyCommand:
         flip_bit_at(monkeypatch, 1000)
         res = run_cli("classify", "12", "--base", "7")
         assert_refused(res)
-        assert "full residue" in res.stderr
+        assert "chain residue of base 0x7 is not base^(2^1024)" in res.stderr
 
     def test_usage_errors(self):
         assert run_cli("classify", "1").code == 2
@@ -433,6 +449,30 @@ class TestAuditCommand:
                                "--report", str(report)))
         assert not report.exists()
         assert multiprocessing.active_children() == []
+
+    def test_fft_fault_in_one_row_refused_at_the_quarter_tap(self,
+                                                             monkeypatch):
+        # one CPU: the 8 chains at n = 12 square here as one FFT batch,
+        # checked only at its taps; row 3, base 7, is off from step 100
+        fft = pytest.importorskip("fermatlab._fft")
+        real = fft._carry
+        rows = []
+
+        def faulty(values, work):
+            out = real(values, work)
+            rows.append(len(out))
+            if len(rows) == 100:
+                out[3, 0] += 1
+            return out
+
+        monkeypatch.setattr(fft, "_carry", faulty)
+        monkeypatch.setattr(primality, "_usable_cpus", lambda: 1)
+        bases = default_audit_bases()[:arith.FFT_MIN_BATCH[12]]
+        res = run_cli("audit", "--n-range", "12", "--bases",
+                      ",".join(map(str, bases)))
+        assert_refused(res)
+        assert "chain residue of base 0x7 is not base^(2^4094)" in res.stderr
+        assert set(rows) == {len(bases)}
 
     def test_bad_arguments(self):
         assert run_cli("audit", "--n-range", "8..5").code == 2
@@ -514,9 +554,9 @@ class TestOrderCommand:
 
     @pytest.mark.parametrize("step, what", [
         # 2^16 + 1 in place of 2^16: the chain never reaches 1
-        (4, "last residue of base 0x2, not reported, is not base^(2^1024)"),
+        (4, "chain residue of base 0x2 is not base^(2^4)"),
         # 0 in place of the 1 at squaring 12: the search finds 16, not 11
-        (20, "residue of base 0x2, not reported, is not base^(2^15)"),
+        (20, "chain residue of base 0x2 is not base^(2^12)"),
     ], ids=["no-1", "late-1"])
     def test_chain_fault_refused(self, monkeypatch, step, what):
         # unfaulted, base 2 has alpha 11 on F_10

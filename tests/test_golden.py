@@ -17,7 +17,6 @@ import pytest
 
 from conftest import run_cli
 
-from fermatlab import primality
 from fermatlab.records import dump, strip_timing
 
 GOLDEN = {
@@ -92,11 +91,7 @@ PEPIN_15_RESUMED = \
     "e779be0fe2944a029e0efe5df69b4a5163cd02c8cd9e92d1ed7c0b350ae7415c"
 
 
-@pytest.fixture(autouse=True)
-def fresh_prime_cache():
-    primality.reset_prime_cache()
-    yield
-    primality.reset_prime_cache()
+pytestmark = pytest.mark.usefixtures("fresh_prime_cache")
 
 
 def record_digest(*args: str) -> str:

@@ -17,11 +17,7 @@ from fermatlab.orders import order_alpha
 from fermatlab.primality import default_audit_bases
 
 
-@pytest.fixture(autouse=True)
-def fresh_prime_cache():
-    primality.reset_prime_cache()
-    yield
-    primality.reset_prime_cache()
+pytestmark = pytest.mark.usefixtures("fresh_prime_cache")
 
 
 class TestOrderAlpha:
@@ -205,7 +201,7 @@ class TestBlocks:
                                                       block):
         monkeypatch.setattr(arith, "CHAIN_BLOCK", block)
         counts = spy_on_squarings(monkeypatch)
-        blocks = arith.square_blocks([reduce_fold(3, 10)], 0, [1 << 10])
+        blocks = arith.square_blocks([3], [reduce_fold(3, 10)], 0, [1 << 10])
         for index, (x,) in blocks:
             break
         assert (index, counts) == (block, [block])
@@ -248,13 +244,14 @@ class TestBlocks:
 
 
 @pytest.mark.parametrize("n", range(5, 13))
-def test_known_factors_agree_with_the_chain(monkeypatch, n):
+def test_known_factors_agree_with_the_chain(monkeypatch, fresh_prime_cache,
+                                           n):
     bases = default_audit_bases() + [pseudoprime_base(n, p)
                                      for p in factors.KNOWN_FACTORS[n]]
     with_table = [order_alpha(n, base) for base in bases
                   if math.gcd(base, fermat_value(n)) == 1]
     monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
-    primality.reset_prime_cache()
+    fresh_prime_cache()
     assert with_table == [order_alpha(n, r.base) for r in with_table]
 
 

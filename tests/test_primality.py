@@ -37,11 +37,7 @@ from fermatlab.primality import (
 )
 
 
-@pytest.fixture(autouse=True)
-def fresh_prime_cache():
-    primality.reset_prime_cache()
-    yield
-    primality.reset_prime_cache()
+pytestmark = pytest.mark.usefixtures("fresh_prime_cache")
 
 
 class TestPepin:
@@ -451,7 +447,8 @@ class TestAuditPool:
     # for a pool (_POOL_MIN_COST)
     @pytest.mark.parametrize("bases", [[2, 3, 5, 114689], [2, 5, 7, 114689]],
                              ids=["with-base-3", "without-base-3"])
-    def test_pool_gives_the_same_report(self, monkeypatch, bases):
+    def test_pool_gives_the_same_report(self, monkeypatch, fresh_prime_cache,
+                                        bases):
         calls = spy_on_chains(monkeypatch)
         usable_cpus(monkeypatch, 1)
         alone = audit_range(self.GRID, bases)
@@ -462,7 +459,7 @@ class TestAuditPool:
             (n, b) for n in self.GRID for b in bases
             if (n, b) != (12, 114689))
         calls.clear()
-        primality.reset_prime_cache()
+        fresh_prime_cache()
         methods = spy_on_start_methods(monkeypatch)
         usable_cpus(monkeypatch, 2)
         pooled = audit_range(self.GRID, bases)
@@ -475,7 +472,8 @@ class TestAuditPool:
             == (False, 114689)
         assert all(primality._PRIME_CACHE[n] is False for n in self.GRID)
 
-    def test_process_with_threads_spawns_its_workers(self, monkeypatch):
+    def test_process_with_threads_spawns_its_workers(self, monkeypatch,
+                                                     fresh_prime_cache):
         calls = spy_on_chains(monkeypatch)
         methods = spy_on_start_methods(monkeypatch)
         usable_cpus(monkeypatch, 2)
@@ -490,7 +488,7 @@ class TestAuditPool:
         assert not thread.is_alive()
         assert methods == ["spawn"]
         assert calls == []
-        primality.reset_prime_cache()
+        fresh_prime_cache()
         usable_cpus(monkeypatch, 1)
         assert audit_range(self.GRID, [2, 3, 5, 114689]) == pooled
 
@@ -619,7 +617,6 @@ class TestPrimeCache:
             assert fermat_is_prime(n) == want
 
     def test_classify_seeds_cache(self):
-        primality.reset_prime_cache()
         classify_report(5, 3)
         assert primality._PRIME_CACHE[5] is False
 

@@ -2,12 +2,10 @@
 
 from conftest import SELFTEST_CHECKS
 
-from fermatlab import primality
 from fermatlab.selftest import SELFTEST_SEED, run_selftest
 
 
-def test_battery_passes():
-    primality.reset_prime_cache()
+def test_battery_passes(fresh_prime_cache):
     result = run_selftest()
     assert result.passed
     assert result.failures == ()

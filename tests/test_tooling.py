@@ -3,13 +3,18 @@
 pyproject.toml turns warnings into errors; a warning raised inside a
 pytest plugin's own hook would otherwise end the session with an
 INTERNALERROR and skip every test after it.
+
+Also rules on the source tree that no behaviour shows, read from its
+syntax tree.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
-CONFIG = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "pyproject.toml"
 
 FAILING_PROPERTY = '''
 from hypothesis import given, strategies as st
@@ -36,3 +41,34 @@ def test_failing_property_test_is_one_failure(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+class _Callers(ast.NodeVisitor):
+    """The scopes, as module.class.function, that call a given name."""
+
+    def __init__(self, module, name):
+        self.scope, self.name, self.found = [module], name, set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        if getattr(func, "attr", getattr(func, "id", None)) == self.name:
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_known_factor_check_runs_only_in_square_blocks_and_on_load():
+    # arith.square_blocks checks every residue a caller reads;
+    # load_checkpoint checks a residue read from a file
+    callers = set()
+    for path in sorted((ROOT / "src" / "fermatlab").glob("*.py")):
+        visitor = _Callers(path.stem, "check_known_factor")
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        callers |= visitor.found
+    assert callers == {"arith.square_blocks", "checkpoint.load_checkpoint"}
