@@ -19,28 +19,30 @@ and no reduction step, in its right-angle form:
 Every squaring is guarded: when the largest distance of a transform
 output from its rounded value exceeds MAX_ROUNDOFF (a NaN counts as
 exceeding it), or the carry does not settle within MAX_CARRY_PASSES,
-the squaring is redone from the previous digits by the integer multiply
-of arith and counted in `fallbacks`.  The distance is taken in place:
-the rounded values go to a buffer of their own, and the distances
-overwrite the product before one maximum is read.
+the squaring is refused, and so is the whole call: square_chain
+returns None at once, and arith squares the call again from its start,
+a lone chain on integers and a batch chain by chain.  The distance is
+taken in place: the rounded values go to a buffer of their own, and
+the distances overwrite the product before one maximum is read.
 
 `square_chain` runs a whole arith.mod_square_chain or mod_square_chains
 call: B residues at one index, one per row of a (B, L) digit array,
 squared together.  Every step above runs on the whole array (the FFTs
 along its last axis), so numpy's fixed cost per squaring is paid once
 for the B chains; a single chain is the batch of one.  The guard is
-taken over the whole batch, and a failed guard redoes that squaring of
-every row on integers, counted once.  A call converts the batch to
-digits once, squares `count` times and converts back once.  Both
-conversions take the whole batch through one bytes string (to_bytes of
-each residue joined, and one numpy read of it; one tobytes per sign,
-sliced per row for from_bytes) and are linear in N.  Each call
-allocates its work arrays (`_Work`) once and every squaring of the
-call reuses them: the transform, the rounding and the carry all write
-with out= or in place, with no temporaries.  They are not part of the
-cached plan, so chains in two threads share nothing they write.
-numpy (>= 2.0, for out= on its FFT) is imported here, and this module
-only on the first chain that uses it.
+taken over the whole batch, so one bad row refuses the call for every
+row.  A call converts the batch to digits once, squares `count` times
+and converts back once.  Both conversions take the whole batch through
+one bytes string (to_bytes of each residue joined, and one numpy read
+of it; one tobytes per sign, sliced per row for from_bytes) and are
+linear in N.  Each call allocates its work arrays (`_Work`) once and
+every squaring of the call reuses them: the transform, the rounding
+and the carry all write with out= or in place, with no temporaries.
+They are not part of the cached plan, and the module keeps no state
+of its own, so chains in two threads share nothing they write.  Beyond
+the standard library it imports numpy alone (>= 2.0, for out= on its
+FFT), and arith imports this module only on the first chain that uses
+it.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ import functools
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
-
-from .arith import _mulmod
 
 # the FFTs write with out=, new in numpy 2.0; with an older numpy,
 # arith squares on integers as it does without numpy
@@ -66,11 +66,6 @@ MAX_ROUNDOFF = 0.35
 # a real product settles in 3 or 4 passes; past 8 the carry is rippling
 # along the digits
 MAX_CARRY_PASSES = 8
-
-# Squarings redone by the integer multiply because the guard failed,
-# counted over the life of the process, once per batch whatever its
-# number of rows.
-fallbacks = 0
 
 _HALF = 1 << (DIGIT_BITS - 1)
 _MASK = (1 << DIGIT_BITS) - 1
@@ -138,8 +133,8 @@ class _Work:
         self.z = np.empty((rows, plan.digits // 2), np.complex128)
         self.product = np.empty((rows, plan.digits))
         self.rounded = np.empty((rows, plan.digits))
-        # the next digits; a squaring that passes the guard swaps it
-        # with the digits it squared
+        # the next digits; a squaring that passes the roundoff test
+        # swaps it with the digits it squared
         self.spare = np.empty((rows, plan.digits), np.int64)
         self.high = np.empty((rows, plan.digits), np.int64)
 
@@ -189,8 +184,9 @@ def _carry(values: np.ndarray, work: _Work) -> Optional[np.ndarray]:
     return None
 
 
-def _square(digits: np.ndarray, work: _Work) -> np.ndarray:
-    global fallbacks
+def _square(digits: np.ndarray, work: _Work) -> Optional[np.ndarray]:
+    """The squared digits of each row, or None when the guard refuses
+    the squaring."""
     product = _transform(digits, work)
     rounded = work.rounded
     np.rint(product, out=rounded)
@@ -198,28 +194,24 @@ def _square(digits: np.ndarray, work: _Work) -> np.ndarray:
     np.subtract(product, rounded, out=product)
     np.abs(product, out=product)
     # written so that a NaN anywhere fails it
-    if product.max() <= MAX_ROUNDOFF:
-        values = work.spare
-        values[:] = rounded
-        carried = _carry(values, work)
-        if carried is not None:
-            work.spare = digits
-            return carried
-    fallbacks += 1
-    plan = work.plan
-    digits[:] = to_digits([_mulmod(value, value, plan.width, plan.top,
-                                   plan.top - 1)
-                           for value in to_int(digits, plan)], plan)
-    return digits
+    if not product.max() <= MAX_ROUNDOFF:
+        return None
+    values = work.spare
+    values[:] = rounded
+    work.spare = digits
+    return _carry(values, work)
 
 
-def square_chain(values: Sequence[int], count: int, n: int) -> List[int]:
+def square_chain(values: Sequence[int], count: int,
+                 n: int) -> Optional[List[int]]:
     """value^(2^count) modulo F_n for each of one or more values in
     [0, 2^N], by `count` squarings of their balanced digits, all
-    values at once."""
+    values at once; None as soon as the guard refuses a squaring."""
     plan = _plan(n)
     work = _Work(plan, len(values))
     digits = to_digits(values, plan)
     for _ in range(count):
         digits = _square(digits, work)
+        if digits is None:
+            return None
     return to_int(digits, plan)

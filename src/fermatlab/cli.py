@@ -102,7 +102,7 @@ def _at_least(kind, low):
 def cmd_pepin(args: argparse.Namespace) -> int:
     from . import records
     from .checkpoint import ChainPaused, CheckpointWriter
-    from .primality import PEPIN_ADMISSIBLE_BASES, pepin_test
+    from .primality import PEPIN_ADMISSIBLE_BASES, check_pepin, pepin_test
     t0 = time.perf_counter()
     writer: Optional[CheckpointWriter] = None
     if args.stop_after is not None and args.checkpoint_dir is None:
@@ -110,6 +110,9 @@ def cmd_pepin(args: argparse.Namespace) -> int:
              "somewhere to be resumable)")
         return EXIT_USAGE
     if args.checkpoint_dir is not None:
+        # a refused n or base exits 2 before the writer makes the
+        # directory or loads a file from it
+        check_pepin(args.n, args.base, args.allow_any_base)
         # an option left out keeps the writer's default cadence
         cadence = {key: value for key, value in (
             ("every_squarings", args.checkpoint_every),

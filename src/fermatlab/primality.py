@@ -214,6 +214,20 @@ def _batch_taps(n: int, bases: Sequence[int]) -> List[ChainTaps]:
             for quarter, half, full in zip(quarters, halves, fulls)]
 
 
+def check_pepin(n: int, base: int, allow_any_base: bool) -> FermatResidue:
+    """Raise for the index or base that pepin_test would refuse, in its
+    order: the index, the base's sign, admissibility, coprimality.
+    Else the start of the chain, base modulo F_n (require_coprime)."""
+    check_chain_index(n)
+    _check_base(base)
+    if base not in PEPIN_ADMISSIBLE_BASES and not allow_any_base:
+        raise NonAdmissibleBaseError(
+            f"base 0x{base:x} is not in the admissible set "
+            f"{sorted(PEPIN_ADMISSIBLE_BASES)}; the any-base override "
+            f"runs it anyway but the result carries no primality claim")
+    return require_coprime(n, base)
+
+
 def pepin_test(n: int, base: int = 3, allow_any_base: bool = False,
                checkpoints=None) -> Tuple[bool, FermatResidue]:
     """Half-residue primality test: F_n prime iff base^((F_n-1)/2) = -1.
@@ -228,14 +242,7 @@ def pepin_test(n: int, base: int = 3, allow_any_base: bool = False,
     checks every block's end against the known factors of F_n and
     raises CheckpointError for a wrong residue.
     """
-    check_chain_index(n)
-    _check_base(base)
-    if base not in PEPIN_ADMISSIBLE_BASES and not allow_any_base:
-        raise NonAdmissibleBaseError(
-            f"base 0x{base:x} is not in the admissible set "
-            f"{sorted(PEPIN_ADMISSIBLE_BASES)}; the any-base override "
-            f"runs it anyway but the result carries no primality claim")
-    start = require_coprime(n, base)
+    start = check_pepin(n, base, allow_any_base)
     total = (1 << n) - 1
     if checkpoints is None:
         for _, (half,) in square_blocks([base], [start], 0, [total]):
@@ -381,7 +388,7 @@ def audit_range(n_values, bases) -> AuditReport:
     records the gcd (a factor of F_n!).  Any violation in any row makes
     all_passed false; the caller decides how loud to be about it.
     """
-    n_values = list(n_values)
+    n_values, bases = list(n_values), list(bases)
     check_audit_grid(n_values, bases)
     gcds = {(n, base): gcd(base, fermat_value(n))
             for n in set(n_values) for base in bases}

@@ -310,6 +310,28 @@ class TestPepinCheckpointFlow:
         assert (res.code, res.stdout) == (2, "")
         assert flag.split("=")[0] in res.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("30",), ("1",), ("5", "--base", "7"), ("5", "--base=-3"),
+        ("5", "--base", "641", "--allow-any-base")],
+        ids=["n-past-max", "n-below-2", "non-admissible", "negative",
+             "not-coprime"])
+    def test_refused_chain_makes_no_directory(self, tmp_path, args):
+        target = tmp_path / "ck"
+        res = run_cli("pepin", *args, "--checkpoint-dir", str(target))
+        assert (res.code, res.stdout) == (2, "")
+        assert not target.exists()
+
+    def test_refused_base_beside_a_broken_file_is_a_usage_error(
+            self, tmp_path):
+        # the base is refused before the file is read
+        target = tmp_path / checkpoint_filename(5, 7)
+        target.write_text("{not json", encoding="utf-8")
+        res = run_cli("pepin", "5", "--base", "7",
+                      "--checkpoint-dir", str(tmp_path))
+        assert (res.code, res.stdout) == (2, "")
+        assert "admissible" in res.stderr
+        assert list(tmp_path.iterdir()) == [target]
+
     def test_index_past_half_chain_refused(self, tmp_path):
         # the n=5 half chain is 31 squarings, so index 32 cannot be real
         save_checkpoint(Checkpoint.capture(5, 3, 32, 5), tmp_path)

@@ -2,8 +2,9 @@
 
 The integer multiply of arith (`_mulmod`) is the reference: every chain
 run on the FFT backend, alone or in a batch, must give the same
-residues, at every step, also when the roundoff guard fires and the
-squaring is redone on integers.
+residues, at every step, also when the roundoff guard refuses a
+squaring: the kernel then refuses its whole call, and arith squares the
+call again on integers.
 Chains below the crossover go through `mod_square_chain` with
 `arith.FFT_MIN_INDEX` lowered to the backend's own minimum, so they run
 the production call.
@@ -72,26 +73,33 @@ class TestAgainstIntegerChain:
         n = data.draw(st.integers(min_value=_fft.MIN_INDEX, max_value=16))
         value = data.draw(edge_or_any(n))
         count = data.draw(st.integers(min_value=0, max_value=24))
-        before = _fft.fallbacks
-        assert fft_chain(value, n, count) == int_chain(value, n, count)
-        # real residues stay far below the roundoff limit
-        assert _fft.fallbacks == before
+        expected = int_chain(value, n, count)
+        assert fft_chain(value, n, count) == expected
+        # real residues stay far below the roundoff limit: the kernel
+        # refuses no call
+        assert _fft.square_chain([value], count, n) == [expected]
 
     def test_order_after_fallbacks(self, monkeypatch):
-        # every squaring is redone on integers and reloaded by to_digits;
-        # 2 has order 2^(n + 1)
-        real = _fft._transform
+        # every kernel call is refused at its first squaring and squared
+        # again on integers; 2 has order 2^(n + 1)
+        real, real_chain = _fft._transform, _fft.square_chain
+        results = []
 
         def half_off(digits, plan):
             product = real(digits, plan)
             _half_off(product)
             return product
 
+        def spy(values, count, n):
+            results.append(real_chain(values, count, n))
+            return results[-1]
+
         monkeypatch.setattr(_fft, "_transform", half_off)
+        monkeypatch.setattr(_fft, "square_chain", spy)
         monkeypatch.setattr(arith, "FFT_MIN_INDEX", _fft.MIN_INDEX)
-        before = _fft.fallbacks
         assert order_alpha(10, 2).alpha == 11
-        assert _fft.fallbacks > before
+        assert results
+        assert all(result is None for result in results)
 
     def test_index_below_minimum_refused(self):
         with pytest.raises(ValueError):
@@ -135,11 +143,10 @@ class TestNoSharedState:
         got = {}
 
         def run(value):
-            got[value], = _fft.square_chain([value], count, n)
+            got[value] = _fft.square_chain([value], count, n)
 
         threads = [threading.Thread(target=run, args=(value,))
                    for value in values]
-        before = _fft.fallbacks
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -150,17 +157,15 @@ class TestNoSharedState:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert got == {value: pow(value, 1 << count, modulus)
+        # each thread's own result, not refused (None)
+        assert got == {value: [pow(value, 1 << count, modulus)]
                        for value in values}
-        assert _fft.fallbacks == before
 
     def test_chain_at_18(self):
         # the property tests stop at n = 16
         n = 18
         value = random.Random(n).getrandbits(1 << n)
-        before = _fft.fallbacks
         assert _fft.square_chain([value], 64, n) == [int_chain(value, n, 64)]
-        assert _fft.fallbacks == before
 
 
 def _half_off(product):
@@ -200,10 +205,14 @@ class TestRoundoffGuard:
             return product
 
         monkeypatch.setattr(_fft, "_transform", faulty)
-        before = _fft.fallbacks
+        # the kernel stops at the first faulty step and refuses the call
+        assert _fft.square_chain([3], self.COUNT, self.N) is None
+        assert calls[0] == min(steps)
+        calls[0] = 0
         got = fft_chain(3, self.N, self.COUNT)
         assert got == int_chain(3, self.N, self.COUNT)
-        assert _fft.fallbacks - before == len(steps)
+        # ... and mod_square_chain squares it again on integers
+        assert calls[0] == min(steps)
 
 
 class TestBatches:
@@ -216,20 +225,19 @@ class TestBatches:
         rng = random.Random(100 * n + rows)
         values = [top, 0, 1, *(rng.randrange(top + 1)
                                for _ in range(rows))][:rows]
-        before = _fft.fallbacks
         got = _fft.square_chain(values, self.COUNT, n)
         assert got == [_fft.square_chain([value], self.COUNT, n)[0]
                        for value in values]
         assert got == [int_chain(value, n, self.COUNT) for value in values]
         assert got == [pow(value, 1 << self.COUNT, top + 1)
                        for value in values]
-        assert _fft.fallbacks == before
 
     @pytest.mark.parametrize("fault", [_half_off, _nan, _ripple],
                              ids=["roundoff-0.5", "nan", "carry-unsettled"])
     def test_fault_in_one_row_redoes_the_batch(self, monkeypatch, fault):
-        # the guard is taken over the whole batch, so one bad row sends
-        # that squaring of every row to the integer multiply, once
+        # the guard is taken over the whole batch, so one bad row
+        # refuses the call for every row, and mod_square_chains squares
+        # the batch again chain by chain
         n, rows, step = 10, 7, 5
         top = 1 << (1 << n)
         values = [top, 0, 1, *range(3, 3 + rows - 3)]
@@ -244,10 +252,16 @@ class TestBatches:
             return product
 
         monkeypatch.setattr(_fft, "_transform", faulty)
-        before = _fft.fallbacks
-        got = _fft.square_chain(values, self.COUNT, n)
-        assert got == [int_chain(value, n, self.COUNT) for value in values]
-        assert _fft.fallbacks - before == 1
+        assert _fft.square_chain(values, self.COUNT, n) is None
+        assert calls[0] == step
+        calls[0] = 0
+        # the batch on the FFT, a lone chain at n = 10 on integers
+        monkeypatch.setitem(arith.FFT_MIN_BATCH, n, rows)
+        got = arith.mod_square_chains(
+            [FermatResidue(n, value) for value in values], self.COUNT)
+        assert [a.value for a in got] \
+            == [int_chain(value, n, self.COUNT) for value in values]
+        assert calls[0] == step
 
     def test_backend_follows_index_and_batch(self, monkeypatch):
         calls = []

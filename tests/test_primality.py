@@ -288,6 +288,11 @@ class TestRealAudits:
         assert report.all_passed
         assert len(report.rows) == 9
 
+    def test_bases_may_be_an_iterator(self):
+        # read once into a list: checking them must not use them up
+        assert audit_range(range(5, 7), iter([2, 3, 5])) \
+            == audit_range(range(5, 7), [2, 3, 5])
+
     def test_one_chain_per_row(self, monkeypatch):
         # the base-3 row decides primality for the other bases of its n,
         # so no row pays for a second chain

@@ -43,6 +43,11 @@ def test_failing_property_test_is_one_failure(tmp_path):
     assert "1 failed, 1 passed" in proc.stdout
 
 
+def _syntax_trees():
+    for path in sorted((ROOT / "src" / "fermatlab").glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
 class _Callers(ast.NodeVisitor):
     """The scopes, as module.class.function, that call a given name."""
 
@@ -67,8 +72,30 @@ def test_known_factor_check_runs_only_in_square_blocks_and_on_load():
     # arith.square_blocks checks every residue a caller reads;
     # load_checkpoint checks a residue read from a file
     callers = set()
-    for path in sorted((ROOT / "src" / "fermatlab").glob("*.py")):
-        visitor = _Callers(path.stem, "check_known_factor")
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+    for module, tree in _syntax_trees():
+        visitor = _Callers(module, "check_known_factor")
+        visitor.visit(tree)
         callers |= visitor.found
     assert callers == {"arith.square_blocks", "checkpoint.load_checkpoint"}
+
+
+def test_no_module_keeps_global_state():
+    # a chain's results and counts come back from its calls
+    assert [module for module, tree in _syntax_trees()
+            for node in ast.walk(tree) if isinstance(node, ast.Global)] == []
+
+
+def _imports_fermatlab(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 \
+            or (node.module or "").partition(".")[0] == "fermatlab"
+    return isinstance(node, ast.Import) and any(
+        alias.name.partition(".")[0] == "fermatlab" for alias in node.names)
+
+
+def test_fft_kernel_imports_no_fermatlab_module():
+    # the kernel squares digits and refuses a bad squaring; arith owns
+    # the integers, and squares a refused call on them
+    tree = dict(_syntax_trees())["_fft"]
+    assert [ast.unparse(node) for node in ast.walk(tree)
+            if _imports_fermatlab(node)] == []
