@@ -11,24 +11,24 @@ Exponents of interest here are all powers of two, so they are never
 materialised as integers: callers pass a squaring count instead
 (mod_square_chain).  (F_n - 1)/4 is "2^n - 2 squarings", not a number.
 
-mod_square_chain squares one residue and mod_square_chains one or more
-at one index; they are the only calls that square modulo F_n.  Each
-hands the whole call to one backend, picked from n and the number of
-chains (chain_backend): the negacyclic FFT of _fft.py, which squares a
-batch together, from n = FFT_MIN_INDEX on and for at least
+mod_square_chains squares one or more residues at one index; it is the
+one routine that squares modulo F_n, and mod_square_chain is its batch
+of one.  It hands the whole call to one backend, picked from n and the
+number of chains (chain_backend): the negacyclic FFT of _fft.py, which
+squares a batch together, from n = FFT_MIN_INDEX on and for at least
 FFT_MIN_BATCH[n] chains below it, when numpy imports; otherwise the
 integer multiply here, chain by chain.  When the FFT's roundoff guard
-refuses a squaring, the FFT refuses the whole call and it is squared
-again here: a lone chain on the integer multiply, a batch chain by
-chain through mod_square_chain.  A refused block costs its FFT
-squarings up to the refusal plus CHAIN_BLOCK on integers: 5.5-15 ms at
-n = 14 against 2.9-4.6 ms on the FFT, and 0.48-0.75 s at n = 18
-against 28-33 ms (best of 7 and of 3, in two sittings on 2 cores).
-The guard has not fired on a real chain.  They only square.
+refuses a squaring, the FFT refuses the whole call, and every chain of
+it is squared again here on the integer multiply, with no second FFT
+attempt.  A refused block of one chain costs its FFT squarings up to
+the refusal plus CHAIN_BLOCK on integers: 5.5-15 ms at n = 14 against
+2.9-4.6 ms on the FFT, and 0.48-0.75 s at n = 18 against 28-33 ms
+(best of 7 and of 3, in two sittings on 2 cores).  The guard has not
+fired on a real chain.  It only squares.
 
 square_blocks drives every chain of the library: it advances one or
 more chains from an index through the stops its caller names, in
-mod_square_chains calls that end at each stop and at each multiple of
+squaring calls that end at each stop and at each multiple of
 CHAIN_BLOCK, and yields between calls, where the caller acts (reads a
 tap, tests for 1, writes a checkpoint) or leaves.  Before it yields it
 checks the residues against the known factors of F_n
@@ -79,7 +79,7 @@ FFT_MIN_INDEX = 14
 # took 0.28 s against 0.25 s, so n = 11 waits for B = 50.
 FFT_MIN_BATCH = {11: 50, 12: 8, 13: 2}
 
-# The longest mod_square_chains call of square_blocks, which also ends
+# The longest squaring call of square_blocks, which also ends
 # its calls at the multiples of CHAIN_BLOCK.  One call's own cost
 # (backend choice, digit conversions, residue) against that of 64
 # squarings, best of 5-7 on 2 cores, in two sessions: 3 us vs 38 us at
@@ -276,10 +276,10 @@ def mod_square_chains(residues: Sequence[FermatResidue],
     """a^(2^count) mod F_n for each of one or more residues a at one
     index n, by `count` successive squarings.
 
-    Where chain_backend squares the batch on the FFT, all residues are
-    squared together; a single residue, a batch left to the integer
-    multiply, or a batch the FFT refused, goes chain by chain through
-    mod_square_chain, so that a lone chain has one way in.
+    The one routine that squares: chain_backend picks the backend from
+    n and the number of residues, one included.  The FFT squares them
+    all together; without it, or when it refuses the call, they are
+    squared on the integer multiply, chain by chain, from the start.
     """
     if count < 0:
         raise ValueError(f"squaring count must be >= 0, got {count}")
@@ -287,11 +287,18 @@ def mod_square_chains(residues: Sequence[FermatResidue],
     if any(a.n != n for a in residues):
         raise ModulusMismatchError(
             "cannot square residues mod different F_n together")
-    fft = chain_backend(n, len(residues)) if len(residues) > 1 else None
-    squared = None if fft is None else fft.square_chain(
-        [a.value for a in residues], count, n)
+    values = [a.value for a in residues]
+    fft = chain_backend(n, len(values))
+    squared = None if fft is None else fft.square_chain(values, count, n)
     if squared is None:
-        return [mod_square_chain(a, count) for a in residues]
+        width = 1 << n
+        top = 1 << width
+        mask = top - 1
+        squared = []
+        for x in values:
+            for _ in range(count):
+                x = _mulmod(x, x, width, top, mask)
+            squared.append(x)
     return [FermatResidue(n, x) for x in squared]
 
 
@@ -301,23 +308,9 @@ def mod_square_chain(a: FermatResidue, count: int) -> FermatResidue:
     This is how every exponent in this library is realised: the Fermat
     congruence exponent F_n - 1 is 2^n squarings, the Pepin exponent
     (F_n - 1)/2 is 2^n - 1, the quarter exponent (F_n - 1)/4 is 2^n - 2.
-    On the FFT it is the batch of one; a call the FFT refuses is
-    squared again on the integer multiply.
+    It is the batch of one of mod_square_chains.
     """
-    if count < 0:
-        raise ValueError(f"squaring count must be >= 0, got {count}")
-    n = a.n
-    fft = chain_backend(n, 1)
-    squared = None if fft is None else fft.square_chain([a.value], count, n)
-    if squared is not None:
-        return FermatResidue(n, squared[0])
-    width = 1 << n
-    top = 1 << width
-    mask = top - 1
-    x = a.value
-    for _ in range(count):
-        x = _mulmod(x, x, width, top, mask)
-    return FermatResidue(n, x)
+    return mod_square_chains([a], count)[0]
 
 
 def square_blocks(bases: Sequence[int], residues: Sequence[FermatResidue],
@@ -325,7 +318,9 @@ def square_blocks(bases: Sequence[int], residues: Sequence[FermatResidue],
                   ) -> Iterator[Tuple[int, List[FermatResidue]]]:
     """Square residues, the entries at `index` of the chains of `bases`
     at one n, through each of the ascending `stops`, and yield (index,
-    residues) after each mod_square_chains call.
+    residues) after each squaring call: mod_square_chain for a lone
+    chain, mod_square_chains for a batch.  Bases and residues pair one
+    to one; lists of two lengths raise ValueError before any squaring.
 
     A call ends at every stop and at every multiple of CHAIN_BLOCK, so
     none is longer than CHAIN_BLOCK squarings; stops at or below index
@@ -343,12 +338,19 @@ def square_blocks(bases: Sequence[int], residues: Sequence[FermatResidue],
     """
     # factors imports this module
     from .factors import check_known_factor
+    if len(bases) != len(residues):
+        raise ValueError(f"{len(bases)} bases for {len(residues)} chains")
+    # A lone chain is squared through mod_square_chain, where
+    # clibench/tracer.py counts squarings and tests inject lone-chain
+    # faults, and is checked at every block end.
+    lone = len(residues) == 1
     for stop in stops:
         while index < stop:
             end = min(stop, (index // CHAIN_BLOCK + 1) * CHAIN_BLOCK)
-            residues = mod_square_chains(residues, end - index)
+            residues = [mod_square_chain(residues[0], end - index)] \
+                if lone else mod_square_chains(residues, end - index)
             index = end
-            if index == stop or len(residues) == 1:
+            if lone or index == stop:
                 for base, x in zip(bases, residues):
                     check_known_factor(x.n, base, index, x.value,
                                        f"chain residue of base 0x{base:x}")

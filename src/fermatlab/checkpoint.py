@@ -177,8 +177,8 @@ def load_matching(directory: Path, n: int, base: int) -> Optional[Checkpoint]:
     cp = load_checkpoint(path)
     if (cp.n, cp.base) != (n, base):
         raise CheckpointError(
-            f"checkpoint {path} describes chain "
-            f"(n={cp.n}, base={cp.base}), expected (n={n}, base={base})")
+            f"checkpoint {path} describes chain (n={cp.n}, "
+            f"base=0x{cp.base:x}), expected (n={n}, base=0x{base:x})")
     return cp
 
 

@@ -59,12 +59,24 @@ def _emit(doc: Dict[str, object], fmt: str) -> None:
         sys.stdout.write(render_text(doc))
 
 
+def _parse_base(text: str) -> int:
+    """A base in decimal, or in hex after 0x or 0X as the records print
+    bases; only hex gets past int()'s cap of 4300 decimal digits."""
+    if text[:2] in ("0x", "0X"):
+        digits = text[2:]
+        if digits and set(digits) <= set("0123456789abcdefABCDEF"):
+            return int(digits, 16)
+    else:
+        with contextlib.suppress(ValueError):
+            return int(text)
+    raise argparse.ArgumentTypeError(
+        "expected an integer, in decimal (at most 4300 digits) or as 0x "
+        f"and hex digits, got {text!r}")
+
+
 def _parse_bases(text: str) -> List[int]:
-    try:
-        bases = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+    bases = [_parse_base(part.strip()) for part in text.split(",")
+             if part.strip()]
     if not bases:
         raise argparse.ArgumentTypeError("base list is empty")
     return bases
@@ -122,7 +134,7 @@ def cmd_pepin(args: argparse.Namespace) -> int:
             stop_after=args.stop_after, **cadence)
         cp = writer.resumed
         if cp is not None:
-            _log(f"resuming n={args.n} base={args.base} from squaring "
+            _log(f"resuming n={args.n} base=0x{args.base:x} from squaring "
                  f"{cp.squaring_index} (checkpoint of {cp.created_at})")
     try:
         prime, half = pepin_test(args.n, args.base,
@@ -232,15 +244,14 @@ def render_text(doc: Dict[str, object]) -> str:
                      f"{doc['n_range'][1]} bases={len(doc['bases'])} "
                      f"all_passed={doc['all_passed']}")
         for row in doc["rows"]:
-            base10 = int(row["base"], 16)
             if not row["coprime"]:
-                lines.append(f"  n={row['n']} base={base10} "
+                lines.append(f"  n={row['n']} base=0x{row['base']} "
                              f"NOT COPRIME gcd=0x{row['gcd']}")
                 continue
             failed = [r["rule"] for r in row["rules"] if not r["passed"]]
             status = "FAIL " + ",".join(failed) if failed else "ok"
             lines.append(
-                f"  n={row['n']} base={base10} "
+                f"  n={row['n']} base=0x{row['base']} "
                 f"quarter={row['quarter_tag']} "
                 f"congruence={row['fermat_congruence_holds']} "
                 f"prime={row['pepin_prime']} "
@@ -291,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pepin", parents=[common],
                        help="half-residue primality test (n >= 2)")
     p.add_argument("n", type=int)
-    p.add_argument("--base", type=int, default=3,
+    p.add_argument("--base", type=_parse_base, default=3,
                    help="admissible bases: 3, 5, 10 (default 3)")
     p.add_argument("--allow-any-base", action="store_true",
                    help="run a non-admissible base anyway; the result "
@@ -317,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full verdict: primality, congruence, "
                             "quarter residue, rule audit")
     p.add_argument("n", type=int)
-    p.add_argument("--base", type=int, default=3)
+    p.add_argument("--base", type=_parse_base, default=3)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("audit", parents=[common],
@@ -343,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order", parents=[common],
                        help="multiplicative order as a power of two")
     p.add_argument("n", type=int)
-    p.add_argument("--base", type=int, default=3)
+    p.add_argument("--base", type=_parse_base, default=3)
     p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("selftest", parents=[common],

@@ -105,7 +105,8 @@ def fresh_prime_cache(monkeypatch):
 def spy_on_squarings(monkeypatch):
     """The count of every chain squared by an arith.mod_square_chains
     call, one entry per chain: every chain of the library is squared by
-    arith.square_blocks, which makes such calls only."""
+    arith.square_blocks, through mod_square_chains or, for a lone chain,
+    through mod_square_chain, its batch of one."""
     counts = []
     real = arith.mod_square_chains
 

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import spy_on_squarings
+
 from fermatlab import arith, oracle
 from fermatlab.arith import (
     FermatResidue,
@@ -222,3 +224,16 @@ class TestSquareChain:
         count = data.draw(st.integers(min_value=0, max_value=40))
         got = mod_square_chain(reduce_fold(base, n), count).value
         assert got == oracle.naive_pow(base, 1 << count, fermat_value(n))
+
+
+class TestSquareBlocks:
+    @pytest.mark.parametrize("bases, values", [([3, 5], [3]), ([3], [3, 5])],
+                             ids=["base-without-chain", "chain-without-base"])
+    def test_bases_pair_one_to_one_with_residues(self, monkeypatch, bases,
+                                                 values):
+        counts = spy_on_squarings(monkeypatch)
+        blocks = arith.square_blocks(
+            bases, [FermatResidue(5, v) for v in values], 0, [10])
+        with pytest.raises(ValueError, match="bases for"):
+            next(blocks)
+        assert counts == []

@@ -231,6 +231,17 @@ class TestLoadMatching:
         with pytest.raises(CheckpointError, match="describes chain"):
             load_matching(tmp_path, 10, 5)
 
+    def test_mismatch_names_bases_in_hex(self, tmp_path):
+        # a base past int()'s 4300-digit cap on decimal strings
+        big = 7 ** 5300
+        path = save_checkpoint(make_checkpoint(), tmp_path)
+        path.rename(tmp_path / checkpoint_filename(10, big))
+        with pytest.raises(CheckpointError) as err:
+            load_matching(tmp_path, 10, big)
+        assert str(err.value).endswith(
+            f"describes chain (n=10, base=0x3), expected "
+            f"(n=10, base=0x{big:x})")
+
 
 def old_rule(start, total, every, stop_after):
     """Writes and pause index of the per-squaring writer that the block

@@ -7,10 +7,10 @@ import os
 import jsonschema
 import pytest
 
-from conftest import SELFTEST_CHECKS, run_cli, run_cli_subprocess, \
-    spy_on_squarings
+from conftest import SELFTEST_CHECKS, pseudoprime_base, run_cli, \
+    run_cli_subprocess, spy_on_squarings
 
-from fermatlab import arith, primality
+from fermatlab import arith, factors, primality, records
 from fermatlab.arith import FermatResidue, fermat_value
 from fermatlab.checkpoint import (
     Checkpoint,
@@ -19,7 +19,7 @@ from fermatlab.checkpoint import (
     save_checkpoint,
 )
 from fermatlab.factors import CandidateDivisor
-from fermatlab.primality import default_audit_bases
+from fermatlab.primality import classify_report, default_audit_bases
 from fermatlab.records import strip_timing
 
 
@@ -662,6 +662,67 @@ class TestTextFormat:
                       "--format", "text").stdout
         assert out.splitlines()[1] == \
             "  k=5 p=641 prime=True form_valid=True"
+
+
+class TestHexBases:
+    """--base and each --bases entry also take 0x or 0X and hex digits,
+    the form in which the records print bases.  int() refuses decimal
+    strings past 4300 digits, so hex is the only way in for the base of
+    F_14's constructed pseudoprime (conftest.pseudoprime_base)."""
+
+    @pytest.mark.parametrize("command, hexed, decimal", [
+        ("pepin 5 --base", "0x3", "3"),
+        ("classify 5 --base", "0X3", "3"),
+        ("order 5 --base", "0xa", "10"),
+        ("audit --n-range 5 --bases", "0x2,3", "2,3"),
+        ("audit --n-range 5 --bases", "2, 0XA", "2,10")],
+        ids=["pepin", "classify", "order", "audit", "audit-upper"])
+    def test_hex_gives_the_decimal_record(self, command, hexed, decimal):
+        got = run_cli(*command.split(), hexed)
+        want = run_cli(*command.split(), decimal)
+        assert got.code == want.code == 0
+        assert strip_timing(got.json()) == strip_timing(want.json())
+
+    @pytest.mark.parametrize("text", ["0x", "0xg", "0x-3", "0x 3", "0x3_0",
+                                      "x3"])
+    def test_malformed_hex_is_a_usage_error(self, text):
+        assert run_cli("classify", "5", "--base", text).code == 2
+        assert run_cli("audit", "--n-range", "5", "--bases",
+                       f"2,{text}").code == 2
+
+    def test_pseudoprime_base_past_the_decimal_cap(self):
+        n = 14
+        base = pseudoprime_base(n, factors.KNOWN_FACTORS[n][0])
+        res = run_cli("classify", str(n), "--base", f"0x{base:x}")
+        assert res.code == 0
+        doc = res.json()
+        assert strip_timing(doc) == strip_timing(
+            records.classify_record(classify_report(n, base), 0.0))
+        assert doc["classification"] == "pseudoprime-to-base"
+        assert doc["audit_rules"] \
+            and all(r["passed"] for r in doc["audit_rules"])
+
+    def test_resume_is_logged_in_hex(self, tmp_path):
+        n = 14
+        base = pseudoprime_base(n, factors.KNOWN_FACTORS[n][0])
+        args = ("pepin", str(n), "--base", f"0x{base:x}", "--allow-any-base",
+                "--checkpoint-dir", str(tmp_path), "--stop-after", "64")
+        assert run_cli(*args).code == 0
+        again = run_cli(*args)
+        assert again.code == 0
+        assert f"resuming n={n} base=0x{base:x} from squaring 64" \
+            in again.stderr
+
+    def test_text_audit_rows_name_bases_in_hex(self):
+        # a base past the decimal cap that shares F_5's factor 641 gets
+        # a row with no chain
+        big = 641 << 16000
+        out = run_cli("audit", "--n-range", "5", "--bases",
+                      f"2,0x{big:x}", "--format", "text")
+        assert out.code == 0
+        rows = out.stdout.splitlines()[1:]
+        assert rows[0].startswith("  n=5 base=0x2 quarter=plus-one ")
+        assert rows[1] == f"  n=5 base=0x{big:x} NOT COPRIME gcd=0x281"
 
 
 class TestUsageSurface:

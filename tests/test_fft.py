@@ -263,6 +263,32 @@ class TestBatches:
             == [int_chain(value, n, self.COUNT) for value in values]
         assert calls[0] == step
 
+    @pytest.mark.parametrize("fault", [_half_off, _nan, _ripple],
+                             ids=["roundoff-0.5", "nan", "carry-unsettled"])
+    def test_refused_batch_goes_straight_to_integers(self, monkeypatch,
+                                                     fault):
+        # at n = 14 a lone chain runs on the FFT as well; a refused
+        # batch is squared on integers, with no second FFT attempt
+        n, count, step = 14, 64, 5
+        top = 1 << (1 << n)
+        values = [3, top, random.Random(n).randrange(top + 1)]
+        real = _fft._transform
+        calls = [0]
+
+        def faulty(digits, work):
+            calls[0] += 1
+            product = real(digits, work)
+            if calls[0] >= step:
+                fault(product)
+            return product
+
+        monkeypatch.setattr(_fft, "_transform", faulty)
+        got = arith.mod_square_chains(
+            [FermatResidue(n, value) for value in values], count)
+        assert [a.value for a in got] \
+            == [pow(value, 1 << count, top + 1) for value in values]
+        assert calls[0] == step
+
     def test_backend_follows_index_and_batch(self, monkeypatch):
         calls = []
         real = _fft.square_chain

@@ -10,7 +10,7 @@ from conftest import FULL_CRT_ALPHAS, KNOWN_FACTORS, \
     complete_factorisation, full_crt_base, pseudoprime_base, run_cli, \
     spy_on_squarings, v2
 
-from fermatlab import arith, factors, oracle, primality, records
+from fermatlab import arith, factors, oracle, primality
 from fermatlab.arith import FermatResidue, fermat_value, max_index, \
     reduce_fold
 from fermatlab.errors import (
@@ -352,18 +352,11 @@ class TestConstructedPseudoprimeBases:
     @pytest.mark.parametrize("n, p, alpha", KNOWN_FACTORS)
     def test_audit_row(self, n, p, alpha):
         base = pseudoprime_base(n, p)
-        try:
-            bases = f"5,{base}"
-        except ValueError:
-            # more than 4300 decimal digits, which the CLI cannot parse
-            # (a known defect), so the record is built here
-            doc = records.audit_record(audit_range([n], [5, base]), [n],
-                                       [5, base], 0.0)
-        else:
-            res = run_cli("audit", "--n-range", str(n), "--bases", bases)
-            assert res.code == 0
-            doc = res.json()
-        row = doc["rows"][1]
+        # in hex: at n = 14 the base has more than 4300 decimal digits
+        res = run_cli("audit", "--n-range", str(n), "--bases",
+                      f"5,0x{base:x}")
+        assert res.code == 0
+        row = res.json()["rows"][1]
         assert int(row["base"], 16) == base
         assert row["classification"] == "pseudoprime-to-base"
         assert row["quarter_tag"] == "plus-one"

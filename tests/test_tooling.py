@@ -68,15 +68,33 @@ class _Callers(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _callers(name):
+    """The scopes of src/fermatlab that call `name`."""
+    callers = set()
+    for module, tree in _syntax_trees():
+        visitor = _Callers(module, name)
+        visitor.visit(tree)
+        callers |= visitor.found
+    return callers
+
+
 def test_known_factor_check_runs_only_in_square_blocks_and_on_load():
     # arith.square_blocks checks every residue a caller reads;
     # load_checkpoint checks a residue read from a file
-    callers = set()
-    for module, tree in _syntax_trees():
-        visitor = _Callers(module, "check_known_factor")
-        visitor.visit(tree)
-        callers |= visitor.found
-    assert callers == {"arith.square_blocks", "checkpoint.load_checkpoint"}
+    assert _callers("check_known_factor") \
+        == {"arith.square_blocks", "checkpoint.load_checkpoint"}
+
+
+def test_one_squaring_routine():
+    # mod_square_chains alone calls the FFT kernel and holds the integer
+    # squaring loop; every chain but selftest's goes through
+    # square_blocks, and mod_square_chain is the batch of one
+    assert _callers("square_chain") == {"arith.mod_square_chains"}
+    assert _callers("_mulmod") == {"arith.mod_mul", "arith.mod_square_chains"}
+    chains = {caller for name in ("mod_square_chain", "mod_square_chains")
+              for caller in _callers(name)
+              if not caller.startswith("selftest.")}
+    assert chains == {"arith.square_blocks", "arith.mod_square_chain"}
 
 
 def test_no_module_keeps_global_state():
