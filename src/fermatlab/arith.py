@@ -7,6 +7,9 @@ alternating sum of base-2^(2^n) digits, so the hot path is shifts, masks
 and adds.  The division-based route lives in oracle.py and shares nothing
 with this module on purpose.
 
+require_coprime turns a base into the entry at index 0 of its chain,
+refusing a negative base or one that shares a factor with F_n.
+
 Exponents of interest here are all powers of two, so they are never
 materialised as integers: callers pass a squaring count instead
 (mod_square_chain).  (F_n - 1)/4 is "2^n - 2 squarings", not a number.
@@ -44,10 +47,11 @@ from __future__ import annotations
 
 import functools
 import os
+from math import gcd
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .errors import IndexBelowTwoError, IndexOutOfRangeError, \
-    ModulusMismatchError
+from .errors import BaseNotCoprimeError, IndexBelowTwoError, \
+    IndexOutOfRangeError, ModulusMismatchError
 
 DEFAULT_MAX_INDEX = 24
 MAX_INDEX_ENV = "FERMAT_LAB_MAX_N"
@@ -233,6 +237,28 @@ def reduce_fold(x: int, n: int) -> FermatResidue:
     width = 1 << n
     top = 1 << width
     return FermatResidue(n, _fold(x, width, top, top - 1))
+
+
+def require_coprime(n: int, base: int) -> FermatResidue:
+    """Reduce base mod F_n, rejecting non-coprime bases.
+
+    The reported gcd is itself a nontrivial factor of F_n, which is why
+    the error carries it instead of hiding it.  The message writes the
+    base and the gcd in hex: from n = 14 on they can pass the cap on
+    int-to-decimal conversion (4300 digits).
+    """
+    check_index(n)
+    _check_base(base)
+    g = gcd(base, fermat_value(n))
+    if g != 1:
+        raise BaseNotCoprimeError(
+            f"base 0x{base:x} shares factor 0x{g:x} with F_{n}", g)
+    return reduce_fold(base, n)
+
+
+def _check_base(base: int) -> None:
+    if base < 0:
+        raise ValueError(f"base must be >= 0, got {base}")
 
 
 def mod_mul(a: FermatResidue, b: FermatResidue) -> FermatResidue:

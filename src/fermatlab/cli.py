@@ -117,18 +117,14 @@ def cmd_pepin(args: argparse.Namespace) -> int:
     from .primality import PEPIN_ADMISSIBLE_BASES, check_pepin, pepin_test
     t0 = time.perf_counter()
     writer: Optional[CheckpointWriter] = None
-    if args.stop_after is not None and args.checkpoint_dir is None:
-        _log("--stop-after needs --checkpoint-dir (the state must go "
-             "somewhere to be resumable)")
-        return EXIT_USAGE
+    # an option left out keeps the writer's default cadence
+    cadence = {key: value for key, value in (
+        ("every_squarings", args.checkpoint_every),
+        ("every_seconds", args.checkpoint_seconds)) if value is not None}
     if args.checkpoint_dir is not None:
         # a refused n or base exits 2 before the writer makes the
         # directory or loads a file from it
         check_pepin(args.n, args.base, args.allow_any_base)
-        # an option left out keeps the writer's default cadence
-        cadence = {key: value for key, value in (
-            ("every_squarings", args.checkpoint_every),
-            ("every_seconds", args.checkpoint_seconds)) if value is not None}
         writer = CheckpointWriter(
             args.n, args.base, Path(args.checkpoint_dir),
             stop_after=args.stop_after, **cadence)
@@ -136,6 +132,10 @@ def cmd_pepin(args: argparse.Namespace) -> int:
         if cp is not None:
             _log(f"resuming n={args.n} base=0x{args.base:x} from squaring "
                  f"{cp.squaring_index} (checkpoint of {cp.created_at})")
+    elif cadence or args.stop_after is not None:
+        _log("--stop-after, --checkpoint-every and --checkpoint-seconds "
+             "need --checkpoint-dir (the checkpoints must go somewhere)")
+        return EXIT_USAGE
     try:
         prime, half = pepin_test(args.n, args.base,
                                  allow_any_base=args.allow_any_base,

@@ -22,7 +22,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .arith import check_chain_index, fermat_value
 from .errors import CheckpointError, IndexOutOfRangeError, \
     NotADivisorError
-from .oracle import is_probable_prime
 
 _PRIMALITY_EXACT_BELOW = 1 << 64
 # Odd primes below this bound strike k before any test (lucas_search).
@@ -163,6 +162,8 @@ def lucas_search(n: int, k_max: int,
     are tested for primality; the filter then drops the composite ones
     below 2^64, which gives the same list as filtering first.
     """
+    # the one caller of oracle outside selftest, so only factor loads it
+    from .oracle import is_probable_prime
     check_chain_index(n)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")

@@ -25,9 +25,10 @@ import os
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .arith import FermatResidue, chain_backend, check_chain_index, \
-    check_index, fermat_value, reduce_fold, square_blocks
-from .errors import BaseNotCoprimeError, NonAdmissibleBaseError
+from .arith import FermatResidue, _check_base, chain_backend, \
+    check_chain_index, check_index, fermat_value, require_coprime, \
+    square_blocks
+from .errors import NonAdmissibleBaseError
 from .factors import _odd_primes, proven_factors
 
 # Bases for which the half-residue test decides primality.  Known good
@@ -156,28 +157,6 @@ class Verdict(NamedTuple):
     @property
     def violations(self) -> Tuple[RuleOutcome, ...]:
         return tuple(r for r in self.rules if not r.passed)
-
-
-def require_coprime(n: int, base: int) -> FermatResidue:
-    """Reduce base mod F_n, rejecting non-coprime bases.
-
-    The reported gcd is itself a nontrivial factor of F_n, which is why
-    the error carries it instead of hiding it.  The message writes the
-    base and the gcd in hex: from n = 14 on they can pass the cap on
-    int-to-decimal conversion (4300 digits).
-    """
-    check_index(n)
-    _check_base(base)
-    g = gcd(base, fermat_value(n))
-    if g != 1:
-        raise BaseNotCoprimeError(
-            f"base 0x{base:x} shares factor 0x{g:x} with F_{n}", g)
-    return reduce_fold(base, n)
-
-
-def _check_base(base: int) -> None:
-    if base < 0:
-        raise ValueError(f"base must be >= 0, got {base}")
 
 
 class ChainTaps(NamedTuple):

@@ -112,6 +112,17 @@ class TestPepinCheckpointFlow:
         assert res.code == 2
         assert "--checkpoint-dir" in res.stderr
 
+    @pytest.mark.parametrize("flag", ["--checkpoint-every=4",
+                                      "--checkpoint-seconds=30",
+                                      "--checkpoint-seconds=0"])
+    def test_cadence_requires_directory(self, monkeypatch, flag):
+        # refused, not ignored, before the first squaring
+        counts = spy_on_squarings(monkeypatch)
+        res = run_cli("pepin", "5", flag)
+        assert (res.code, res.stdout) == (2, "")
+        assert "--checkpoint-dir" in res.stderr
+        assert counts == []
+
     @pytest.mark.parametrize("stop", ["0", "-5"])
     def test_stop_after_below_one_rejected(self, tmp_path, stop):
         target = tmp_path / "ck"
@@ -577,8 +588,9 @@ class TestOrderCommand:
     @pytest.mark.parametrize("step, what", [
         # 2^16 + 1 in place of 2^16: the chain never reaches 1
         (4, "chain residue of base 0x2 is not base^(2^4)"),
-        # 0 in place of the 1 at squaring 12: the search finds 16, not 11
-        (20, "chain residue of base 0x2 is not base^(2^12)"),
+        # 0 in place of the 1 at index 11, the third squaring of the
+        # pass over the block (8, 16] that ends on 1
+        (19, "chain residue of base 0x2 is not base^(2^11)"),
     ], ids=["no-1", "late-1"])
     def test_chain_fault_refused(self, monkeypatch, step, what):
         # unfaulted, base 2 has alpha 11 on F_10

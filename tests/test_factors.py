@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from fermatlab import factors
+from fermatlab import factors, oracle
 from fermatlab.arith import fermat_value
 from fermatlab.errors import IndexBelowTwoError, IndexOutOfRangeError, \
     NotADivisorError
@@ -200,14 +200,14 @@ class TestSieve:
         def spy(p):
             calls.append(p)
             return is_probable_prime(p)
-        monkeypatch.setattr(factors, "is_probable_prime", spy)
+        monkeypatch.setattr(oracle, "is_probable_prime", spy)
         found = lucas_search(12, 20000, True)
         assert calls == [d.p for d in found]
 
     def test_prime_filter_drops_divisors_called_composite(self, monkeypatch):
         # composite divisors of F_n lie far beyond a testable k range,
         # so one prime divisor of F_12 is called composite instead
-        monkeypatch.setattr(factors, "is_probable_prime",
+        monkeypatch.setattr(oracle, "is_probable_prime",
                             lambda p: p != 26017793)
         assert [d.k for d in lucas_search(12, 20000, True)] == [7, 3892]
         assert [(d.k, d.prime) for d in lucas_search(12, 20000)] \

@@ -462,6 +462,19 @@ class TestCommandImports:
             & {"fermatlab.checkpoint", "fermatlab.selftest", "hashlib",
                "datetime"} == set()
 
+    @pytest.mark.parametrize("args", [("classify", "12", "--base", "7"),
+                                      ("order", "12", "--base", "5"),
+                                      ("pepin", "14")],
+                             ids=["classify-12", "order-12", "pepin-14"])
+    def test_chains_load_no_oracle(self, args):
+        # only the divisor search calls oracle
+        assert "fermatlab.oracle" not in loaded(probe("allow", *args))
+
+    def test_order_without_alpha_loads_no_primality(self):
+        # a known factor of F_12 proves 5's order is not a power of two
+        assert "fermatlab.primality" \
+            not in loaded(probe("allow", "order", "12", "--base", "5"))
+
     @pytest.mark.parametrize("args", [
         (), ("pepin", "14"),
         ("pepin", "8", "--checkpoint-dir", "{tmp}", "--stop-after", "5"),

@@ -133,8 +133,7 @@ class TestBlocks:
             assert r.alpha <= sum(counts) <= r.alpha + block
 
     @pytest.mark.parametrize("block", [3, 4, CHAIN_BLOCK])
-    def test_found_alpha_searches_its_block_by_halving(self, monkeypatch,
-                                                       block):
+    def test_found_alpha_is_read_in_one_pass(self, monkeypatch, block):
         monkeypatch.setattr(arith, "CHAIN_BLOCK", block)
         counts = spy_on_squarings(monkeypatch)
         for n, base in [(5, 2), (6, pseudoprime_base(6, 274177)), (12, 2),
@@ -142,9 +141,13 @@ class TestBlocks:
             counts.clear()
             alpha = order_alpha(n, base).alpha
             # the blocks run up to the first end at or past alpha
-            blocks = next(i for i, end in enumerate(accumulate(counts), 1)
-                          if end >= alpha)
-            assert len(counts) - blocks <= (block - 1).bit_length()
+            ends = list(accumulate(counts))
+            blocks = next(i for i, end in enumerate(ends, 1) if end >= alpha)
+            end = ends[blocks - 1]
+            # then one squaring per call from that block's start up to
+            # alpha, short of the block's end, which the blocks read
+            assert counts[blocks:] \
+                == [1] * (min(alpha, end - 1) - (end - counts[blocks - 1]))
 
     @staticmethod
     def assert_ends_on_stops(counts, block, stops, start=0):

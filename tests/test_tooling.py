@@ -97,6 +97,22 @@ def test_one_squaring_routine():
     assert chains == {"arith.square_blocks", "arith.mod_square_chain"}
 
 
+def test_block_driver_is_driven_once_per_chain():
+    # the four callers each take one pass of square_blocks per chain (two
+    # for an order that finds alpha), and none restarts it from a loop
+    assert _callers("square_blocks") == {
+        "primality._batch_taps", "primality.pepin_test",
+        "orders.order_alpha", "checkpoint.CheckpointWriter.run"}
+    in_while = set()
+    for module, tree in _syntax_trees():
+        for loop in ast.walk(tree):
+            if isinstance(loop, ast.While):
+                visitor = _Callers(module, "square_blocks")
+                visitor.visit(loop)
+                in_while |= visitor.found
+    assert in_while == set()
+
+
 def test_no_module_keeps_global_state():
     # a chain's results and counts come back from its calls
     assert [module for module, tree in _syntax_trees()
