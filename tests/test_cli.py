@@ -3,6 +3,8 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -910,3 +912,56 @@ class TestSubprocessEntryPoint:
         env = dict(os.environ, FERMAT_LAB_MAX_N="12")
         proc = run_cli_subprocess("pepin", "13", env=env)
         assert proc.returncode == 2
+
+
+# Put on the path of a fresh interpreter as sitecustomize.py, it writes
+# the number of objects gc.freeze() has frozen as the last line of
+# stderr, when the interpreter begins to exit.
+_FREEZE_PROBE = """\
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+"""
+
+# `python -m fermatlab`, and what the `fermatlab` console script runs
+ENTRIES = {"module": ["-m", "fermatlab"],
+           "console-script": ["-c", "from fermatlab.cli import entry; "
+                                    "entry()"]}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+class TestProcessEntry:
+    """cli.entry runs main() and freezes the collector before the exit."""
+
+    @staticmethod
+    def run(tmp_path, entry, *args):
+        (tmp_path / "sitecustomize.py").write_text(_FREEZE_PROBE,
+                                                   encoding="utf-8")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=str(tmp_path) if not path
+                   else f"{tmp_path}{os.pathsep}{path}")
+        proc = subprocess.run([sys.executable, *ENTRIES[entry], *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=600)
+        return proc, int(proc.stderr.splitlines()[-1])
+
+    def test_freezes_and_prints_the_record(self, tmp_path, entry):
+        proc, frozen = self.run(tmp_path, entry, "classify", "5", "--base",
+                                "7")
+        assert proc.returncode == 0, proc.stderr
+        assert frozen > 0
+        in_process = run_cli("classify", "5", "--base", "7")
+        assert strip_timing(json.loads(proc.stdout)) \
+            == strip_timing(in_process.json())
+
+    def test_precondition_error_exits_2(self, tmp_path, entry):
+        proc, _ = self.run(tmp_path, entry, "pepin", "5",
+                           "--checkpoint-every", "4")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "need --checkpoint-dir" in proc.stderr
+
+    def test_usage_error_exits_2(self, tmp_path, entry):
+        proc, _ = self.run(tmp_path, entry, "pepin", "five")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "invalid int value" in proc.stderr

@@ -455,12 +455,18 @@ class TestCommandImports:
                "fermatlab.checkpoint", "fermatlab.selftest"} == set()
 
     @pytest.mark.parametrize("args", [("classify", "12", "--base", "7"),
-                                      ("order", "12", "--base", "5")],
-                             ids=["classify-12", "order-12"])
+                                      ("order", "12", "--base", "5"),
+                                      ("pepin", "10")],
+                             ids=["classify-12", "order-12", "pepin-10"])
     def test_queries_load_no_checkpoint_code(self, args):
         assert loaded(probe("allow", *args)) \
             & {"fermatlab.checkpoint", "fermatlab.selftest", "hashlib",
                "datetime"} == set()
+
+    def test_pepin_on_numpy_loads_no_checkpoint_code(self):
+        # without --checkpoint-dir; numpy itself loads datetime
+        assert loaded(probe("allow", "pepin", "14")) \
+            & {"fermatlab.checkpoint", "hashlib"} == set()
 
     @pytest.mark.parametrize("args", [("classify", "12", "--base", "7"),
                                       ("order", "12", "--base", "5"),

@@ -113,6 +113,12 @@ def test_block_driver_is_driven_once_per_chain():
     assert in_while == set()
 
 
+def test_only_the_process_entry_freezes_the_collector():
+    # cli.main, and the library under it, run many times in one process
+    # (tests, clibench/tracer.py): frozen objects are never collected
+    assert _callers("freeze") == {"cli.entry"}
+
+
 def test_no_module_keeps_global_state():
     # a chain's results and counts come back from its calls
     assert [module for module, tree in _syntax_trees()
