@@ -242,14 +242,18 @@ def reduce_fold(x: int, n: int) -> FermatResidue:
 def require_coprime(n: int, base: int) -> FermatResidue:
     """Reduce base mod F_n, rejecting non-coprime bases.
 
-    The reported gcd is itself a nontrivial factor of F_n, which is why
-    the error carries it instead of hiding it.  The message writes the
-    base and the gcd in hex: from n = 14 on they can pass the cap on
-    int-to-decimal conversion (4300 digits).
+    The error carries the gcd instead of hiding it: a proper factor of
+    F_n, or F_n itself for a base of 0 modulo F_n.  The message writes
+    the base and a proper factor in hex: from n = 14 on they can pass
+    the cap on int-to-decimal conversion (4300 digits).  It leaves F_n
+    out, and the base with it, since F_24 alone is 4 MB of hex.
     """
     check_index(n)
     _check_base(base)
-    g = gcd(base, fermat_value(n))
+    f = fermat_value(n)
+    g = gcd(base, f)
+    if g == f:
+        raise BaseNotCoprimeError(f"base is a multiple of F_{n}", g)
     if g != 1:
         raise BaseNotCoprimeError(
             f"base 0x{base:x} shares factor 0x{g:x} with F_{n}", g)

@@ -29,8 +29,8 @@ from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .arith import FermatResidue, check_index, from_hex, square_blocks, \
-    to_hex
+from .arith import FermatResidue, check_index, from_hex, require_coprime, \
+    square_blocks, to_hex
 from .errors import CheckpointError
 from .factors import check_known_factor
 from .records import replacing
@@ -196,12 +196,15 @@ class ChainPaused(Exception):
 
 
 class CheckpointWriter:
-    """Runs the half-residue chain of (n, base), persisting its state.
+    """The half-residue chain of (n, base), run with its state persisted.
 
-    The directory is created, and a checkpoint of this chain loaded into
-    .resumed (None when there is none), when the writer is built: an
-    unusable directory or a corrupt file fails before the first squaring.
-    run() squares from .resumed, or from its start, on
+    The chain starts from base modulo F_n (arith.require_coprime, which
+    refuses a negative base or one that shares a factor with F_n before
+    the directory is touched).  The directory is created, and a
+    checkpoint of this chain loaded into .resumed (None when there is
+    none), when the writer is built: an unusable directory or a corrupt
+    file fails before the first squaring.
+    run() squares from .resumed, or from the start, on
     arith.square_blocks, with stops at the multiples of
     `every_squarings`, at the pause index and at the chain's end; it
     acts only between blocks.  It writes a checkpoint at each such
@@ -232,6 +235,7 @@ class CheckpointWriter:
                 f"stop index must be >= 1 squaring, got {stop_after}")
         self.n = n
         self.base = base
+        self.start = require_coprime(n, base)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.every_squarings = every_squarings
@@ -239,13 +243,18 @@ class CheckpointWriter:
         self.stop_after = stop_after
         self.resumed = load_matching(self.directory, n, base)
 
-    def run(self, start: FermatResidue, total: int) -> FermatResidue:
-        """The entry at index `total` of the chain whose index 0 is `start`.
+    def run(self) -> FermatResidue:
+        """The half residue base^((F_n-1)/2) mod F_n, the entry at index
+        2^n - 1 of the chain; F_n is prime iff it is -1, for an
+        admissible base (primality.PEPIN_ADMISSIBLE_BASES).
 
-        It starts from the loaded checkpoint instead, when there is one,
-        and deletes the checkpoint file when it returns.
+        It starts from the loaded checkpoint, when there is one, and
+        deletes the checkpoint file when it returns.  A pause at the
+        last index raises ChainPaused, as any pause does, and a later
+        run resumed from there squares nothing.
         """
-        index, x = 0, start
+        total = (1 << self.n) - 1
+        index, x = 0, self.start
         if self.resumed is not None:
             index = self.resumed.squaring_index
             x = FermatResidue(self.n, self.resumed.residue)

@@ -125,8 +125,8 @@ def cmd_pepin(args: argparse.Namespace) -> int:
             _log("--stop-after, --checkpoint-every and --checkpoint-seconds "
                  "need --checkpoint-dir (the checkpoints must go somewhere)")
             return EXIT_USAGE
-        prime, half = pepin_test(args.n, args.base,
-                                 allow_any_base=args.allow_any_base)
+        half = pepin_test(args.n, args.base,
+                          allow_any_base=args.allow_any_base)[1]
     else:
         # the checkpoint code, with hashlib and datetime, loads only here
         from .checkpoint import ChainPaused, CheckpointWriter
@@ -141,9 +141,7 @@ def cmd_pepin(args: argparse.Namespace) -> int:
             _log(f"resuming n={args.n} base=0x{args.base:x} from squaring "
                  f"{cp.squaring_index} (checkpoint of {cp.created_at})")
         try:
-            prime, half = pepin_test(args.n, args.base,
-                                     allow_any_base=args.allow_any_base,
-                                     checkpoints=writer)
+            half = writer.run()
         except ChainPaused as pause:
             elapsed = time.perf_counter() - t0
             _log(f"paused after squaring {pause.index}; checkpoint at "
@@ -155,7 +153,8 @@ def cmd_pepin(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - t0
     _emit(records.pepin_record(args.n, args.base,
                                args.base in PEPIN_ADMISSIBLE_BASES,
-                               prime, half.to_hex(), elapsed), args.format)
+                               half.is_minus_one, half.to_hex(), elapsed),
+          args.format)
     return EXIT_OK
 
 

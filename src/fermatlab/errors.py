@@ -28,8 +28,8 @@ class NonAdmissibleBaseError(FermatLabError, ValueError):
 class BaseNotCoprimeError(FermatLabError, ValueError):
     """gcd(base, F_n) != 1.
 
-    The gcd is itself a nontrivial factor of F_n, so it is carried on the
-    exception rather than discarded.
+    The gcd is a factor of F_n, so it is carried on the exception rather
+    than discarded: a proper one, or F_n itself for a base of 0 mod F_n.
     """
 
     def __init__(self, message: str, gcd: int):

@@ -207,31 +207,21 @@ def check_pepin(n: int, base: int, allow_any_base: bool) -> FermatResidue:
     return require_coprime(n, base)
 
 
-def pepin_test(n: int, base: int = 3, allow_any_base: bool = False,
-               checkpoints=None) -> Tuple[bool, FermatResidue]:
+def pepin_test(n: int, base: int = 3,
+               allow_any_base: bool = False) -> Tuple[bool, FermatResidue]:
     """Half-residue primality test: F_n prime iff base^((F_n-1)/2) = -1.
 
     Valid for n >= 2 with base in PEPIN_ADMISSIBLE_BASES; other bases
     are rejected unless allow_any_base is set, because for them the
     equivalence with primality is not established (and for base 2 it is
-    plainly false).  checkpoints, a checkpoint.CheckpointWriter built for
-    the same (n, base), runs the chain instead: from its loaded
-    checkpoint if it has one, writing and pausing between blocks.
-    Either way the chain is one lone chain of arith.square_blocks, which
-    checks every block's end against the known factors of F_n and
-    raises CheckpointError for a wrong residue.
+    plainly false).  The chain is one lone chain of arith.square_blocks,
+    which checks every block's end against the known factors of F_n and
+    raises CheckpointError for a wrong residue.  A resumable run of the
+    same chain is checkpoint.CheckpointWriter's run().
     """
     start = check_pepin(n, base, allow_any_base)
-    total = (1 << n) - 1
-    if checkpoints is None:
-        for _, (half,) in square_blocks([base], [start], 0, [total]):
-            pass
-    elif (checkpoints.n, checkpoints.base) != (n, base):
-        raise ValueError(
-            f"checkpoint writer for (n={checkpoints.n}, base="
-            f"0x{checkpoints.base:x}) given to (n={n}, base=0x{base:x})")
-    else:
-        half = checkpoints.run(start, total)
+    for _, (half,) in square_blocks([base], [start], 0, [(1 << n) - 1]):
+        pass
     return half.is_minus_one, half
 
 

@@ -270,6 +270,14 @@ class TestCheckpointWriter:
             CheckpointWriter(10, 3, target, stop_after=stop_after)
         assert not target.exists()
 
+    @pytest.mark.parametrize("base", [0, 641 * 3, -3])
+    def test_refused_base_makes_no_directory(self, tmp_path, base):
+        # the start of the chain comes first, from require_coprime
+        target = tmp_path / "ck"
+        with pytest.raises(ValueError):
+            CheckpointWriter(5, base, target)
+        assert not target.exists()
+
     def test_directory_created_on_construction(self, tmp_path):
         target = tmp_path / "deep" / "ck"
         CheckpointWriter(10, 3, target)
@@ -286,14 +294,14 @@ class TestCheckpointWriter:
                             lambda cp, directory: saved.append(cp))
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=16, every_seconds=0)
-        pepin_test(6, checkpoints=writer)
+        writer.run()
         cp = saved[-1]
         assert cp.squaring_index == 48
 
     def test_no_write_before_cadence(self, tmp_path):
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=1000, every_seconds=0)
-        pepin_test(6, checkpoints=writer)
+        writer.run()
         assert load_matching(tmp_path, 6, 3) is None
         assert list(tmp_path.iterdir()) == []
 
@@ -304,7 +312,7 @@ class TestCheckpointWriter:
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=10 ** 9,
                                   every_seconds=1e-9)
-        pepin_test(6, checkpoints=writer)
+        writer.run()
         assert saved
 
     @pytest.mark.parametrize("n", [6, 8, 10])
@@ -331,7 +339,7 @@ class TestCheckpointWriter:
                                     lambda cp, d: saved.append(cp) or d)
                 counts = spy_on_squarings(monkeypatch)
                 try:
-                    half = pepin_test(n, checkpoints=writer)[1]
+                    half = writer.run()
                     paused = None
                 except ChainPaused as pause:
                     paused = pause.index
@@ -357,7 +365,7 @@ class TestCheckpointWriter:
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=1, every_seconds=0)
         assert writer.resumed.squaring_index == 20
-        pepin_test(6, 3, checkpoints=writer)
+        writer.run()
         seen = [cp.squaring_index for cp in saved]
         assert seen == list(range(21, (1 << 6)))
         assert [cp.residue for cp in saved] \
@@ -368,7 +376,7 @@ class TestCheckpointWriter:
                                   every_squarings=10 ** 9, every_seconds=0,
                                   stop_after=100)
         with pytest.raises(ChainPaused) as exc:
-            pepin_test(8, checkpoints=writer)
+            writer.run()
         assert exc.value.index == 100
         cp = load_matching(tmp_path, 8, 3)
         assert cp.squaring_index == 100
@@ -377,24 +385,34 @@ class TestCheckpointWriter:
         clean_prime, clean_half = pepin_test(8)
         writer = CheckpointWriter(8, 3, tmp_path, stop_after=77)
         with pytest.raises(ChainPaused):
-            pepin_test(8, checkpoints=writer)
+            writer.run()
         writer = CheckpointWriter(8, 3, tmp_path)
         assert writer.resumed.squaring_index == 77
-        resumed_prime, resumed_half = pepin_test(8, checkpoints=writer)
+        resumed_half = writer.run()
         assert resumed_half == clean_half
-        assert resumed_prime == clean_prime
+        assert resumed_half.is_minus_one == clean_prime
 
-    @pytest.mark.parametrize("n, base", [(8, 3), (6, 5)])
-    def test_writer_of_another_chain_refused(self, tmp_path, n, base):
-        writer = CheckpointWriter(6, 3, tmp_path)
-        with pytest.raises(ValueError, match="checkpoint writer for"):
-            pepin_test(n, base, checkpoints=writer)
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_resume_at_the_last_index_squares_nothing(self, tmp_path,
+                                                      monkeypatch, n):
+        # a pause at the chain's last index is a pause, not the result
+        total = (1 << n) - 1
+        clean_half = pepin_test(n)[1]
+        with pytest.raises(ChainPaused) as paused:
+            CheckpointWriter(n, 3, tmp_path, stop_after=total).run()
+        assert paused.value.index == total
+        writer = CheckpointWriter(n, 3, tmp_path)
+        assert writer.resumed.squaring_index == total
+        counts = spy_on_squarings(monkeypatch)
+        assert writer.run() == clean_half
+        assert counts == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_completed_run_leaves_no_file(self, tmp_path):
         # written at 16, 32 and 48, then deleted at the chain's end
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=16, every_seconds=0)
-        pepin_test(6, checkpoints=writer)
+        writer.run()
         assert list(tmp_path.iterdir()) == []
 
     def test_run_refused_at_its_last_block_keeps_the_last_file(
@@ -412,5 +430,5 @@ class TestCheckpointWriter:
         writer = CheckpointWriter(6, 3, tmp_path,
                                   every_squarings=16, every_seconds=0)
         with pytest.raises(CheckpointError, match=r"base\^\(2\^63\)"):
-            pepin_test(6, checkpoints=writer)
+            writer.run()
         assert load_matching(tmp_path, 6, 3).squaring_index == 48

@@ -173,6 +173,23 @@ class TestPepinCheckpointFlow:
         assert strip_timing(resumed.json()) \
             == strip_timing(run_cli("pepin", "10").json())
 
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_resume_from_the_final_squaring_squares_nothing(
+            self, tmp_path, monkeypatch, n):
+        last = str((1 << n) - 1)
+        ck = ("--checkpoint-dir", str(tmp_path))
+        clean = run_cli("pepin", str(n))
+        paused = run_cli("pepin", str(n), *ck, "--stop-after", last)
+        assert paused.code == 0
+        assert paused.json()["record"] == "pepin-paused"
+        assert paused.json()["stopped_after"] == int(last)
+        counts = spy_on_squarings(monkeypatch)
+        resumed = run_cli("pepin", str(n), *ck)
+        assert resumed.code == 0 and counts == []
+        assert f"from squaring {last} " in resumed.stderr
+        assert strip_timing(resumed.json()) == strip_timing(clean.json())
+        assert list(tmp_path.iterdir()) == []
+
     def test_stop_after_beyond_chain_completes(self, tmp_path):
         res = run_cli("pepin", "6", "--checkpoint-dir", str(tmp_path),
                       "--stop-after", "5000")
@@ -770,6 +787,17 @@ class TestUsageSurface:
         res = run_cli(*args)
         assert (res.code, res.stdout, res.stderr) \
             == (2, "", "fermatlab: Fermat index must be >= 2, got 1\n")
+
+    @pytest.mark.parametrize("args", [
+        ("classify", "20", "--base", "0"), ("order", "12", "--base", "0"),
+        ("pepin", "16", "--base", "0", "--allow-any-base")],
+        ids=["classify", "order", "pepin"])
+    def test_base_that_is_a_multiple_of_f_n_has_a_short_message(self, args):
+        # the gcd is F_n itself, which would be 256 KB of hex at n = 20
+        res = run_cli(*args)
+        assert (res.code, res.stdout) == (2, "")
+        assert res.stderr.count("\n") == 1
+        assert len(res.stderr.encode("utf-8")) < 200
 
     def test_env_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv("FERMAT_LAB_MAX_N", "soon")

@@ -223,7 +223,7 @@ class TestBlocks:
                                   every_seconds=0, stop_after=130)
         counts = spy_on_squarings(monkeypatch)
         with pytest.raises(ChainPaused) as paused:
-            primality.pepin_test(8, checkpoints=writer)
+            writer.run()
         assert paused.value.index == 130
         ends = self.assert_ends_on_stops(counts, block, {130}, start=5)
         assert ends == [end for end in range(6, 131)

@@ -89,6 +89,15 @@ class TestPepin:
             pepin_test(5, 641 * 3, allow_any_base=True)
         assert info.value.gcd == 641
 
+    @pytest.mark.parametrize("multiple", [0, 1, 7])
+    def test_base_that_is_a_multiple_of_f_n(self, multiple):
+        # the gcd is F_n itself, which the message leaves out
+        m = fermat_value(12)
+        with pytest.raises(BaseNotCoprimeError) as info:
+            require_coprime(12, multiple * m)
+        assert info.value.gcd == m
+        assert str(info.value) == "base is a multiple of F_12"
+
     def test_non_admissible_base_past_the_decimal_digit_cap(self):
         # 7^5300 has more than the 4300 decimal digits an int may be
         # written in, so the message names it in hex

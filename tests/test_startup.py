@@ -1,6 +1,9 @@
 """tools/startup.py times fresh CLI processes and lists what each call
 loads; no timing is asserted."""
 
+import importlib.util
+import os
+import py_compile
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +21,7 @@ def test_one_cheap_call():
     assert proc.returncode == 0, proc.stderr
     header, columns, row = proc.stdout.splitlines()
     assert "median of 1 runs" in header
+    assert " stale .pyc, " in header
     assert columns.split() == ["call", "ms", "bare", "ms", "diff",
                                "modules"]
     name, ms, bare_ms, diff, *modules = row.split()
@@ -30,3 +34,33 @@ def test_unknown_call_is_refused():
     proc = run("--runs", "1", "no-such-call")
     assert proc.returncode == 2
     assert "unknown calls: no-such-call" in proc.stderr
+
+
+def load_startup():
+    spec = importlib.util.spec_from_file_location("startup", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stale_bytecode_is_counted(tmp_path):
+    # a .pyc whose recorded size or mtime is not its .py's is compiled
+    # again on every import, and never rewritten without a cache write
+    package = tmp_path / "pkg"
+    package.mkdir()
+    sources = [package / name for name in ("fresh.py", "stale.py")]
+    for source in sources:
+        source.write_text("X = 1\n", encoding="utf-8")
+        py_compile.compile(
+            str(source), cfile=importlib.util.cache_from_source(source),
+            invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP,
+            doraise=True)
+    stale_bytecode = load_startup().stale_bytecode
+    assert stale_bytecode(package) == 0
+    sources[1].write_text("X = 2  # longer\n", encoding="utf-8")
+    assert stale_bytecode(package) == 1
+    # the same size at another mtime is stale too
+    sources[1].write_text("X = 1\n", encoding="utf-8")
+    st = sources[1].stat()
+    os.utime(sources[1], (st.st_atime, st.st_mtime + 10))
+    assert stale_bytecode(package) == 1

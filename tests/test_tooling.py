@@ -113,6 +113,21 @@ def test_block_driver_is_driven_once_per_chain():
     assert in_while == set()
 
 
+def test_the_checkpoint_writer_runs_its_own_chain():
+    # the CLI builds the writer and calls its run(); no library function
+    # takes a writer, so none has to check that it is for its chain
+    assert _callers("CheckpointWriter") == {"cli.cmd_pepin"}
+    assert [f"{module}.{node.name}" for module, tree in _syntax_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "checkpoints" in {a.arg for a in ast.walk(node.args)
+                                  if isinstance(a, ast.arg)}] == []
+    tree = dict(_syntax_trees())["primality"]
+    assert [ast.unparse(node) for node in ast.walk(tree)
+            if _imports_fermatlab(node)
+            and "checkpoint" in ast.unparse(node)] == []
+
+
 def test_only_the_process_entry_freezes_the_collector():
     # cli.main, and the library under it, run many times in one process
     # (tests, clibench/tracer.py): frozen objects are never collected

@@ -12,20 +12,25 @@ package is taken from src/ beside this script.
 Whether the interpreter may read and write a bytecode cache
 (__pycache__) is left to the environment, and printed first: with
 PYTHONDONTWRITEBYTECODE=1 and no __pycache__ under src/, every call
-compiles the package again.  Standard library only.
+compiles the package again.  So does every call for each stale .pyc
+of the package, one whose header no longer matches its .py (mtime or
+size), when the cache is not written: the header line counts them.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import statistics
+import struct
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "fermatlab"
 
 # one cheap call of each command
 CALLS = {
@@ -50,6 +55,24 @@ if len(sys.argv) > 1:
 print(" ".join(sorted(name for name in sys.modules
                       if name.startswith("fermatlab."))), file=sys.stderr)
 """
+
+
+def stale_bytecode(package: Path) -> int:
+    """The .pyc files of this interpreter under package's __pycache__
+    directories whose header records an mtime or size that their .py no
+    longer has.  Hash-based .pyc files are not compared."""
+    stale = 0
+    for pyc in package.rglob("__pycache__/*.pyc"):
+        try:
+            source = Path(importlib.util.source_from_cache(pyc))
+        except ValueError:  # another interpreter's cache tag
+            continue
+        flags, recorded = struct.unpack("<I8s", pyc.read_bytes()[4:16])
+        if flags == 0 and source.exists():
+            st = source.stat()
+            stale += recorded != struct.pack(
+                "<II", int(st.st_mtime) & 0xFFFFFFFF, st.st_size & 0xFFFFFFFF)
+    return stale
 
 
 def _env() -> dict:
@@ -87,7 +110,8 @@ def main(argv: list) -> int:
     cache = "not written" if env.get("PYTHONDONTWRITEBYTECODE") \
         else "written"
     print(f"python {sys.version.split()[0]}, {os.cpu_count()} CPUs, "
-          f"bytecode cache {cache}, median of {args.runs} runs")
+          f"bytecode cache {cache}, {stale_bytecode(PACKAGE)} stale .pyc, "
+          f"median of {args.runs} runs")
     print(f"{'call':10s} {'ms':>7s} {'bare ms':>8s} {'diff':>7s}  modules")
     for name in args.names or CALLS:
         call = CALLS[name]
