@@ -74,7 +74,6 @@ _MASK = (1 << DIGIT_BITS) - 1
 class _Plan(NamedTuple):
     """Sizes and transform weights for one Fermat index."""
 
-    width: int        # N = 2^n bits
     top: int          # 2^N, the value of -1
     digits: int       # L
     weight: np.ndarray
@@ -88,7 +87,7 @@ def _plan(n: int) -> _Plan:
     width = 1 << n
     digits = width // DIGIT_BITS
     angle = np.arange(digits // 2) * (np.pi / digits)
-    return _Plan(width=width, top=1 << width, digits=digits,
+    return _Plan(top=1 << width, digits=digits,
                  weight=np.exp(1j * angle), unweight=np.exp(-1j * angle))
 
 
@@ -133,9 +132,6 @@ class _Work:
         self.z = np.empty((rows, plan.digits // 2), np.complex128)
         self.product = np.empty((rows, plan.digits))
         self.rounded = np.empty((rows, plan.digits))
-        # the next digits; a squaring that passes the roundoff test
-        # swaps it with the digits it squared
-        self.spare = np.empty((rows, plan.digits), np.int64)
         self.high = np.empty((rows, plan.digits), np.int64)
 
 
@@ -196,10 +192,9 @@ def _square(digits: np.ndarray, work: _Work) -> Optional[np.ndarray]:
     # written so that a NaN anywhere fails it
     if not product.max() <= MAX_ROUNDOFF:
         return None
-    values = work.spare
-    values[:] = rounded
-    work.spare = digits
-    return _carry(values, work)
+    # the transform has read the digits, so the square takes their place
+    digits[:] = rounded
+    return _carry(digits, work)
 
 
 def square_chain(values: Sequence[int], count: int,

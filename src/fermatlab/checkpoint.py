@@ -29,8 +29,8 @@ from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .arith import FermatResidue, check_index, from_hex, require_coprime, \
-    square_blocks, to_hex
+from .arith import FermatResidue, check_chain_index, check_index, \
+    from_hex, require_coprime, square_blocks, to_hex
 from .errors import CheckpointError
 from .factors import check_known_factor
 from .records import replacing
@@ -198,12 +198,13 @@ class ChainPaused(Exception):
 class CheckpointWriter:
     """The half-residue chain of (n, base), run with its state persisted.
 
-    The chain starts from base modulo F_n (arith.require_coprime, which
-    refuses a negative base or one that shares a factor with F_n before
-    the directory is touched).  The directory is created, and a
-    checkpoint of this chain loaded into .resumed (None when there is
-    none), when the writer is built: an unusable directory or a corrupt
-    file fails before the first squaring.
+    The chain starts from base modulo F_n.  Before the directory is
+    touched, arith.check_chain_index refuses an n outside 2..max_index(),
+    and arith.require_coprime a negative base or one that shares a factor
+    with F_n.  The directory is created, and a checkpoint of this chain
+    loaded into .resumed (None when there is none), when the writer is
+    built: an unusable directory or a corrupt file fails before the
+    first squaring.
     run() squares from .resumed, or from the start, on
     arith.square_blocks, with stops at the multiples of
     `every_squarings`, at the pause index and at the chain's end; it
@@ -225,6 +226,7 @@ class CheckpointWriter:
                  every_squarings: int = DEFAULT_EVERY_SQUARINGS,
                  every_seconds: float = DEFAULT_EVERY_SECONDS,
                  stop_after: Optional[int] = None):
+        check_chain_index(n)
         if every_squarings < 1:
             raise ValueError("checkpoint cadence must be >= 1 squaring")
         if not every_seconds >= 0:  # NaN included

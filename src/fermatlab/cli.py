@@ -52,6 +52,13 @@ def _log(message: str) -> None:
     print(f"{PROG}: {message}", file=sys.stderr)
 
 
+def _timed(doc: Dict[str, object], t0: float) -> Dict[str, object]:
+    """doc with elapsed_seconds, the time since t0, added as its last
+    key: the one field of a record that the records module leaves out."""
+    doc["elapsed_seconds"] = time.perf_counter() - t0
+    return doc
+
+
 def _emit(doc: Dict[str, object], fmt: str) -> None:
     from . import records
     if fmt == "json":
@@ -114,7 +121,7 @@ def _at_least(kind, low):
 
 def cmd_pepin(args: argparse.Namespace) -> int:
     from . import records
-    from .primality import PEPIN_ADMISSIBLE_BASES, check_pepin, pepin_test
+    from .primality import check_pepin, pepin_test
     t0 = time.perf_counter()
     # an option left out keeps the writer's default cadence
     cadence = {key: value for key, value in (
@@ -143,17 +150,13 @@ def cmd_pepin(args: argparse.Namespace) -> int:
         try:
             half = writer.run()
         except ChainPaused as pause:
-            elapsed = time.perf_counter() - t0
             _log(f"paused after squaring {pause.index}; checkpoint at "
                  f"{pause.path}")
-            _emit(records.paused_record(args.n, args.base, pause.index,
-                                        str(pause.path), elapsed),
-                  args.format)
+            _emit(_timed(records.paused_record(
+                args.n, args.base, pause.index, str(pause.path)), t0),
+                args.format)
             return EXIT_OK
-    elapsed = time.perf_counter() - t0
-    _emit(records.pepin_record(args.n, args.base,
-                               args.base in PEPIN_ADMISSIBLE_BASES,
-                               half.is_minus_one, half.to_hex(), elapsed),
+    _emit(_timed(records.pepin_record(args.n, args.base, half), t0),
           args.format)
     return EXIT_OK
 
@@ -163,8 +166,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     from .primality import classify_report
     t0 = time.perf_counter()
     verdict = classify_report(args.n, args.base)
-    elapsed = time.perf_counter() - t0
-    _emit(records.classify_record(verdict, elapsed), args.format)
+    _emit(_timed(records.classify_record(verdict), t0), args.format)
     if verdict.violations:
         _log(f"{len(verdict.violations)} congruence rule(s) FAILED; "
              "this should be impossible, please preserve the output")
@@ -186,8 +188,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     with records.replacing(args.report) if args.report is not None \
             else contextlib.nullcontext() as out:
         report = audit_range(n_values, bases)
-        elapsed = time.perf_counter() - t0
-        doc = records.audit_record(report, [lo, hi], bases, elapsed)
+        # stamped before the report file is written, which then equals
+        # the record on stdout byte for byte
+        doc = _timed(records.audit_record(report, [lo, hi], bases), t0)
         if out is not None:
             out.write(records.dump(doc))
     if args.report is not None:
@@ -204,9 +207,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
     from .factors import lucas_search
     t0 = time.perf_counter()
     found = lucas_search(args.n, args.k_max, args.prime_filter)
-    elapsed = time.perf_counter() - t0
-    doc = records.factor_record(args.n, args.k_max, args.prime_filter,
-                                found, elapsed)
+    doc = _timed(records.factor_record(args.n, args.k_max, args.prime_filter,
+                                       found), t0)
     _emit(doc, args.format)
     if doc["violations"]:
         _log("a prime divisor violated the k-form constraints; "
@@ -220,8 +222,7 @@ def cmd_order(args: argparse.Namespace) -> int:
     from .orders import order_alpha
     t0 = time.perf_counter()
     result = order_alpha(args.n, args.base)
-    elapsed = time.perf_counter() - t0
-    _emit(records.order_record(result, elapsed), args.format)
+    _emit(_timed(records.order_record(result), t0), args.format)
     return EXIT_OK
 
 

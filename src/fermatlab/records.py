@@ -6,10 +6,12 @@ ships inside the package.  Naturals (bases, residues, divisors, gcds)
 are rendered as lowercase hex without prefix or leading zeros, exactly
 as arith.to_hex produces them.
 
-Records avoid anything nondeterministic except elapsed_seconds: the
-resume test compares an interrupted-and-resumed run against a clean run
-field by field, and only timing may differ.  Resume provenance therefore
-goes to the log on stderr, never into the record.
+Each builder is a function of its command's result alone and holds
+nothing nondeterministic; the CLI adds elapsed_seconds, the one timing
+field, as the record's last key when it writes the record.  The resume
+test compares an interrupted-and-resumed run against a clean run field
+by field, and only timing may differ.  Resume provenance therefore goes
+to the log on stderr, never into the record.
 
 Every file the CLI writes, a record or a checkpoint, goes through
 replacing, so that its path never holds a partial file.
@@ -25,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Sequence
 
-from .arith import to_hex
+from .arith import FermatResidue, to_hex
 
 # Only annotations name these; each builder imports what it calls, so
 # that a command loads no module it does not run.
@@ -42,7 +44,8 @@ SCHEMA_RESOURCE = "schemas/cli_output.schema.json"
 
 
 def load_schema() -> dict:
-    """The published schema for every record this module can build."""
+    """The published schema for every record the CLI writes: a
+    builder's record with elapsed_seconds added, but for selftest."""
     path = resources.files(__package__).joinpath(SCHEMA_RESOURCE)
     return json.loads(path.read_text(encoding="utf-8"))
 
@@ -69,23 +72,23 @@ def _rules(rules: Sequence[RuleOutcome]) -> List[Dict[str, object]]:
     return out
 
 
-def pepin_record(n: int, base: int, admissible: bool, pepin_prime: bool,
-                 half_residue_hex: str, elapsed: float) -> Dict[str, object]:
+def pepin_record(n: int, base: int,
+                 half: FermatResidue) -> Dict[str, object]:
+    from .primality import PEPIN_ADMISSIBLE_BASES
     doc = _envelope("pepin")
     doc.update({
         "n": n,
         "base": to_hex(base),
-        "admissible_base": admissible,
-        "pepin_prime": pepin_prime,
-        "half_residue": half_residue_hex,
+        "admissible_base": base in PEPIN_ADMISSIBLE_BASES,
+        "pepin_prime": half.is_minus_one,
+        "half_residue": half.to_hex(),
         "squarings": (1 << n) - 1,
-        "elapsed_seconds": elapsed,
     })
     return doc
 
 
 def paused_record(n: int, base: int, stopped_after: int,
-                  checkpoint_path: str, elapsed: float) -> Dict[str, object]:
+                  checkpoint_path: str) -> Dict[str, object]:
     from .checkpoint import CHAIN_KIND
     doc = _envelope("pepin-paused")
     doc.update({
@@ -95,12 +98,11 @@ def paused_record(n: int, base: int, stopped_after: int,
         "stopped_after": stopped_after,
         "total_squarings": (1 << n) - 1,
         "checkpoint": checkpoint_path,
-        "elapsed_seconds": elapsed,
     })
     return doc
 
 
-def classify_record(verdict: Verdict, elapsed: float) -> Dict[str, object]:
+def classify_record(verdict: Verdict) -> Dict[str, object]:
     from .primality import PEPIN_BASE
     doc = _envelope("classify")
     doc.update({
@@ -115,13 +117,12 @@ def classify_record(verdict: Verdict, elapsed: float) -> Dict[str, object]:
         "classification": verdict.classification.value,
         "audit_rules": _rules(verdict.rules),
         "squarings": verdict.squarings,
-        "elapsed_seconds": elapsed,
     })
     return doc
 
 
-def audit_record(report: AuditReport, n_range: List[int], bases: List[int],
-                 elapsed: float) -> Dict[str, object]:
+def audit_record(report: AuditReport, n_range: List[int],
+                 bases: List[int]) -> Dict[str, object]:
     rows: List[Dict[str, object]] = []
     for row in report.rows:
         if not row.coprime:
@@ -150,14 +151,12 @@ def audit_record(report: AuditReport, n_range: List[int], bases: List[int],
         "rows": rows,
         "all_passed": report.all_passed,
         "violation_count": len(report.violations),
-        "elapsed_seconds": elapsed,
     })
     return doc
 
 
 def factor_record(n: int, k_max: int, prime_filter: bool,
-                  found: List[CandidateDivisor],
-                  elapsed: float) -> Dict[str, object]:
+                  found: List[CandidateDivisor]) -> Dict[str, object]:
     from .factors import cofactor, validate_divisor_form
     entries: List[Dict[str, object]] = []
     violations: List[Dict[str, object]] = []
@@ -186,12 +185,11 @@ def factor_record(n: int, k_max: int, prime_filter: bool,
         "prime_filter": prime_filter,
         "found": entries,
         "violations": violations,
-        "elapsed_seconds": elapsed,
     })
     return doc
 
 
-def order_record(result: OrderResult, elapsed: float) -> Dict[str, object]:
+def order_record(result: OrderResult) -> Dict[str, object]:
     doc = _envelope("order")
     doc.update({
         "n": result.n,
@@ -200,7 +198,6 @@ def order_record(result: OrderResult, elapsed: float) -> Dict[str, object]:
         "not_totally_even": result.not_totally_even,
         "bound_satisfied": result.bound_satisfied,
         "squarings_used": result.squarings_used,
-        "elapsed_seconds": elapsed,
     })
     return doc
 

@@ -728,7 +728,7 @@ class TestHexBases:
         assert res.code == 0
         doc = res.json()
         assert strip_timing(doc) == strip_timing(
-            records.classify_record(classify_report(n, base), 0.0))
+            records.classify_record(classify_report(n, base)))
         assert doc["classification"] == "pseudoprime-to-base"
         assert doc["audit_rules"] \
             and all(r["passed"] for r in doc["audit_rules"])
@@ -923,6 +923,26 @@ class TestSchemaStrictness:
         doc["half_residue"] = doc["half_residue"].upper()
         with pytest.raises(jsonschema.exceptions.ValidationError):
             schema_validator.validate(doc)
+
+
+class TestTiming:
+    @pytest.mark.parametrize("args", [
+        ("pepin", "5"),
+        ("pepin", "10", "--checkpoint-dir", "{tmp}", "--stop-after", "64"),
+        ("classify", "5", "--base", "2"),
+        ("audit", "--n-range", "5", "--bases", "2,3"),
+        ("factor", "5", "--k-max", "10"),
+        ("order", "5", "--base", "2"),
+    ], ids=["pepin", "pepin-paused", "classify", "audit", "factor", "order"])
+    def test_elapsed_seconds_is_the_last_key(self, tmp_path, args):
+        res = run_cli(*(arg.format(tmp=tmp_path) for arg in args))
+        assert res.code == 0
+        key, value = list(res.json().items())[-1]
+        assert key == "elapsed_seconds"
+        assert isinstance(value, float) and value >= 0
+
+    def test_selftest_is_not_timed(self):
+        assert "elapsed_seconds" not in run_cli("selftest").json()
 
 
 class TestSubprocessEntryPoint:

@@ -268,16 +268,16 @@ class TestValidation:
 
     def test_form_violations_only_count_primes(self):
         genuine = lucas_search(5, 10)
-        assert factor_record(5, 10, False, genuine, 0.0)["violations"] == []
+        assert factor_record(5, 10, False, genuine)["violations"] == []
         # 257 = 8 * 2^5 + 1 is F_3 itself: an exact divisor whose k is a
         # power of two, which the record must flag only when called prime
         self_divisor = CandidateDivisor(3, 8)
         fake_prime = self_divisor._replace(prime=True)
-        doc = factor_record(3, 8, False, [fake_prime], 0.0)
+        doc = factor_record(3, 8, False, [fake_prime])
         assert [v["k"] for v in doc["violations"]] == [8]
         assert doc["found"][0]["divisor_form_valid"] is False
         fake_composite = self_divisor._replace(prime=False)
-        doc = factor_record(3, 8, False, [fake_composite], 0.0)
+        doc = factor_record(3, 8, False, [fake_composite])
         assert doc["violations"] == []
 
 

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from conftest import FULL_CRT_ALPHAS, KNOWN_FACTORS, \
 from fermatlab import arith, factors, oracle, primality
 from fermatlab.arith import FermatResidue, fermat_value, max_index, \
     reduce_fold
+from fermatlab.checkpoint import CheckpointWriter
 from fermatlab.errors import (
     BaseNotCoprimeError,
     IndexBelowTwoError,
@@ -591,6 +593,8 @@ CHAIN_ENTRIES = {
     "classify_report": lambda n: classify_report(n, 5),
     "audit_range": lambda n: audit_range([5, n], [2, 5]),
     "lucas_search": lambda n: lucas_search(n, 10),
+    # relative to the test's own empty directory (the fixture's chdir)
+    "CheckpointWriter": lambda n: CheckpointWriter(n, 5, Path("ck")),
 }
 
 
@@ -598,7 +602,9 @@ CHAIN_ENTRIES = {
                          ids=CHAIN_ENTRIES.keys())
 class TestChainIndexRule:
     @pytest.fixture(autouse=True)
-    def no_chain(self, monkeypatch):
+    def no_chain(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the index check")
 
@@ -607,14 +613,16 @@ class TestChainIndexRule:
         monkeypatch.setattr(factors, "divides_fermat", refuse)
         monkeypatch.setenv("FERMAT_LAB_MAX_N", "7")
 
-    def test_below_two(self, entry):
+    def test_below_two(self, entry, tmp_path):
         with pytest.raises(IndexBelowTwoError,
                            match=r"^Fermat index must be >= 2, got 1$"):
             entry(1)
+        assert list(tmp_path.iterdir()) == []
 
-    def test_above_the_cap(self, entry):
+    def test_above_the_cap(self, entry, tmp_path):
         with pytest.raises(IndexOutOfRangeError):
             entry(max_index() + 1)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPrimeCache:

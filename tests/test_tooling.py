@@ -48,11 +48,12 @@ def _syntax_trees():
         yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
 
 
-class _Callers(ast.NodeVisitor):
-    """The scopes, as module.class.function, that call a given name."""
+class _Scopes(ast.NodeVisitor):
+    """The scopes, as module.class.function, that hold a node for which
+    match(node) is true."""
 
-    def __init__(self, module, name):
-        self.scope, self.name, self.found = [module], name, set()
+    def __init__(self, module, match):
+        self.scope, self.match, self.found = [module], match, set()
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -61,21 +62,30 @@ class _Callers(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
-    def visit_Call(self, node):
-        func = node.func
-        if getattr(func, "attr", getattr(func, "id", None)) == self.name:
+    def generic_visit(self, node):
+        if self.match(node):
             self.found.add(".".join(self.scope))
-        self.generic_visit(node)
+        super().generic_visit(node)
+
+
+def _calls(name):
+    return lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "attr", getattr(node.func, "id", None)) == name
+
+
+def _scopes(match):
+    """The scopes of src/fermatlab that hold a node matching `match`."""
+    scopes = set()
+    for module, tree in _syntax_trees():
+        visitor = _Scopes(module, match)
+        visitor.visit(tree)
+        scopes |= visitor.found
+    return scopes
 
 
 def _callers(name):
     """The scopes of src/fermatlab that call `name`."""
-    callers = set()
-    for module, tree in _syntax_trees():
-        visitor = _Callers(module, name)
-        visitor.visit(tree)
-        callers |= visitor.found
-    return callers
+    return _scopes(_calls(name))
 
 
 def test_known_factor_check_runs_only_in_square_blocks_and_on_load():
@@ -107,7 +117,7 @@ def test_block_driver_is_driven_once_per_chain():
     for module, tree in _syntax_trees():
         for loop in ast.walk(tree):
             if isinstance(loop, ast.While):
-                visitor = _Callers(module, "square_blocks")
+                visitor = _Scopes(module, _calls("square_blocks"))
                 visitor.visit(loop)
                 in_while |= visitor.found
     assert in_while == set()
@@ -126,6 +136,19 @@ def test_the_checkpoint_writer_runs_its_own_chain():
     assert [ast.unparse(node) for node in ast.walk(tree)
             if _imports_fermatlab(node)
             and "checkpoint" in ast.unparse(node)] == []
+
+
+def test_records_are_built_without_timing():
+    # a builder is a function of its command's result; one CLI helper
+    # stamps elapsed_seconds, and strip_timing alone takes it off again
+    tree = dict(_syntax_trees())["records"]
+    assert [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "elapsed" in {a.arg for a in ast.walk(node.args)
+                              if isinstance(a, ast.arg)}] == []
+    assert _scopes(lambda node: isinstance(node, ast.Constant)
+                   and node.value == "elapsed_seconds") \
+        == {"cli._timed", "records.strip_timing"}
 
 
 def test_only_the_process_entry_freezes_the_collector():
