@@ -9,7 +9,9 @@ rendering), diagnostics on stderr, and a fixed exit-code contract:
        --checkpoint-dir included)
     3  corrupt or mismatched checkpoint, or a chain residue that fails
        the known-factor check (factors.check_known_factor)
-    4  congruence-rule violation (the headline event; see classify)
+    4  a failed check of the paper's results (the headline event): a
+       congruence rule (classify, audit), the k-form of a prime divisor
+       (factor) or the order bound alpha <= 2^n - 2 (order)
 
 Long half-residue runs can write checkpoints (--checkpoint-dir) and are
 resumed automatically from them; a checkpoint that fails its digest is
@@ -59,12 +61,20 @@ def _timed(doc: Dict[str, object], t0: float) -> Dict[str, object]:
     return doc
 
 
-def _emit(doc: Dict[str, object], fmt: str) -> None:
+def _emit(doc: Dict[str, object], fmt: str, failed: int = 0,
+          checks: str = "") -> int:
+    """Write doc on stdout and return the exit code: 0, or 4, with one
+    stderr line, when `failed` of its checks (named by `checks`) failed."""
     from . import records
     if fmt == "json":
         sys.stdout.write(records.dump(doc))
     else:
         sys.stdout.write(render_text(doc))
+    if not failed:
+        return EXIT_OK
+    _log(f"{failed} {checks}(s) FAILED; this should be impossible, "
+         "please preserve the output")
+    return EXIT_THEOREM_VIOLATION
 
 
 def _parse_base(text: str) -> int:
@@ -152,13 +162,11 @@ def cmd_pepin(args: argparse.Namespace) -> int:
         except ChainPaused as pause:
             _log(f"paused after squaring {pause.index}; checkpoint at "
                  f"{pause.path}")
-            _emit(_timed(records.paused_record(
+            return _emit(_timed(records.paused_record(
                 args.n, args.base, pause.index, str(pause.path)), t0),
                 args.format)
-            return EXIT_OK
-    _emit(_timed(records.pepin_record(args.n, args.base, half), t0),
-          args.format)
-    return EXIT_OK
+    return _emit(_timed(records.pepin_record(args.n, args.base, half), t0),
+                 args.format)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -166,12 +174,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     from .primality import classify_report
     t0 = time.perf_counter()
     verdict = classify_report(args.n, args.base)
-    _emit(_timed(records.classify_record(verdict), t0), args.format)
-    if verdict.violations:
-        _log(f"{len(verdict.violations)} congruence rule(s) FAILED; "
-             "this should be impossible, please preserve the output")
-        return EXIT_THEOREM_VIOLATION
-    return EXIT_OK
+    return _emit(_timed(records.classify_record(verdict), t0), args.format,
+                 len(verdict.violations), "congruence rule")
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -195,11 +199,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
             out.write(records.dump(doc))
     if args.report is not None:
         _log(f"report written to {args.report}")
-    _emit(doc, args.format)
-    if not report.all_passed:
-        _log(f"{len(report.violations)} audit violation(s) found")
-        return EXIT_THEOREM_VIOLATION
-    return EXIT_OK
+    return _emit(doc, args.format, len(report.violations),
+                 "congruence rule")
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
@@ -209,12 +210,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
     found = lucas_search(args.n, args.k_max, args.prime_filter)
     doc = _timed(records.factor_record(args.n, args.k_max, args.prime_filter,
                                        found), t0)
-    _emit(doc, args.format)
-    if doc["violations"]:
-        _log("a prime divisor violated the k-form constraints; "
-             "this should be impossible, please preserve the output")
-        return EXIT_THEOREM_VIOLATION
-    return EXIT_OK
+    return _emit(doc, args.format, len(doc["violations"]),
+                 "divisor k-form rule")
 
 
 def cmd_order(args: argparse.Namespace) -> int:
@@ -222,8 +219,10 @@ def cmd_order(args: argparse.Namespace) -> int:
     from .orders import order_alpha
     t0 = time.perf_counter()
     result = order_alpha(args.n, args.base)
-    _emit(_timed(records.order_record(result), t0), args.format)
-    return EXIT_OK
+    # a failed bound on a composite F_n whose congruence holds means a
+    # quarter residue other than 1: rule pseudoprime-quarter-one failed
+    return _emit(_timed(records.order_record(result), t0), args.format,
+                 int(result.bound_satisfied is False), "order bound rule")
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
@@ -238,6 +237,20 @@ def cmd_selftest(args: argparse.Namespace) -> int:
              f"{result.checks_run} checks); first: {first.describe()}")
         return EXIT_SELFTEST_FAILURE
     return EXIT_OK
+
+
+# the fields of the pepin, classify and order records that the schema
+# types as hex; "residue" is the quarter's
+_HEX_FIELDS = {"base", "pepin_base", "half_residue", "fermat_residue",
+               "residue"}
+
+
+def _text_value(key: str, value: object) -> str:
+    """value as a text line writes it: an object as k=v pairs, and a
+    hex field with 0x."""
+    if isinstance(value, dict):
+        return " ".join(f"{k}={_text_value(k, v)}" for k, v in value.items())
+    return f"0x{value}" if key in _HEX_FIELDS else str(value)
 
 
 def render_text(doc: Dict[str, object]) -> str:
@@ -281,14 +294,11 @@ def render_text(doc: Dict[str, object]) -> str:
         for key, value in doc.items():
             if key in skip:
                 continue
-            if isinstance(value, dict):
-                inner = " ".join(f"{k}={v}" for k, v in value.items())
-                lines.append(f"  {key}: {inner}")
-            elif isinstance(value, list):
+            if isinstance(value, list):
                 for item in value:
-                    lines.append(f"  {key}[]: {item}")
+                    lines.append(f"  {key}[]: {_text_value(key, item)}")
             else:
-                lines.append(f"  {key}: {value}")
+                lines.append(f"  {key}: {_text_value(key, value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -23,7 +23,6 @@ import contextlib
 import errno
 import json
 import os
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Sequence
 
@@ -39,16 +38,6 @@ if TYPE_CHECKING:
 
 RECORD_FORMAT_VERSION = 1
 LIBRARY_VERSION = "0.1.0"
-
-SCHEMA_RESOURCE = "schemas/cli_output.schema.json"
-
-
-def load_schema() -> dict:
-    """The published schema for every record the CLI writes: a
-    builder's record with elapsed_seconds added, but for selftest."""
-    path = resources.files(__package__).joinpath(SCHEMA_RESOURCE)
-    return json.loads(path.read_text(encoding="utf-8"))
-
 
 def _envelope(record: str) -> Dict[str, object]:
     return {

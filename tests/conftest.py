@@ -8,12 +8,14 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
+from importlib import resources
 from typing import List
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fermatlab import arith, factors, primality, records
+import fermatlab
+from fermatlab import arith, factors, primality
 from fermatlab.cli import main
 
 # big-int cases vary wildly in size; wall-clock deadlines just add noise
@@ -146,18 +148,26 @@ def run_cli_subprocess(*args: str, env=None) -> subprocess.CompletedProcess:
         capture_output=True, text=True, env=env, timeout=600)
 
 
+def load_schema() -> dict:
+    """The published schema, shipped as package data, for every record
+    the CLI writes: a builder's record with elapsed_seconds added, but
+    for selftest."""
+    path = resources.files(fermatlab) / "schemas" / "cli_output.schema.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 @pytest.fixture(scope="session")
 def schema_validator():
     import jsonschema
 
-    return jsonschema.Draft202012Validator(records.load_schema())
+    return jsonschema.Draft202012Validator(load_schema())
 
 
 @pytest.fixture(scope="session")
 def checkpoint_validator():
     import jsonschema
 
-    schema = records.load_schema()
+    schema = load_schema()
     sub = {
         "$schema": schema["$schema"],
         "$defs": schema["$defs"],

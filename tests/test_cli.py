@@ -12,7 +12,7 @@ import pytest
 from conftest import SELFTEST_CHECKS, pseudoprime_base, run_cli, \
     run_cli_subprocess, spy_on_squarings
 
-from fermatlab import arith, factors, primality, records
+from fermatlab import arith, factors, orders, primality, records
 from fermatlab.arith import FermatResidue, fermat_value
 from fermatlab.checkpoint import (
     Checkpoint,
@@ -39,6 +39,24 @@ def flip_bit_at(monkeypatch, step):
         return out ^ 1 if len(calls) == step else out
 
     monkeypatch.setattr(arith, "_mulmod", faulty)
+
+
+def fail_first_rule(monkeypatch):
+    """Mark the first congruence rule of every verdict as failed."""
+    real = primality._audit_rules
+
+    def first_fails(*args):
+        first, *rest = real(*args)
+        return (first._replace(passed=False, detail="synthetic"), *rest)
+
+    monkeypatch.setattr(primality, "_audit_rules", first_fails)
+
+
+def assert_one_failed_line(res):
+    """Exit 4, and one stderr line saying that a check FAILED."""
+    assert res.code == 4
+    assert len([line for line in res.stderr.splitlines()
+                if "FAILED" in line]) == 1
 
 
 def assert_refused(res):
@@ -401,23 +419,15 @@ class TestClassifyCommand:
 
     def test_synthetic_violation_exits_4(self, monkeypatch,
                                          schema_validator):
-        real = primality._audit_rules
-
-        def first_fails(*args):
-            first, *rest = real(*args)
-            return (first._replace(passed=False, detail="synthetic"),
-                    *rest)
-
-        monkeypatch.setattr(primality, "_audit_rules", first_fails)
+        fail_first_rule(monkeypatch)
         res = run_cli("classify", "5")
-        assert res.code == 4
+        assert_one_failed_line(res)
         doc = res.json()
         schema_validator.validate(doc)
         assert len(doc["audit_rules"]) == 4
         flagged = [r for r in doc["audit_rules"] if not r["passed"]]
         assert [r["rule"] for r in flagged] == ["pseudoprime-quarter-one"]
         assert flagged[0]["detail"] == "synthetic"
-        assert "FAILED" in res.stderr
 
     def test_chain_fault_refused(self, monkeypatch):
         flip_bit_at(monkeypatch, 1000)
@@ -462,6 +472,19 @@ class TestAuditCommand:
         assert res.code == 0
         assert target.read_text(encoding="utf-8") == res.stdout
         schema_validator.validate(json.loads(res.stdout))
+
+    def test_synthetic_violation_exits_4(self, tmp_path, monkeypatch,
+                                         schema_validator):
+        fail_first_rule(monkeypatch)
+        target = tmp_path / "audit.json"
+        res = run_cli("audit", "--n-range", "5", "--bases", "2,3",
+                      "--report", str(target))
+        assert_one_failed_line(res)
+        doc = res.json()
+        schema_validator.validate(doc)
+        assert doc["all_passed"] is False
+        assert doc["violation_count"] == 2
+        assert target.read_text(encoding="utf-8") == res.stdout
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
@@ -567,7 +590,7 @@ class TestFactorCommand:
         monkeypatch.setattr("fermatlab.factors.lucas_search",
                             lambda *a, **k: [fake])
         res = run_cli("factor", "3")
-        assert res.code == 4
+        assert_one_failed_line(res)
         doc = res.json()
         schema_validator.validate(doc)
         assert doc["found"][0]["divisor_form_valid"] is False
@@ -603,6 +626,15 @@ class TestOrderCommand:
 
     def test_non_coprime_rejected(self):
         assert run_cli("order", "5", "--base", "641").code == 2
+
+    def test_failed_bound_exits_4(self, monkeypatch, schema_validator):
+        # a ceiling of 2^5 - 32 = 0 fails base 2's alpha of 6 on F_5
+        monkeypatch.setattr(orders, "ORDER_BOUND_SLACK", 32)
+        res = run_cli("order", "5", "--base", "2")
+        assert_one_failed_line(res)
+        doc = res.json()
+        schema_validator.validate(doc)
+        assert (doc["alpha"], doc["bound_satisfied"]) == (6, False)
 
     @pytest.mark.parametrize("step, what", [
         # 2^16 + 1 in place of 2^16: the chain never reaches 1
@@ -681,6 +713,21 @@ class TestTextFormat:
         out = run_cli("pepin", "5", "--format", "text").stdout
         assert out.splitlines()[0] == "pepin"
         assert "half_residue" in out
+
+    def test_pepin_hex_fields(self):
+        lines = run_cli("pepin", "5", "--base", "16", "--allow-any-base",
+                        "--format", "text").stdout.splitlines()
+        assert {"  base: 0x10", "  half_residue: 0x1"} <= set(lines)
+
+    def test_classify_hex_fields_and_rules(self):
+        lines = run_cli("classify", "5", "--base", "10",
+                        "--format", "text").stdout.splitlines()
+        assert {"  base: 0xa", "  pepin_base: 0x3",
+                "  quarter: tag=other residue=0x4347d048",
+                "  half_residue: 0xcfb66916",
+                "  fermat_residue: 0x81e28dfa",
+                "  audit_rules[]: rule=pseudoprime-quarter-one passed=True",
+                } <= set(lines)
 
     def test_audit(self):
         out = run_cli("audit", "--n-range", "5", "--bases", "2,641",

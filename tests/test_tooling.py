@@ -151,6 +151,29 @@ def test_records_are_built_without_timing():
         == {"cli._timed", "records.strip_timing"}
 
 
+def test_one_exit_for_a_failed_check():
+    # _emit alone turns a failed check into exit 4 and its stderr line;
+    # every command but selftest returns the code _emit gives it
+    def named(node):
+        return isinstance(node, ast.Name) \
+            and node.id == "EXIT_THEOREM_VIOLATION"
+
+    assert _scopes(named) == {"cli", "cli._emit"}
+    assert _scopes(lambda node: isinstance(node, ast.Constant)
+                   and "should be impossible" in str(node.value)) \
+        == {"cli._emit"}
+    assert _scopes(lambda node: isinstance(node, ast.Expr)
+                   and _calls("_emit")(node.value)) == {"cli.cmd_selftest"}
+
+
+def test_records_import_nothing_from_importlib():
+    # the schema is package data that only the tests read
+    tree = dict(_syntax_trees())["records"]
+    assert [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and "importlib" in ast.unparse(node)] == []
+
+
 def test_only_the_process_entry_freezes_the_collector():
     # cli.main, and the library under it, run many times in one process
     # (tests, clibench/tracer.py): frozen objects are never collected
