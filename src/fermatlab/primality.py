@@ -16,6 +16,9 @@ and for base 3 the quarter residue decides pseudoprimality outright and
 is never -1.  classify_report() checks all of that on every call and
 returns each rule's outcome with the verdict; a failed rule is a
 counterexample, which the CLI reports loudly (exit 4), never swallows.
+audit_range() runs no chain for a row whose congruence a known factor
+of F_n refutes (factors.refutes_congruence): that alone fixes its
+quarter tag, congruence, verdict and rules.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .arith import FermatResidue, _check_base, chain_backend, \
     check_chain_index, check_index, fermat_value, require_coprime, \
     square_blocks
 from .errors import NonAdmissibleBaseError
-from .factors import _odd_primes, proven_factors
+from .factors import _odd_primes, proven_factors, refutes_congruence
 
 # Bases for which the half-residue test decides primality.  Known good
 # bases; there is no general criterion here, hence an allowlist with an
@@ -106,12 +109,16 @@ class Verdict(NamedTuple):
     (2^((F_n-1)/2) never lands on -1 for n >= 2), so the requested base
     only ever supplies the pseudoprimality side.  rules holds the
     outcome of every rule that applies to (n, base), in check order.
+
+    taps is None on an audit row whose congruence a known factor
+    refutes: no chain ran, so it has no residues, only the quarter tag
+    other and a congruence that fails.
     """
 
     n: int
     base: int
     pepin_prime: bool
-    taps: ChainTaps
+    taps: Optional[ChainTaps]
 
     @property
     def quarter(self) -> QuarterClass:
@@ -126,8 +133,14 @@ class Verdict(NamedTuple):
         return self.taps.full
 
     @property
+    def quarter_tag(self) -> QuarterTag:
+        if self.taps is None:
+            return QuarterTag.OTHER
+        return self.quarter.tag
+
+    @property
     def fermat_congruence_holds(self) -> bool:
-        return self.taps.full.is_one
+        return self.taps is not None and self.taps.full.is_one
 
     @property
     def classification(self) -> Classification:
@@ -274,7 +287,7 @@ def _audit_rules(verdict: Verdict) -> Tuple[RuleOutcome, ...]:
     if n < AUDIT_MIN_INDEX:
         return ()
     pseudo = verdict.classification is Classification.PSEUDOPRIME_TO_BASE
-    tag = verdict.quarter.tag
+    tag = verdict.quarter_tag
     one = tag is QuarterTag.PLUS_ONE
     minus_one = tag is QuarterTag.MINUS_ONE
     # (rule key, whether it holds, what a failure means)
@@ -302,12 +315,15 @@ def classify_report(n: int, base: int) -> Verdict:
     """Full verdict for (F_n, base), with the outcome of every rule.
 
     It is the one row of audit_range([n], [base]); a base sharing a
-    factor with F_n raises first.  A failed rule is returned, not raised:
-    the CLI turns it into exit 4 with the whole record printed.
+    factor with F_n raises first.  Where a known factor decided that row
+    with no chain, the chain runs here, for the residues the verdict
+    holds.  A failed rule is returned, not raised: the CLI turns it into
+    exit 4 with the whole record printed.
     """
     check_chain_index(n)
     require_coprime(n, base)
-    return audit_range([n], [base]).rows[0].verdict
+    verdict = audit_range([n], [base]).rows[0].verdict
+    return verdict._replace(taps=verdict.taps or chain_taps(n, base))
 
 
 def default_audit_bases() -> List[int]:
@@ -343,15 +359,18 @@ class AuditReport(NamedTuple):
 
 
 def audit_range(n_values, bases) -> AuditReport:
-    """Classify every (n, base) of a grid, one chain per distinct pair.
+    """Classify every (n, base) of a grid, one chain per distinct pair
+    that no known factor refutes.
 
     Every n and base is checked (check_audit_grid) before the first
     chain runs.  Each n's primality is False where a known factor
     divides F_n (factors.proven_factors); for any other n it comes from
     its base-3 chain, which then runs even when 3 is not among the
-    bases (and gives no row).  The chains are the only work, and they
-    run on a process pool (see _run_chains); the verdicts and rows are
-    built here, in n_values then bases order.
+    bases (and gives no row).  A pair whose congruence a known factor
+    refutes (factors.refutes_congruence) is decided with no chain, and
+    its verdict holds no taps.  The chains are the only other work, and
+    they run on a process pool (see _run_chains); the verdicts and rows
+    are built here, in n_values then bases order.
 
     Non-coprime bases do not abort the sweep and run no chain: the row
     records the gcd (a factor of F_n!).  Any violation in any row makes
@@ -361,24 +380,27 @@ def audit_range(n_values, bases) -> AuditReport:
     check_audit_grid(n_values, bases)
     gcds = {(n, base): gcd(base, fermat_value(n))
             for n in set(n_values) for base in bases}
-    composite = {n: bool(proven_factors(n)) for n in set(n_values)}
+    primes = {n: proven_factors(n) for n in set(n_values)}
     chain_bases = list(dict.fromkeys([*bases, PEPIN_BASE]))
     # largest n first, so that the last chains to start are short ones
     chains = _run_chains({
-        n: [base for base in chain_bases if gcds.get((n, base)) == 1
-            or (base == PEPIN_BASE and not composite[n])]
-        for n in sorted(composite, reverse=True)})
+        n: [base for base in chain_bases
+            if (gcds.get((n, base)) == 1
+                and not refutes_congruence(n, base, primes[n]))
+            or (base == PEPIN_BASE and not primes[n])]
+        for n in sorted(primes, reverse=True)})
     rows: List[AuditRow] = []
     for n in n_values:
-        pepin_prime = not composite[n] \
+        pepin_prime = not primes[n] \
             and chains[n, PEPIN_BASE].half.is_minus_one
         _PRIME_CACHE.setdefault(n, pepin_prime)
         for base in bases:
             if gcds[n, base] != 1:
                 rows.append(AuditRow(n, base, gcd=gcds[n, base]))
             else:
+                # no chain, and so no taps, where a factor refuted it
                 rows.append(AuditRow(n, base, verdict=Verdict(
-                    n, base, pepin_prime, chains[n, base])))
+                    n, base, pepin_prime, chains.get((n, base)))))
     return AuditReport(tuple(rows))
 
 

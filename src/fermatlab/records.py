@@ -127,7 +127,7 @@ def audit_record(report: AuditReport, n_range: List[int],
             "n": row.n,
             "base": to_hex(row.base),
             "coprime": True,
-            "quarter_tag": v.quarter.tag.value,
+            "quarter_tag": v.quarter_tag.value,
             "fermat_congruence_holds": v.fermat_congruence_holds,
             "pepin_prime": v.pepin_prime,
             "classification": v.classification.value,

@@ -9,6 +9,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from importlib import resources
+from math import gcd, prod
 from typing import List
 
 import pytest
@@ -91,6 +92,16 @@ def full_crt_base(n: int) -> int:
     m = (1 << (1 << n)) + 1
     return sum(m // p * (_two_power_generator(p) * pow(m // p, -1, p) % p)
                for p in complete_factorisation(n)) % m
+
+
+def unrefuted_bases(n: int, count: int) -> List[int]:
+    """count bases coprime to F_n that are 1 modulo every known factor
+    of F_n, so that no factor refutes their Fermat congruence
+    (factors.refutes_congruence) and an audit squares their chains."""
+    step = prod(factors.KNOWN_FACTORS[n])
+    bases = [1 + i * step for i in range(1, count + 1)]
+    assert all(gcd(b, (1 << (1 << n)) + 1) == 1 for b in bases)
+    return bases
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 from conftest import SELFTEST_CHECKS, pseudoprime_base, run_cli, \
-    run_cli_subprocess, spy_on_squarings
+    run_cli_subprocess, spy_on_squarings, unrefuted_bases
 
 from fermatlab import arith, factors, orders, primality, records
 from fermatlab.arith import FermatResidue, fermat_value
@@ -21,7 +21,7 @@ from fermatlab.checkpoint import (
     save_checkpoint,
 )
 from fermatlab.factors import CandidateDivisor
-from fermatlab.primality import classify_report, default_audit_bases
+from fermatlab.primality import classify_report
 from fermatlab.records import strip_timing
 
 
@@ -503,7 +503,12 @@ class TestAuditCommand:
     def test_fft_fault_in_a_batched_worker_refused(self, tmp_path,
                                                    monkeypatch):
         # each forked worker squares one batch of the n = 12 chains on
-        # the FFT, and adds 1 to digit 0 of every row at its 100th carry
+        # the FFT, and adds 2 to digit 0 of every row at its 100th carry.
+        # These bases are 1 modulo every known factor of F_12, so no
+        # factor refutes them and their chains run, and so is every
+        # residue of them.  The fault leaves 3 there, whose order has an
+        # odd part, so no squaring brings it back to 1; adding 1 would
+        # leave 2, of order 2^13, and the check would not see it.
         fft = pytest.importorskip("fermatlab._fft")
         real = fft._carry
         steps = []
@@ -512,12 +517,12 @@ class TestAuditCommand:
             out = real(values, work)
             steps.append(1)
             if len(steps) == 100:
-                out[..., 0] += 1
+                out[..., 0] += 2
             return out
 
         monkeypatch.setattr(fft, "_carry", faulty)
         monkeypatch.setattr(primality, "_usable_cpus", lambda: 2)
-        bases = default_audit_bases()[:2 * arith.FFT_MIN_BATCH[12]]
+        bases = unrefuted_bases(12, 2 * arith.FFT_MIN_BATCH[12])
         report = tmp_path / "r.json"
         assert_refused(run_cli("audit", "--n-range", "12", "--bases",
                                ",".join(map(str, bases)),
@@ -528,7 +533,8 @@ class TestAuditCommand:
     def test_fft_fault_in_one_row_refused_at_the_quarter_tap(self,
                                                              monkeypatch):
         # one CPU: the 8 chains at n = 12 square here as one FFT batch,
-        # checked only at its taps; row 3, base 7, is off from step 100
+        # checked only at its taps; row 3 is off from step 100, by 2 for
+        # the reason the test above gives
         fft = pytest.importorskip("fermatlab._fft")
         real = fft._carry
         rows = []
@@ -537,16 +543,17 @@ class TestAuditCommand:
             out = real(values, work)
             rows.append(len(out))
             if len(rows) == 100:
-                out[3, 0] += 1
+                out[3, 0] += 2
             return out
 
         monkeypatch.setattr(fft, "_carry", faulty)
         monkeypatch.setattr(primality, "_usable_cpus", lambda: 1)
-        bases = default_audit_bases()[:arith.FFT_MIN_BATCH[12]]
+        bases = unrefuted_bases(12, arith.FFT_MIN_BATCH[12])
         res = run_cli("audit", "--n-range", "12", "--bases",
                       ",".join(map(str, bases)))
         assert_refused(res)
-        assert "chain residue of base 0x7 is not base^(2^4094)" in res.stderr
+        assert f"chain residue of base 0x{bases[3]:x} is not base^(2^4094)" \
+            in res.stderr
         assert set(rows) == {len(bases)}
 
     def test_bad_arguments(self):

@@ -21,7 +21,7 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import SELFTEST_CHECKS, run_cli
+from conftest import SELFTEST_CHECKS, run_cli, unrefuted_bases
 
 from fermatlab import arith, primality
 from fermatlab.arith import FermatResidue, _mulmod, mod_square_chain
@@ -380,31 +380,40 @@ class TestImportHygiene:
                                       ("classify", "13", "--base", "7"),
                                       ("order", "12", "--base", "5"),
                                       ("factor", "9", "--k-max", "100"),
-                                      ("audit", "--n-range", "5..8")],
+                                      ("audit", "--n-range", "5..8"),
+                                      ("audit", "--n-range", "5..12")],
                              ids=["import", "classify-12", "classify-13",
-                                  "order-12", "factor-9", "audit-5-8"])
+                                  "order-12", "factor-9", "audit-5-8",
+                                  "audit-5-12"])
     def test_below_crossover_numpy_stays_unloaded(self, args):
         # and so does multiprocessing, outside an audit worth a pool; a
         # known factor of F_13 decides its primality, so classify 13
-        # runs one chain and starts no pool
+        # runs one chain and starts no pool.  Known factors refute every
+        # default base but 2 at n = 5..12, so that audit squares 8
+        # chains, one at each index.
         assert loaded(probe("allow", *args)) & POOL_AND_NUMPY == set()
 
     @pytest.mark.skipif(primality._usable_cpus() < 2,
                         reason="one usable CPU: no audit is pooled")
     def test_pooled_audit_loads_multiprocessing_only(self):
+        # four chains at n = 12, in two integer batches, cost 2^26
+        bases = ",".join(map(str, [2, *unrefuted_bases(12, 3)]))
         assert loaded(probe("allow", "audit", "--n-range", "10..12",
-                            "--bases", "2,3,5,7")) & POOL_AND_NUMPY \
+                            "--bases", bases)) & POOL_AND_NUMPY \
             == {"multiprocessing"}
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="without fork, each worker imports numpy itself")
     def test_batched_audit_loads_numpy_before_the_fork(self):
-        # the n = 12 chains run in two batches of 25; the workers
-        # inherit numpy from the parent instead of each importing it
+        # the n = 12 chains run in two batches of 8, on the FFT; the
+        # workers inherit numpy from the parent instead of each
+        # importing it
+        bases = unrefuted_bases(12, 2 * arith.FFT_MIN_BATCH[12])
         proc = subprocess.run(
             [sys.executable, "-c", _FORK_PROBE, "audit", "--n-range",
-             "5..12"], capture_output=True, text=True, timeout=600)
+             "5..12", "--bases", ",".join(map(str, bases))],
+            capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
         forks = json.loads(proc.stderr.splitlines()[-1])
         assert forks and all(forks)

@@ -178,8 +178,10 @@ class TestBlocks:
     @pytest.mark.parametrize("block", [1, 3, 4, CHAIN_BLOCK])
     def test_batched_audit_row_agrees_with_pow(self, monkeypatch, block):
         # one CPU, so that the batch of 8 chains at n = 12 squares here,
-        # on the FFT, where the spy sees it
+        # on the FFT, where the spy sees it; with no known factor, none
+        # refutes a base and leaves its row without a chain
         pytest.importorskip("numpy")
+        monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
         monkeypatch.setattr(arith, "CHAIN_BLOCK", block)
         monkeypatch.setattr(primality, "_usable_cpus", lambda: 1)
         counts = spy_on_squarings(monkeypatch)

@@ -2,16 +2,17 @@
 
 import multiprocessing
 import threading
+from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import FULL_CRT_ALPHAS, KNOWN_FACTORS, \
     complete_factorisation, full_crt_base, pseudoprime_base, run_cli, \
     spy_on_squarings, v2
 
-from fermatlab import arith, factors, oracle, primality
+from fermatlab import arith, factors, oracle, primality, records
 from fermatlab.arith import FermatResidue, fermat_value, max_index, \
     reduce_fold
 from fermatlab.checkpoint import CheckpointWriter
@@ -23,6 +24,8 @@ from fermatlab.errors import (
 )
 from fermatlab.factors import lucas_search
 from fermatlab.primality import (
+    AuditReport,
+    AuditRow,
     ChainTaps,
     Classification,
     QuarterTag,
@@ -305,8 +308,10 @@ class TestRealAudits:
             == audit_range(range(5, 7), [2, 3, 5])
 
     def test_one_chain_per_row(self, monkeypatch):
-        # the base-3 row decides primality for the other bases of its n,
-        # so no row pays for a second chain
+        # with no known factor, none refutes a row and each coprime row
+        # runs its chain; the base-3 row decides primality for the other
+        # bases of its n, so no row pays for a second chain
+        monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
         counts = spy_on_squarings(monkeypatch)
         report = audit_range(range(5, 8), [2, 3, 5])
         assert sum(counts) == 3 * ((1 << 5) + (1 << 6) + (1 << 7))
@@ -452,8 +457,13 @@ class TestAuditPool:
     # 114689 = 7*2^14 + 1 divides F_12, so one gcd row crosses the pool
     GRID = range(10, 13)
 
-    # both sets cost the same: three coprime chains at n = 12, enough
-    # for a pool (_POOL_MIN_COST)
+    @pytest.fixture(autouse=True)
+    def no_known_factor(self, monkeypatch):
+        # so that no factor refutes a row, and each coprime row runs its
+        # chain; primality then comes from a base-3 chain at every n
+        monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
+
+    # three or four chains at n = 12, enough for a pool (_POOL_MIN_COST)
     @pytest.mark.parametrize("bases", [[2, 3, 5, 114689], [2, 5, 7, 114689]],
                              ids=["with-base-3", "without-base-3"])
     def test_pool_gives_the_same_report(self, monkeypatch, fresh_prime_cache,
@@ -462,10 +472,10 @@ class TestAuditPool:
         usable_cpus(monkeypatch, 1)
         alone = audit_range(self.GRID, bases)
         # one chain per coprime (n, base); the gcd pair runs none, and
-        # F_10..F_12 have known factors, so no base-3 chain runs for
-        # primality alone
+        # each n runs a base-3 chain, which gives a row only where 3 is
+        # a base
         assert sorted(calls) == sorted(
-            (n, b) for n in self.GRID for b in bases
+            (n, b) for n in self.GRID for b in {*bases, 3}
             if (n, b) != (12, 114689))
         calls.clear()
         fresh_prime_cache()
@@ -509,7 +519,7 @@ class TestAuditPool:
 
     def test_each_index_splits_its_chains_round_robin(self, monkeypatch):
         # one task per batch of min(CPUs, chains) at every index, whatever
-        # the backend; F_5..F_8 have known factors, so no base-3 chain
+        # the backend; the base-3 chain for primality comes last
         batches = []
         real = primality._batch_taps
 
@@ -521,7 +531,7 @@ class TestAuditPool:
         usable_cpus(monkeypatch, 2)
         audit_range(range(5, 9), [2, 5, 7, 11])
         assert batches == [(n, bases) for n in (8, 7, 6, 5)
-                           for bases in ((2, 7), (5, 11))]
+                           for bases in ((2, 7, 3), (5, 11))]
 
     @pytest.mark.skipif(
         not FORK, reason="the workers see the patched chain only when forked")
@@ -548,12 +558,27 @@ class TestAuditPool:
         assert calls == []
 
 
+def row_fields(verdict: Verdict) -> list:
+    """What an audit record shows of a row's verdict."""
+    return [verdict.quarter_tag, verdict.fermat_congruence_holds,
+            verdict.pepin_prime, verdict.classification, verdict.rules]
+
+
 class TestClassifyIsAnAuditRow:
     @pytest.mark.parametrize("n", range(5, 9))
     def test_equals_the_audit_row(self, n):
+        # known factors decide the rows of 3, 5 and 7 with no chain;
+        # classify runs it for the residues its record shows
+        m = fermat_value(n)
         for base in (2, 3, 5, 7):
-            assert classify_report(n, base) \
-                == audit_range([n], [base]).rows[0].verdict
+            verdict = classify_report(n, base)
+            row = audit_range([n], [base]).rows[0].verdict
+            assert (row.taps is None) is (base != 2)
+            assert row_fields(row) == row_fields(verdict)
+            quarter = pow(base, (m - 1) // 4, m)
+            assert [tap.value for tap in verdict.taps] \
+                == [quarter, quarter ** 2 % m, quarter ** 4 % m]
+            assert verdict.quarter_tag is verdict.quarter.tag
 
     def test_pooled_classify_gives_the_same_verdict(self, monkeypatch):
         # with no known factor, primality takes a base-3 chain, as at
@@ -581,6 +606,87 @@ class TestClassifyIsAnAuditRow:
             classify_report(5, 641)
         assert info.value.gcd == 641
         assert calls == []
+
+
+def oracle_rows(n: int, bases) -> list:
+    """The audit record rows of coprime bases at a composite F_n, read
+    from quarter and full residues that oracle.naive_pow gives."""
+    m = fermat_value(n)
+    rows = []
+    for base in bases:
+        quarter = oracle.naive_pow(base, (m - 1) // 4, m)
+        taps = ChainTaps(*(FermatResidue(n, oracle.naive_pow(quarter, e, m))
+                           for e in (1, 2, 4)))
+        rows.append(AuditRow(n, base, verdict=Verdict(n, base, False, taps)))
+    return records.audit_record(AuditReport(tuple(rows)), [n],
+                                list(bases))["rows"]
+
+
+class TestKnownFactorRefutation:
+    """A row whose congruence a known factor of F_n refutes is decided
+    with no chain; every other row still runs its chain."""
+
+    def test_default_audit_rows_match_the_oracle(self):
+        # n = 13 is left out: one naive_pow there takes over a second
+        bases = default_audit_bases()
+        report = audit_range(range(5, 13), bases)
+        assert records.audit_record(report, [5, 12], bases)["rows"] \
+            == [row for n in range(5, 13) for row in oracle_rows(n, bases)]
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_drawn_rows_match_the_oracle(self, data):
+        n = data.draw(st.integers(min_value=5, max_value=11))
+        m = fermat_value(n)
+        base = data.draw(st.one_of(st.integers(min_value=2, max_value=300),
+                                   st.integers(min_value=2, max_value=m - 2)))
+        assume(gcd(base, m) == 1)
+        report = audit_range([n], [base])
+        assert records.audit_record(report, [n], [base])["rows"] \
+            == oracle_rows(n, [base])
+
+    @pytest.mark.parametrize("n, base", [
+        (12, 2), (12, pseudoprime_base(12, 114689)), (9, full_crt_base(9))],
+        ids=["base-2", "pseudoprime-base", "full-crt-base"])
+    def test_unrefuted_row_runs_its_chain(self, monkeypatch, n, base):
+        calls = spy_on_chains(monkeypatch)
+        [row] = audit_range([n], [base]).rows
+        assert calls == [(n, base)]
+        assert row.verdict.taps.quarter.is_one
+        assert (row.verdict.quarter_tag, row.verdict.classification) \
+            == (QuarterTag.PLUS_ONE, Classification.PSEUDOPRIME_TO_BASE)
+        assert row.verdict.rules and row.verdict.violations == ()
+
+    def test_default_audit_squares_only_base_two(self, monkeypatch):
+        # 2^(2^(n+1)) = 1 mod F_n, so no factor refutes base 2; every
+        # other default base is refuted at n = 5..12, and the known
+        # factors decide primality, so no base-3 chain runs either
+        calls = spy_on_chains(monkeypatch)
+        counts = spy_on_squarings(monkeypatch)
+        assert run_cli("audit", "--n-range", "5..12").code == 0
+        assert sorted(calls) == [(n, 2) for n in range(5, 13)]
+        assert sum(counts) == sum(1 << n for n in range(5, 13))
+
+    def test_known_factor_spares_the_primality_chain(self, monkeypatch):
+        # 3 is not a base, and 5 and 7 are refuted at n = 10..12
+        calls = spy_on_chains(monkeypatch)
+        report = audit_range(range(10, 13), [2, 5, 7, 114689])
+        assert sorted(calls) == [(n, 2) for n in range(10, 13)]
+        assert report.all_passed
+
+    def test_large_indices_square_nothing(self, monkeypatch):
+        # a chain of 2^21 to 2^23 squarings would take hours
+        counts = spy_on_squarings(monkeypatch)
+        report = audit_range([21, 22, 23], [3, 7, 11])
+        assert counts == []
+        for row in report.rows:
+            assert row.coprime and row.verdict.taps is None
+            assert (row.verdict.quarter_tag, row.verdict.classification,
+                    row.verdict.pepin_prime) == (
+                QuarterTag.OTHER, Classification.COMPOSITE_NON_PSEUDOPRIME,
+                False)
+            assert len(row.verdict.rules) == (4 if row.base == 3 else 2)
+        assert report.all_passed
 
 
 # Every public way into a chain or the divisor search, with base 5, which

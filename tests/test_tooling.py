@@ -123,6 +123,14 @@ def test_block_driver_is_driven_once_per_chain():
     assert in_while == set()
 
 
+def test_chain_layers_take_no_power_modulo_a_factor():
+    # factors.refutes_congruence alone asks a known factor whether the
+    # congruence fails, for the orders and the audit alike
+    assert {scope for scope in _scopes(
+        lambda node: _calls("pow")(node) and len(node.args) == 3)
+        if scope.partition(".")[0] in {"orders", "primality"}} == set()
+
+
 def test_the_checkpoint_writer_runs_its_own_chain():
     # the CLI builds the writer and calls its run(); no library function
     # takes a writer, so none has to check that it is for its chain
