@@ -33,10 +33,12 @@ square_blocks drives every chain of the library: it advances one or
 more chains from an index through the stops its caller names, in
 squaring calls that end at each stop and at each multiple of
 CHAIN_BLOCK, and yields between calls, where the caller acts (reads a
-tap, tests for 1, writes a checkpoint) or leaves.  Before it yields it
-checks the residues against the known factors of F_n
+tap, tests for 1, writes a checkpoint) or leaves.  A chain that has
+reached 1 squares no further, since every later entry is 1.  Before it
+yields it checks the residues against the known factors of F_n
 (factors.check_known_factor): every chain at each stop, and a lone
-chain at every block end, so no caller reads an unchecked residue.
+chain at every block end it yields, so no caller reads an unchecked
+residue.
 One check cost 0.015 ms against 0.049 ms for a block of 64 squarings
 at n = 8, 0.082 vs 1.19 ms at n = 12, 0.062 vs 5.3 ms at n = 14, 0.29
 vs 24 ms at n = 18 and 4.2 vs 739 ms at n = 22: about 1% from n = 14
@@ -357,14 +359,22 @@ def square_blocks(bases: Sequence[int], residues: Sequence[FermatResidue],
     are skipped.  Callers act between yields and end the chain by
     leaving the loop: nothing is squared past the last yield taken.
 
+    A chain at 1 stays at 1, which squares to 1, so no later entry of
+    it can differ: it is left out of every later call, and the kernels
+    never see a 1.  Once every chain is at 1 nothing is squared, and
+    the index jumps to the next stop.  Every stop is still yielded and
+    checked, but a lone chain at 1 yields at its stops only, not at
+    every block end.
+
     Before a yield, factors.check_known_factor raises CheckpointError
     for a residue that is not its base^(2^index) modulo a known factor
     of F_n.  It checks every chain at each stop, and a lone chain at
-    every block end as well: every caller that reads between stops
-    runs a lone chain, whose checks cost a few ms in all below n = 14
-    and about 1% of each block from n = 14 up (figures above).  A batch
-    is read only at its stops (the audit's taps), and checking 25
-    chains at every block end cost 13-100% of their block at n = 7..13.
+    every block end it yields as well: every caller that reads between
+    stops runs a lone chain, whose checks cost a few ms in all below
+    n = 14 and about 1% of each block from n = 14 up (figures above).
+    A batch is read only at its stops (the audit's taps), and checking
+    25 chains at every block end cost 13-100% of their block at n =
+    7..13.
     """
     # factors imports this module
     from .factors import check_known_factor
@@ -376,9 +386,17 @@ def square_blocks(bases: Sequence[int], residues: Sequence[FermatResidue],
     lone = len(residues) == 1
     for stop in stops:
         while index < stop:
-            end = min(stop, (index // CHAIN_BLOCK + 1) * CHAIN_BLOCK)
-            residues = [mod_square_chain(residues[0], end - index)] \
-                if lone else mod_square_chains(residues, end - index)
+            # the chains not yet at 1 (see the docstring)
+            live =[i for i, x in enumerate(residues) if not x.is_one]
+            end = min(stop, (index // CHAIN_BLOCK + 1) * CHAIN_BLOCK) \
+                if live else stop
+            if lone and live:
+                residues = [mod_square_chain(residues[0], end - index)]
+            elif live:
+                residues = list(residues)
+                for i, x in zip(live, mod_square_chains(
+                        [residues[i] for i in live], end - index)):
+                    residues[i] = x
             index = end
             if lone or index == stop:
                 for base, x in zip(bases, residues):

@@ -199,7 +199,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             out.write(records.dump(doc))
     if args.report is not None:
         _log(f"report written to {args.report}")
-    return _emit(doc, args.format, len(report.violations),
+    return _emit(doc, args.format, doc["violation_count"],
                  "congruence rule")
 
 

@@ -73,7 +73,12 @@ def check_known_factor(n: int, base: int, index: int, residue: int,
     A fault v2(p - 1) or more squarings back has left an error modulo p
     of odd order, which is 1 with probability about 1/k_odd, where
     p - 1 = k_odd * 2^v2(p - 1); the check misses the fault only where
-    that happens for every p.
+    that happens for every p.  That is for a random error.  An error
+    of order 2^a modulo every known factor is gone a squarings later,
+    so no check after that sees it: adding 1 to a residue that is 1
+    modulo every p (the chain of a base that no factor refutes, from
+    index max v2(p - 1) on) leaves 2, of order 2^(n+1), and a check
+    more than n + 1 squarings on passes.
     """
     for p in KNOWN_FACTORS.get(n, ()):
         if residue % p != pow(base, pow(2, index, p - 1), p):

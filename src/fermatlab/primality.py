@@ -45,12 +45,14 @@ PEPIN_BASE = 3
 AUDIT_MIN_INDEX = 5
 
 # Least estimated cost of an audit whose chains run on a process pool, in
-# squarings times bits of F_n (4^n per chain at index n).  One squaring
-# cost 1.1-1.8 ns per bit at n = 9..12 (best of 5, 2 cores), and the pool
-# 7-11 ms to import multiprocessing plus 14-20 ms to fork 2 workers, map
-# and close.  Whole `audit` processes over 50 bases, each index's chains
-# in two round-robin batches on the pool vs one batch in one process
-# (medians of 21 alternating runs, 2 cores, shared host): n = 10
+# squarings times bits of F_n: 4^n per chain at index n, and (n + 1) *
+# 2^n for a power-of-two base, whose chain is 1 from index n + 1 on
+# (_run_chains).  One squaring cost 1.1-1.8 ns per bit at n = 9..12
+# (best of 5, 2 cores), and the pool 7-11 ms to import multiprocessing
+# plus 14-20 ms to fork 2 workers, map and close.  Whole `audit`
+# processes over 50 bases, each index's chains in two round-robin
+# batches on the pool vs one batch in one process (medians of 21
+# alternating runs, 2 cores, shared host): n = 10
 # (2^25.6) 197 vs 207 ms, n = 5..10 (2^26.1) 252 vs 263 ms, n = 10..11
 # (2^28.0) 474 vs 622 ms.  So the pool breaks even near here; n = 5..8
 # is 2^22.  The model prices integer chains; batches on the FFT cost
@@ -155,10 +157,14 @@ class Verdict(NamedTuple):
         """The chain's 2^n squarings, plus a Pepin chain (2^n - 1
         squarings) for primality unless the base is 3.
 
-        That Pepin chain is counted whether or not it runs: a known
-        factor of F_n decides primality with no chain, and where none
-        is known audit_range runs a base-3 chain of all 2^n squarings.
-        The formula stays as it is so that records do not change."""
+        It is the nominal count, a record contract, not the squarings
+        done.  That Pepin chain is counted whether or not it runs: a
+        known factor of F_n decides primality with no chain, and where
+        none is known audit_range runs a base-3 chain of all 2^n
+        squarings.  Nor does the count drop where a chain reaches 1
+        early, after which arith.square_blocks squares it no further
+        (base 2 from index n + 1 on).  The formula stays as it is so
+        that records do not change."""
         if self.base == PEPIN_BASE:
             return 1 << self.n
         return (1 << (self.n + 1)) - 1
@@ -290,24 +296,26 @@ def _audit_rules(verdict: Verdict) -> Tuple[RuleOutcome, ...]:
     tag = verdict.quarter_tag
     one = tag is QuarterTag.PLUS_ONE
     minus_one = tag is QuarterTag.MINUS_ONE
-    # (rule key, whether it holds, what a failure means)
+    # (rule key, whether it holds, what a failure means), the meaning
+    # formatted only for a failed rule
     checks = [
         ("pseudoprime-quarter-one", one or not pseudo,
-         f"F_{n} pseudoprime to base 0x{base:x} but quarter residue is "
-         f"{tag.value} (expected 1)"),
+         lambda: f"F_{n} pseudoprime to base 0x{base:x} but quarter "
+                 f"residue is {tag.value} (expected 1)"),
         ("quarter-minus-one-implies-prime", pepin_prime or not minus_one,
-         f"quarter residue of base 0x{base:x} is -1 yet F_{n} is "
-         "composite"),
+         lambda: f"quarter residue of base 0x{base:x} is -1 yet F_{n} "
+                 "is composite"),
     ]
     if base == 3:
         checks += [
             ("base3-quarter-not-minus-one", not minus_one,
-             f"3^((F_{n}-1)/4) = -1 should never happen for n >= 5"),
+             lambda: f"3^((F_{n}-1)/4) = -1 should never happen for "
+                     "n >= 5"),
             ("base3-pseudoprime-iff-quarter-one", one == pseudo,
-             f"base-3 quarter residue tag {tag.value} "
-             f"disagrees with pseudoprime={pseudo} at n={n}"),
+             lambda: f"base-3 quarter residue tag {tag.value} "
+                     f"disagrees with pseudoprime={pseudo} at n={n}"),
         ]
-    return tuple(RuleOutcome(rule, passed, None if passed else detail)
+    return tuple(RuleOutcome(rule, passed, None if passed else detail())
                  for rule, passed, detail in checks)
 
 
@@ -348,15 +356,6 @@ class AuditRow(NamedTuple):
 class AuditReport(NamedTuple):
     rows: Tuple[AuditRow, ...]
 
-    @property
-    def violations(self) -> Tuple[RuleOutcome, ...]:
-        return tuple(v for row in self.rows if row.verdict is not None
-                     for v in row.verdict.violations)
-
-    @property
-    def all_passed(self) -> bool:
-        return not self.violations
-
 
 def audit_range(n_values, bases) -> AuditReport:
     """Classify every (n, base) of a grid, one chain per distinct pair
@@ -373,8 +372,9 @@ def audit_range(n_values, bases) -> AuditReport:
     are built here, in n_values then bases order.
 
     Non-coprime bases do not abort the sweep and run no chain: the row
-    records the gcd (a factor of F_n!).  Any violation in any row makes
-    all_passed false; the caller decides how loud to be about it.
+    records the gcd (a factor of F_n!).  A failed rule stays in its
+    row's verdict; the caller decides how loud to be about it
+    (records.audit_record counts them).
     """
     n_values, bases = list(n_values), list(bases)
     check_audit_grid(n_values, bases)
@@ -431,8 +431,9 @@ def _run_chains(bases_by_n: Dict[int, List[int]]
     """The taps of each chain, keyed by (n, base), from the chain bases
     of each n, largest n first.
 
-    The chains at one n are independent and equally long, so they are
-    split round-robin into min(usable CPUs, chains) batches, and
+    The chains at one n are independent and, but for one that reaches 1
+    early (arith.square_blocks), equally long, so they are split
+    round-robin into min(usable CPUs, chains) batches, and
     _chain_task runs each batch as one task, on min(usable CPUs, tasks)
     processes.  A single CPU, or chains that cost less than starting the
     pool (_POOL_MIN_COST), run here instead.  multiprocessing is
@@ -443,7 +444,10 @@ def _run_chains(bases_by_n: Dict[int, List[int]]
     tasks = [(n, tuple(bases[i::cpus])) for n, bases in bases_by_n.items()
              for i in range(min(cpus, len(bases)))]
     workers = min(cpus, len(tasks))
-    cost = sum(4 ** n * len(bases) for n, bases in bases_by_n.items())
+    # a power of two has an order that divides 2^(n+1), the order of 2,
+    # and its chain squares no further once it reaches 1
+    cost = sum((n + 1 if base & (base - 1) == 0 else 1 << n) << n
+               for n, bases in bases_by_n.items() for base in bases)
     if workers < 2 or cost < _POOL_MIN_COST:
         done = [_chain_task(task) for task in tasks]
     else:

@@ -113,6 +113,7 @@ def classify_record(verdict: Verdict) -> Dict[str, object]:
 def audit_record(report: AuditReport, n_range: List[int],
                  bases: List[int]) -> Dict[str, object]:
     rows: List[Dict[str, object]] = []
+    violation_count = 0
     for row in report.rows:
         if not row.coprime:
             rows.append({
@@ -123,6 +124,8 @@ def audit_record(report: AuditReport, n_range: List[int],
             })
             continue
         v = row.verdict
+        rules = v.rules
+        violation_count += sum(not r.passed for r in rules)
         rows.append({
             "n": row.n,
             "base": to_hex(row.base),
@@ -131,15 +134,15 @@ def audit_record(report: AuditReport, n_range: List[int],
             "fermat_congruence_holds": v.fermat_congruence_holds,
             "pepin_prime": v.pepin_prime,
             "classification": v.classification.value,
-            "rules": _rules(v.rules),
+            "rules": _rules(rules),
         })
     doc = _envelope("audit")
     doc.update({
         "n_range": [n_range[0], n_range[-1]],
         "bases": [to_hex(b) for b in bases],
         "rows": rows,
-        "all_passed": report.all_passed,
-        "violation_count": len(report.violations),
+        "all_passed": violation_count == 0,
+        "violation_count": violation_count,
     })
     return doc
 

@@ -104,6 +104,12 @@ def unrefuted_bases(n: int, count: int) -> List[int]:
     return bases
 
 
+def audit_violations(report) -> list:
+    """The failed rules of every row of an audit report."""
+    return [v for row in report.rows if row.verdict is not None
+            for v in row.verdict.violations]
+
+
 @pytest.fixture
 def fresh_prime_cache(monkeypatch):
     """primality._PRIME_CACHE as at import, for the test: a test that

@@ -12,7 +12,7 @@ import math
 import random
 import time
 
-from conftest import run_cli_subprocess
+from conftest import audit_violations, run_cli_subprocess
 
 from fermatlab.arith import fermat_value, mod_mul, reduce_fold
 from fermatlab.factors import lucas_search, validate_divisor_form
@@ -88,11 +88,12 @@ def test_3_pseudoprime_quarter_audit():
             per_n[row.n] += 1
             if v.quarter.tag is not QuarterTag.PLUS_ONE:
                 bad.append((row.n, row.base))
-    ok = (report.all_passed and not bad
+    ok = (not audit_violations(report) and not bad
           and all(count >= 1 for count in per_n.values()))
     _verdict(3, "pseudoprime cases have quarter residue 1 (n=5..12)", ok,
              f"rows={len(report.rows)}, pseudoprime_cases={pseudo_rows}, "
-             f"violations={len(report.violations)}, offenders={bad}")
+             f"violations={len(audit_violations(report))}, "
+             f"offenders={bad}")
 
 
 def test_4_base3_quarter_never_minus_one():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import spy_on_squarings
+from conftest import full_crt_base, pseudoprime_base, spy_on_squarings
 
 from fermatlab import arith, oracle
 from fermatlab.arith import (
@@ -17,6 +17,8 @@ from fermatlab.arith import (
     to_hex,
 )
 from fermatlab.errors import IndexOutOfRangeError, ModulusMismatchError
+from fermatlab.orders import order_alpha
+from fermatlab.primality import audit_range, classify_report, pepin_test
 
 F5 = (1 << 32) + 1
 
@@ -227,6 +229,25 @@ class TestSquareChain:
 
 
 class TestSquareBlocks:
+    def test_no_squaring_call_gets_a_one(self, monkeypatch):
+        # 1 squares to 1, so a chain at 1 leaves every later call: base
+        # 1 starts there, base 2 gets there at index n + 1, and a
+        # pseudoprime base before its quarter tap
+        seen = []
+        real = arith.mod_square_chains
+
+        def spy(residues, count):
+            seen.extend(residues)
+            return real(residues, count)
+
+        monkeypatch.setattr(arith, "mod_square_chains", spy)
+        audit_range(range(5, 13), [1, 2])
+        classify_report(12, pseudoprime_base(12, 114689))
+        classify_report(9, full_crt_base(9))
+        order_alpha(10, 2)
+        pepin_test(12, 2, allow_any_base=True)
+        assert seen and all(not x.is_one for x in seen)
+
     @pytest.mark.parametrize("bases, values", [([3, 5], [3]), ([3], [3, 5])],
                              ids=["base-without-chain", "chain-without-base"])
     def test_bases_pair_one_to_one_with_residues(self, monkeypatch, bases,

@@ -12,7 +12,8 @@ import pytest
 from conftest import SELFTEST_CHECKS, pseudoprime_base, run_cli, \
     run_cli_subprocess, spy_on_squarings, unrefuted_bases
 
-from fermatlab import arith, factors, orders, primality, records
+from fermatlab import arith, checkpoint, factors, orders, primality, \
+    records
 from fermatlab.arith import FermatResidue, fermat_value
 from fermatlab.checkpoint import (
     Checkpoint,
@@ -28,17 +29,23 @@ from fermatlab.records import strip_timing
 pytestmark = pytest.mark.usefixtures("fresh_prime_cache")
 
 
-def flip_bit_at(monkeypatch, step):
-    """Flip bit 0 of the step-th integer squaring of each process."""
+def fault_at(monkeypatch, step, fault):
+    """Replace the step-th integer squaring x of each process by
+    fault(x)."""
     real = arith._mulmod
     calls = []
 
     def faulty(x, y, width, top, mask):
         out = real(x, y, width, top, mask)
         calls.append(1)
-        return out ^ 1 if len(calls) == step else out
+        return fault(out) if len(calls) == step else out
 
     monkeypatch.setattr(arith, "_mulmod", faulty)
+
+
+def flip_bit_at(monkeypatch, step):
+    """Flip bit 0 of the step-th integer squaring of each process."""
+    fault_at(monkeypatch, step, lambda x: x ^ 1)
 
 
 def fail_first_rule(monkeypatch):
@@ -171,6 +178,35 @@ class TestPepinCheckpointFlow:
         assert strip_timing(resumed.json()) == strip_timing(clean.json())
         # success must clear the file or it would shadow the next run
         assert not (tmp_path / checkpoint_filename(10, 3)).exists()
+
+    def test_chain_at_one_writes_as_if_squared(self, tmp_path, monkeypatch):
+        # base 2's chain is 1 from index 13 on and squares nothing past
+        # its first block, yet paused at 10 and at 1000 and then resumed
+        # it writes where a chain squared throughout writes, with the
+        # residue that chain has there, and gives its record
+        real = checkpoint.save_checkpoint
+        written = []
+
+        def spy(cp, directory):
+            written.append((cp.squaring_index, cp.residue))
+            return real(cp, directory)
+
+        monkeypatch.setattr(checkpoint, "save_checkpoint", spy)
+        args = ("pepin", "12", "--base", "2", "--allow-any-base")
+        ck = ("--checkpoint-dir", str(tmp_path), "--checkpoint-every", "600",
+              "--checkpoint-seconds", "0")
+        for stop in ("10", "1000"):
+            paused = run_cli(*args, *ck, "--stop-after", stop).json()
+            assert paused["stopped_after"] == int(stop)
+        resumed = run_cli(*args, *ck)
+        assert resumed.code == 0
+        assert strip_timing(resumed.json()) \
+            == strip_timing(run_cli(*args).json())
+        assert resumed.json()["half_residue"] == "1"
+        assert written == [(10, pow(2, 1 << 10, fermat_value(12)))] + [
+            (index, 1) for index in (600, 1000, 1200, 1800, 2400, 3000,
+                                     3600)]
+        assert list(tmp_path.iterdir()) == []
 
     def test_second_pause_counts_from_the_checkpoint(self, tmp_path):
         # a resumed run's stop index and checkpoint are global
@@ -490,11 +526,17 @@ class TestAuditCommand:
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="the workers see the patched multiply only when forked")
     def test_chain_fault_in_a_worker_refused(self, monkeypatch):
-        # each forked worker flips a bit in the first chain it runs
-        flip_bit_at(monkeypatch, 1000)
+        # four chains at n = 12 cost 2^26, enough for a pool, and each
+        # forked worker squares one integer batch of two.  Each adds 2
+        # to its 1000th squaring: these bases are 1 modulo every known
+        # factor of F_12, and so is every residue of their chains, so
+        # the fault leaves 3 there, which no squaring brings back to 1.
+        # (Base 2's chain is 1 from index 13 on and squares no further,
+        # so it neither opens a pool nor reaches a 1000th squaring.)
+        fault_at(monkeypatch, 1000, lambda x: x + 2)
         monkeypatch.setattr(primality, "_usable_cpus", lambda: 2)
-        assert_refused(run_cli("audit", "--n-range", "12..13",
-                               "--bases", "2,7"))
+        assert_refused(run_cli("audit", "--n-range", "12", "--bases",
+                               ",".join(map(str, unrefuted_bases(12, 4)))))
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(
@@ -938,8 +980,10 @@ class TestFileSystemErrors:
             assert res.code == 2
             assert not target.exists()
 
+    # base 2's chain is 1 from index 10 on at n = 9 and squares no
+    # further after its first block, so the fault is at squaring 5
     def test_refused_chain_leaves_no_report(self, tmp_path, monkeypatch):
-        flip_bit_at(monkeypatch, 300)
+        flip_bit_at(monkeypatch, 5)
         assert_refused(run_cli("audit", "--n-range", "9", "--bases", "2",
                                "--report", str(tmp_path / "r.json")))
         assert list(tmp_path.iterdir()) == []
@@ -951,7 +995,7 @@ class TestFileSystemErrors:
                 "--report", str(target))
         assert run_cli(*args).code == 0
         before = target.read_bytes()
-        flip_bit_at(monkeypatch, 300)
+        flip_bit_at(monkeypatch, 5)
         assert_refused(run_cli(*args))
         assert target.read_bytes() == before
         assert list(tmp_path.iterdir()) == [target]

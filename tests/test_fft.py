@@ -24,7 +24,8 @@ from hypothesis import given, strategies as st
 from conftest import SELFTEST_CHECKS, run_cli, unrefuted_bases
 
 from fermatlab import arith, primality
-from fermatlab.arith import FermatResidue, _mulmod, mod_square_chain
+from fermatlab.arith import FermatResidue, _mulmod, fermat_value, \
+    mod_square_chain
 from fermatlab.orders import order_alpha
 from fermatlab.records import strip_timing
 
@@ -289,6 +290,30 @@ class TestBatches:
             == [pow(value, 1 << count, top + 1) for value in values]
         assert calls[0] == step
 
+    def test_chain_at_one_leaves_the_batch(self, monkeypatch):
+        # base 2's chain is 1 from index 14 on at n = 13 and leaves the
+        # batch after its first call; the other three, 1 modulo every
+        # known factor of F_13, are squared on, still on the FFT
+        n, last = 13, 1 << 13
+        m = fermat_value(n)
+        bases = [2, *unrefuted_bases(n, 3)]
+        rows = []
+        real = _fft.square_chain
+
+        def spy(values, count, n):
+            rows.append(len(values))
+            return real(values, count, n)
+
+        monkeypatch.setattr(_fft, "square_chain", spy)
+        batch = primality._batch_taps(n, bases)
+        assert rows[0] == 4 and set(rows[1:]) == {3}
+        assert batch == [primality.chain_taps(n, base) for base in bases]
+        for base, taps in zip(bases, batch):
+            quarter = pow(base, 1 << (last - 2), m)
+            assert [tap.value for tap in taps] \
+                == [quarter, pow(quarter, 2, m), pow(quarter, 4, m)]
+        assert batch[0] == (FermatResidue(n, 1),) * 3
+
     def test_backend_follows_index_and_batch(self, monkeypatch):
         calls = []
         real = _fft.square_chain
@@ -397,10 +422,16 @@ class TestImportHygiene:
                         reason="one usable CPU: no audit is pooled")
     def test_pooled_audit_loads_multiprocessing_only(self):
         # four chains at n = 12, in two integer batches, cost 2^26
-        bases = ",".join(map(str, [2, *unrefuted_bases(12, 3)]))
+        bases = ",".join(map(str, unrefuted_bases(12, 4)))
         assert loaded(probe("allow", "audit", "--n-range", "10..12",
                             "--bases", bases)) & POOL_AND_NUMPY \
             == {"multiprocessing"}
+
+    def test_audit_of_base_two_starts_no_pool(self):
+        # base 2's chain is 1 by index n + 1, so it is priced at n + 1
+        # squarings, not 2^n: the four chains cost under 2^21, not over 2^32
+        assert "multiprocessing" not in loaded(probe(
+            "allow", "audit", "--n-range", "13..16", "--bases", "2"))
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),

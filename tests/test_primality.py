@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import FULL_CRT_ALPHAS, KNOWN_FACTORS, \
+from conftest import FULL_CRT_ALPHAS, KNOWN_FACTORS, audit_violations, \
     complete_factorisation, full_crt_base, pseudoprime_base, run_cli, \
     spy_on_squarings, v2
 
@@ -299,7 +299,7 @@ class TestAuditRules:
 class TestRealAudits:
     def test_no_violations_on_small_range(self):
         report = audit_range(range(5, 8), [2, 3, 5])
-        assert report.all_passed
+        assert not audit_violations(report)
         assert len(report.rows) == 9
 
     def test_bases_may_be_an_iterator(self):
@@ -311,12 +311,14 @@ class TestRealAudits:
         # with no known factor, none refutes a row and each coprime row
         # runs its chain; the base-3 row decides primality for the other
         # bases of its n, so no row pays for a second chain
+        # (bases whose chains never reach 1, after which they would
+        # square no further)
         monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
         counts = spy_on_squarings(monkeypatch)
-        report = audit_range(range(5, 8), [2, 3, 5])
+        report = audit_range(range(5, 8), [3, 5, 7])
         assert sum(counts) == 3 * ((1 << 5) + (1 << 6) + (1 << 7))
         assert [(row.n, row.base) for row in report.rows] \
-            == [(n, b) for n in range(5, 8) for b in (2, 3, 5)]
+            == [(n, b) for n in range(5, 8) for b in (3, 5, 7)]
 
     def test_non_coprime_base_becomes_gcd_row(self, monkeypatch):
         calls = spy_on_chains(monkeypatch)
@@ -326,7 +328,8 @@ class TestRealAudits:
         row = report.rows[0]
         assert not row.coprime
         assert row.gcd == 641
-        assert report.all_passed  # a factor find is not a rule violation
+        # a factor find is not a rule violation
+        assert not audit_violations(report)
 
     def test_prime_case_rows(self):
         report = audit_range(range(2, 5), [3])
@@ -345,7 +348,8 @@ class TestRealAudits:
             require_coprime(14, p * b)
         assert info.value.gcd == p
         report = audit_range([14], [b, p * b])
-        assert report.rows[0].verdict is not None and report.all_passed
+        assert report.rows[0].verdict is not None
+        assert not audit_violations(report)
         assert (report.rows[1].coprime, report.rows[1].gcd) == (False, p)
         taps = ChainTaps(quarter=FermatResidue(14, 7),
                          half=FermatResidue(14, 5), full=FermatResidue(14, 1))
@@ -463,8 +467,10 @@ class TestAuditPool:
         # chain; primality then comes from a base-3 chain at every n
         monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
 
-    # three or four chains at n = 12, enough for a pool (_POOL_MIN_COST)
-    @pytest.mark.parametrize("bases", [[2, 3, 5, 114689], [2, 5, 7, 114689]],
+    # base 2 and three other chains at n = 12, enough for a pool
+    # (_POOL_MIN_COST, which prices base 2's chain at n + 1 squarings)
+    @pytest.mark.parametrize("bases", [[2, 3, 5, 7, 114689],
+                                       [2, 5, 7, 114689]],
                              ids=["with-base-3", "without-base-3"])
     def test_pool_gives_the_same_report(self, monkeypatch, fresh_prime_cache,
                                         bases):
@@ -500,7 +506,7 @@ class TestAuditPool:
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            pooled = audit_range(self.GRID, [2, 3, 5, 114689])
+            pooled = audit_range(self.GRID, [2, 3, 5, 7, 114689])
         finally:
             stop.set()
             thread.join(timeout=60)
@@ -509,7 +515,7 @@ class TestAuditPool:
         assert calls == []
         fresh_prime_cache()
         usable_cpus(monkeypatch, 1)
-        assert audit_range(self.GRID, [2, 3, 5, 114689]) == pooled
+        assert audit_range(self.GRID, [2, 3, 5, 7, 114689]) == pooled
 
     def test_cheap_audit_runs_without_a_pool(self, monkeypatch):
         calls = spy_on_chains(monkeypatch)
@@ -539,7 +545,7 @@ class TestAuditPool:
         spy_on_chains(monkeypatch, fail_at=(11, 5))
         usable_cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match=r"chain \(11, 5\) broke"):
-            audit_range(self.GRID, [2, 3, 5, 114689])
+            audit_range(self.GRID, [2, 3, 5, 7, 114689])
         assert multiprocessing.active_children() == []
 
     def test_bad_index_is_refused_before_any_chain(self, monkeypatch):
@@ -660,19 +666,23 @@ class TestKnownFactorRefutation:
     def test_default_audit_squares_only_base_two(self, monkeypatch):
         # 2^(2^(n+1)) = 1 mod F_n, so no factor refutes base 2; every
         # other default base is refuted at n = 5..12, and the known
-        # factors decide primality, so no base-3 chain runs either
+        # factors decide primality, so no base-3 chain runs either.
+        # Base 2's chain is 1 by index n + 1, within its first call, so
+        # it squares that call alone: up to the quarter tap, 2^n - 2,
+        # or the first block end
         calls = spy_on_chains(monkeypatch)
         counts = spy_on_squarings(monkeypatch)
         assert run_cli("audit", "--n-range", "5..12").code == 0
         assert sorted(calls) == [(n, 2) for n in range(5, 13)]
-        assert sum(counts) == sum(1 << n for n in range(5, 13))
+        assert sorted(counts) == sorted(
+            min((1 << n) - 2, arith.CHAIN_BLOCK) for n in range(5, 13))
 
     def test_known_factor_spares_the_primality_chain(self, monkeypatch):
         # 3 is not a base, and 5 and 7 are refuted at n = 10..12
         calls = spy_on_chains(monkeypatch)
         report = audit_range(range(10, 13), [2, 5, 7, 114689])
         assert sorted(calls) == [(n, 2) for n in range(10, 13)]
-        assert report.all_passed
+        assert not audit_violations(report)
 
     def test_large_indices_square_nothing(self, monkeypatch):
         # a chain of 2^21 to 2^23 squarings would take hours
@@ -686,7 +696,7 @@ class TestKnownFactorRefutation:
                 QuarterTag.OTHER, Classification.COMPOSITE_NON_PSEUDOPRIME,
                 False)
             assert len(row.verdict.rules) == (4 if row.base == 3 else 2)
-        assert report.all_passed
+        assert not audit_violations(report)
 
 
 # Every public way into a chain or the divisor search, with base 5, which

@@ -123,6 +123,25 @@ def test_block_driver_is_driven_once_per_chain():
     assert in_while == set()
 
 
+def test_only_the_block_driver_tests_a_residue_for_one():
+    # square_blocks leaves a chain at 1 out of its squaring calls, so
+    # neither kernel, _fft's nor the integer loop of mod_square_chains,
+    # looks for a 1: no is_one and no comparison with 1 in either
+    def is_one(node):
+        return isinstance(node, ast.Attribute) and node.attr == "is_one"
+
+    def tests_for_one(node):
+        return is_one(node) or isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Constant) and side.value == 1
+            for side in (node.left, *node.comparators))
+
+    assert "arith.square_blocks" in _scopes(is_one)
+    assert {scope for scope in _scopes(tests_for_one)
+            if scope.startswith("_fft")
+            or scope in {"arith.mod_square_chains", "arith._mulmod"}} \
+        == set()
+
+
 def test_chain_layers_take_no_power_modulo_a_factor():
     # factors.refutes_congruence alone asks a known factor whether the
     # congruence fails, for the orders and the audit alike
