@@ -33,9 +33,9 @@ square_blocks drives every chain of the library: it advances one or
 more chains from an index through the stops its caller names, in
 squaring calls that end at each stop and at each multiple of
 CHAIN_BLOCK, and yields between calls, where the caller acts (reads a
-tap, tests for 1, writes a checkpoint) or leaves.  A chain that has
-reached 1 squares no further, since every later entry is 1.  Before it
-yields it checks the residues against the known factors of F_n
+tap, tests for 1, writes a checkpoint) or leaves.  Chains that have
+all reached 1 square no further, since every later entry is 1.  Before
+it yields it checks the residues against the known factors of F_n
 (factors.check_known_factor): every chain at each stop, and a lone
 chain at every block end it yields, so no caller reads an unchecked
 residue.
@@ -359,12 +359,12 @@ def square_blocks(bases: Sequence[int], residues: Sequence[FermatResidue],
     are skipped.  Callers act between yields and end the chain by
     leaving the loop: nothing is squared past the last yield taken.
 
-    A chain at 1 stays at 1, which squares to 1, so no later entry of
-    it can differ: it is left out of every later call, and the kernels
-    never see a 1.  Once every chain is at 1 nothing is squared, and
-    the index jumps to the next stop.  Every stop is still yielded and
-    checked, but a lone chain at 1 yields at its stops only, not at
-    every block end.
+    1 squares to 1, so once every chain is at 1 no later entry can
+    differ: nothing more is squared, and the index jumps to the next
+    stop.  Every stop is still yielded and checked, but a lone chain at
+    1 yields at its stops only, not at every block end.  A batch with a
+    chain not at 1 is squared whole, so that it keeps the backend that
+    chain_backend picked for its size.
 
     Before a yield, factors.check_known_factor raises CheckpointError
     for a residue that is not its base^(2^index) modulo a known factor
@@ -386,17 +386,13 @@ def square_blocks(bases: Sequence[int], residues: Sequence[FermatResidue],
     lone = len(residues) == 1
     for stop in stops:
         while index < stop:
-            # the chains not yet at 1 (see the docstring)
-            live =[i for i, x in enumerate(residues) if not x.is_one]
-            end = min(stop, (index // CHAIN_BLOCK + 1) * CHAIN_BLOCK) \
-                if live else stop
-            if lone and live:
-                residues = [mod_square_chain(residues[0], end - index)]
-            elif live:
-                residues = list(residues)
-                for i, x in zip(live, mod_square_chains(
-                        [residues[i] for i in live], end - index)):
-                    residues[i] = x
+            if all(x.is_one for x in residues):
+                # 1 squares to 1 (see the docstring)
+                end = stop
+            else:
+                end = min(stop, (index // CHAIN_BLOCK + 1) * CHAIN_BLOCK)
+                residues = [mod_square_chain(residues[0], end - index)] \
+                    if lone else mod_square_chains(residues, end - index)
             index = end
             if lone or index == stop:
                 for base, x in zip(bases, residues):

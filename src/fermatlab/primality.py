@@ -46,13 +46,13 @@ AUDIT_MIN_INDEX = 5
 
 # Least estimated cost of an audit whose chains run on a process pool, in
 # squarings times bits of F_n: 4^n per chain at index n, and (n + 1) *
-# 2^n for a power-of-two base, whose chain is 1 from index n + 1 on
-# (_run_chains).  One squaring cost 1.1-1.8 ns per bit at n = 9..12
-# (best of 5, 2 cores), and the pool 7-11 ms to import multiprocessing
-# plus 14-20 ms to fork 2 workers, map and close.  Whole `audit`
-# processes over 50 bases, each index's chains in two round-robin
-# batches on the pool vs one batch in one process (medians of 21
-# alternating runs, 2 cores, shared host): n = 10
+# 2^n in a batch of power-of-two bases, whose chains are 1 from index
+# n + 1 on (_run_chains).  One squaring cost 1.1-1.8 ns per bit at n =
+# 9..12 (best of 5, 2 cores), and the pool 7-11 ms to import
+# multiprocessing plus 14-20 ms to fork 2 workers, map and close.
+# Whole `audit` processes over 50 bases, each index's chains in two
+# round-robin batches on the pool vs one batch in one process (medians
+# of 21 alternating runs, 2 cores, shared host): n = 10
 # (2^25.6) 197 vs 207 ms, n = 5..10 (2^26.1) 252 vs 263 ms, n = 10..11
 # (2^28.0) 474 vs 622 ms.  So the pool breaks even near here; n = 5..8
 # is 2^22.  The model prices integer chains; batches on the FFT cost
@@ -161,10 +161,10 @@ class Verdict(NamedTuple):
         done.  That Pepin chain is counted whether or not it runs: a
         known factor of F_n decides primality with no chain, and where
         none is known audit_range runs a base-3 chain of all 2^n
-        squarings.  Nor does the count drop where a chain reaches 1
-        early, after which arith.square_blocks squares it no further
-        (base 2 from index n + 1 on).  The formula stays as it is so
-        that records do not change."""
+        squarings.  Nor does the count drop where chains reach 1
+        early, after which arith.square_blocks squares them no further
+        (a lone base-2 chain from index n + 1 on).  The formula stays
+        as it is so that records do not change."""
         if self.base == PEPIN_BASE:
             return 1 << self.n
         return (1 << (self.n + 1)) - 1
@@ -431,7 +431,7 @@ def _run_chains(bases_by_n: Dict[int, List[int]]
     """The taps of each chain, keyed by (n, base), from the chain bases
     of each n, largest n first.
 
-    The chains at one n are independent and, but for one that reaches 1
+    The chains at one n are independent and, but for any that reach 1
     early (arith.square_blocks), equally long, so they are split
     round-robin into min(usable CPUs, chains) batches, and
     _chain_task runs each batch as one task, on min(usable CPUs, tasks)
@@ -445,9 +445,11 @@ def _run_chains(bases_by_n: Dict[int, List[int]]
              for i in range(min(cpus, len(bases)))]
     workers = min(cpus, len(tasks))
     # a power of two has an order that divides 2^(n+1), the order of 2,
-    # and its chain squares no further once it reaches 1
-    cost = sum((n + 1 if base & (base - 1) == 0 else 1 << n) << n
-               for n, bases in bases_by_n.items() for base in bases)
+    # and a batch squares no further once all its chains are at 1: the
+    # rule lives in arith.square_blocks
+    cost = sum(len(bases) * (n + 1 if all(b & (b - 1) == 0 for b in bases)
+                             else 1 << n) << n
+               for n, bases in tasks)
     if workers < 2 or cost < _POOL_MIN_COST:
         done = [_chain_task(task) for task in tasks]
     else:

@@ -230,9 +230,9 @@ class TestSquareChain:
 
 class TestSquareBlocks:
     def test_no_squaring_call_gets_a_one(self, monkeypatch):
-        # 1 squares to 1, so a chain at 1 leaves every later call: base
-        # 1 starts there, base 2 gets there at index n + 1, and a
-        # pseudoprime base before its quarter tap
+        # 1 squares to 1, so a lone chain at 1 is squared no further:
+        # base 2's gets there at index n + 1, and a pseudoprime base's
+        # before its quarter tap
         seen = []
         real = arith.mod_square_chains
 
@@ -241,12 +241,22 @@ class TestSquareBlocks:
             return real(residues, count)
 
         monkeypatch.setattr(arith, "mod_square_chains", spy)
-        audit_range(range(5, 13), [1, 2])
+        audit_range(range(5, 13), [2])
         classify_report(12, pseudoprime_base(12, 114689))
         classify_report(9, full_crt_base(9))
         order_alpha(10, 2)
         pepin_test(12, 2, allow_any_base=True)
         assert seen and all(not x.is_one for x in seen)
+
+    def test_batch_squares_whole_until_all_are_at_one(self, monkeypatch):
+        # 4 is 1 from index 5 on at n = 5, 2 from index 6: the batch
+        # keeps both chains until both are at 1, then squares nothing
+        counts = spy_on_squarings(monkeypatch)
+        residues = [reduce_fold(2, 5), reduce_fold(4, 5)]
+        got = list(arith.square_blocks([2, 4], residues, 0, [3, 5, 40, 100]))
+        assert counts == [3, 3, 2, 2, 35, 35]
+        assert [index for index, _ in got] == [3, 5, 40, 100]
+        assert got[-1][1] == [FermatResidue(5, 1)] * 2
 
     @pytest.mark.parametrize("bases, values", [([3, 5], [3]), ([3], [3, 5])],
                              ids=["base-without-chain", "chain-without-base"])

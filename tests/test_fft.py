@@ -290,13 +290,16 @@ class TestBatches:
             == [pow(value, 1 << count, top + 1) for value in values]
         assert calls[0] == step
 
-    def test_chain_at_one_leaves_the_batch(self, monkeypatch):
-        # base 2's chain is 1 from index 14 on at n = 13 and leaves the
-        # batch after its first call; the other three, 1 modulo every
-        # known factor of F_13, are squared on, still on the FFT
-        n, last = 13, 1 << 13
+    @pytest.mark.parametrize("n, others", [(12, 7), (13, 3)])
+    def test_chain_at_one_stays_in_the_batch(self, monkeypatch, n, others):
+        # base 2's chain is 1 from index n + 1 on; the others, 1 modulo
+        # every known factor of F_n, are not, so the batch is squared
+        # whole and every call stays on the FFT at the batch's size (at
+        # n = 12 one row fewer would fall below FFT_MIN_BATCH)
+        last = 1 << n
         m = fermat_value(n)
-        bases = [2, *unrefuted_bases(n, 3)]
+        bases = [2, *unrefuted_bases(n, others)]
+        assert arith.chain_backend(n, len(bases)) is not None
         rows = []
         real = _fft.square_chain
 
@@ -306,7 +309,8 @@ class TestBatches:
 
         monkeypatch.setattr(_fft, "square_chain", spy)
         batch = primality._batch_taps(n, bases)
-        assert rows[0] == 4 and set(rows[1:]) == {3}
+        # a call per block, and the three taps' own calls at the end
+        assert rows == [len(bases)] * (last // arith.CHAIN_BLOCK + 2)
         assert batch == [primality.chain_taps(n, base) for base in bases]
         for base, taps in zip(bases, batch):
             quarter = pow(base, 1 << (last - 2), m)

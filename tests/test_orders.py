@@ -179,14 +179,13 @@ class TestBlocks:
     def test_batched_audit_row_agrees_with_pow(self, monkeypatch, block):
         # one CPU, so that the batch of 8 chains at n = 12 squares here,
         # on the FFT, where the spy sees it; with no known factor, none
-        # refutes a base and leaves its row without a chain.  Base 2 is
-        # left out: its chain reaches 1 and leaves the batch.
+        # refutes a base and leaves its row without a chain
         pytest.importorskip("numpy")
         monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
         monkeypatch.setattr(arith, "CHAIN_BLOCK", block)
         monkeypatch.setattr(primality, "_usable_cpus", lambda: 1)
         counts = spy_on_squarings(monkeypatch)
-        n, bases = 12, default_audit_bases()[1:9]
+        n, bases = 12, default_audit_bases()[:8]
         last, m = 1 << n, fermat_value(n)
         report = primality.audit_range([n], bases)
         # one entry per chain, so each call of the batch is len(bases)

@@ -124,7 +124,7 @@ def test_block_driver_is_driven_once_per_chain():
 
 
 def test_only_the_block_driver_tests_a_residue_for_one():
-    # square_blocks leaves a chain at 1 out of its squaring calls, so
+    # square_blocks stops squaring once every chain is at 1, and
     # neither kernel, _fft's nor the integer loop of mod_square_chains,
     # looks for a 1: no is_one and no comparison with 1 in either
     def is_one(node):
