@@ -62,12 +62,14 @@ def _timed(doc: Dict[str, object], t0: float) -> Dict[str, object]:
 
 
 def _emit(doc: Dict[str, object], fmt: str, failed: int = 0,
-          checks: str = "") -> int:
-    """Write doc on stdout and return the exit code: 0, or 4, with one
-    stderr line, when `failed` of its checks (named by `checks`) failed."""
-    from . import records
+          checks: str = "", dumped: Optional[str] = None) -> int:
+    """Write doc on stdout, as `dumped` if the caller has already
+    written it with records.dump, and return the exit code: 0, or 4,
+    with one stderr line, when `failed` of its checks (named by
+    `checks`) failed."""
     if fmt == "json":
-        sys.stdout.write(records.dump(doc))
+        from . import records
+        sys.stdout.write(dumped or records.dump(doc))
     else:
         sys.stdout.write(render_text(doc))
     if not failed:
@@ -195,12 +197,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
         # stamped before the report file is written, which then equals
         # the record on stdout byte for byte
         doc = _timed(records.audit_record(report, [lo, hi], bases), t0)
+        dumped = None
         if out is not None:
-            out.write(records.dump(doc))
+            dumped = records.dump(doc)
+            out.write(dumped)
     if args.report is not None:
         _log(f"report written to {args.report}")
     return _emit(doc, args.format, doc["violation_count"],
-                 "congruence rule")
+                 "congruence rule", dumped)
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
@@ -413,8 +417,8 @@ def entry() -> None:
 
     gc.freeze() moves every object alive at the end of the call into the
     permanent generation, which the collection run at interpreter exit
-    skips; that collection would otherwise walk all that numpy, argparse,
-    json and fermatlab made at import: about 16 ms of a call that loads
+    skips; that collection would otherwise walk all that numpy, argparse
+    and fermatlab made at import: about 16 ms of a call that loads
     numpy, 7 of one that does not.  Atexit handlers and stdio flushing
     run as before.  main() itself keeps the normal collector, for
     callers that run it many times in one process."""

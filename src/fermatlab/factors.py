@@ -10,7 +10,7 @@ The divisibility test never touches the fold-reduction path: p is tiny
 next to F_n, so 2^(2^n) mod p is computed by builtin pow modulo p.
 The published factors (KNOWN_FACTORS) check chain residues the same
 way (check_known_factor), prove F_n composite (proven_factors), and
-refute the Fermat congruence of most bases (refutes_congruence).
+refute the Fermat congruence of most bases (refuted_bases).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 from functools import cache
 from itertools import compress
 from math import isqrt
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, \
+    Tuple
 
 from .arith import check_chain_index, fermat_value
 from .errors import CheckpointError, IndexOutOfRangeError, \
@@ -98,17 +99,26 @@ def proven_factors(n: int) -> Tuple[int, ...]:
                  if divides_fermat(p, n))
 
 
-def refutes_congruence(n: int, base: int, primes: Sequence[int]) -> bool:
-    """Whether one of primes, the proven_factors(n) of a caller that
-    computes them once for many bases, has base^(2^(2^n)) != 1 mod p.
+def refuted_bases(n: int, bases: Sequence[int],
+                  primes: Sequence[int]) -> Set[int]:
+    """The bases for which one of primes, the proven_factors(n) of a
+    caller that computes them once, has base^(2^(2^n)) != 1 mod p.
 
     base^(F_n - 1) = 1 mod F_n implies it modulo each factor p, so such
     a p proves that the Fermat congruence fails, and with it that
     base^((F_n - 1)/4) is neither 1 nor -1.  Builtin pow decides it
-    modulo p, the exponent reduced mod p - 1, where a chain would take
-    2^n squarings modulo F_n.
+    modulo p, the exponent reduced mod p - 1 once per p, where a chain
+    would take 2^n squarings modulo F_n.
     """
-    return any(pow(base, pow(2, 1 << n, p - 1), p) != 1 for p in primes)
+    exponents = [(p, pow(2, 1 << n, p - 1)) for p in primes]
+    return {base for base in bases
+            if any(pow(base, e, p) != 1 for p, e in exponents)}
+
+
+def refutes_congruence(n: int, base: int, primes: Sequence[int]) -> bool:
+    """Whether one of primes refutes the congruence of base
+    (refuted_bases)."""
+    return bool(refuted_bases(n, [base], primes))
 
 
 # The fields; a NamedTuple cannot define __new__, so the subclass checks.

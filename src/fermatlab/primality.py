@@ -17,7 +17,7 @@ is never -1.  classify_report() checks all of that on every call and
 returns each rule's outcome with the verdict; a failed rule is a
 counterexample, which the CLI reports loudly (exit 4), never swallows.
 audit_range() runs no chain for a row whose congruence a known factor
-of F_n refutes (factors.refutes_congruence): that alone fixes its
+of F_n refutes (factors.refuted_bases): that alone fixes its
 quarter tag, congruence, verdict and rules.
 """
 
@@ -32,7 +32,7 @@ from .arith import FermatResidue, _check_base, chain_backend, \
     check_chain_index, check_index, fermat_value, require_coprime, \
     square_blocks
 from .errors import NonAdmissibleBaseError
-from .factors import _odd_primes, proven_factors, refutes_congruence
+from .factors import _odd_primes, proven_factors, refuted_bases
 
 # Bases for which the half-residue test decides primality.  Known good
 # bases; there is no general criterion here, hence an allowlist with an
@@ -366,7 +366,7 @@ def audit_range(n_values, bases) -> AuditReport:
     divides F_n (factors.proven_factors); for any other n it comes from
     its base-3 chain, which then runs even when 3 is not among the
     bases (and gives no row).  A pair whose congruence a known factor
-    refutes (factors.refutes_congruence) is decided with no chain, and
+    refutes (factors.refuted_bases) is decided with no chain, and
     its verdict holds no taps.  The chains are the only other work, and
     they run on a process pool (see _run_chains); the verdicts and rows
     are built here, in n_values then bases order.
@@ -378,16 +378,17 @@ def audit_range(n_values, bases) -> AuditReport:
     """
     n_values, bases = list(n_values), list(bases)
     check_audit_grid(n_values, bases)
-    gcds = {(n, base): gcd(base, fermat_value(n))
-            for n in set(n_values) for base in bases}
-    primes = {n: proven_factors(n) for n in set(n_values)}
+    values = {n: fermat_value(n) for n in set(n_values)}
+    gcds = {(n, base): gcd(base, value)
+            for n, value in values.items() for base in bases}
+    primes = {n: proven_factors(n) for n in values}
+    refuted = {n: refuted_bases(n, bases, primes[n]) for n in values}
     chain_bases = list(dict.fromkeys([*bases, PEPIN_BASE]))
     # largest n first, so that the last chains to start are short ones
     chains = _run_chains({
         n: [base for base in chain_bases
-            if (gcds.get((n, base)) == 1
-                and not refutes_congruence(n, base, primes[n]))
-            or (base == PEPIN_BASE and not primes[n])]
+            if gcds.get((n, base)) == 1 and base not in refuted[n]
+            or base == PEPIN_BASE and not primes[n]]
         for n in sorted(primes, reverse=True)})
     rows: List[AuditRow] = []
     for n in n_values:

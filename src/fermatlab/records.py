@@ -13,6 +13,15 @@ test compares an interrupted-and-resumed run against a clean run field
 by field, and only timing may differ.  Resume provenance therefore goes
 to the log on stderr, never into the record.
 
+dump writes every record, on stdout and in an audit report, as
+json.dumps(doc, indent=2) would, and a newline, but in one pass: json
+runs its pure-Python encoder whenever it indents, which took 5 ms for
+the 176 KB record of `audit --n-range 5..12`.  dump appends each piece
+to one list and joins the list once, and quotes each distinct string
+once; a string of printable ASCII but " and \\ is quoted as it is, and
+any other goes to json's C escaper, imported on first need.  So a
+record loads no json: only the checkpoint files use it.
+
 Every file the CLI writes, a record or a checkpoint, goes through
 replacing, so that its path never holds a partial file.
 """
@@ -21,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import errno
-import json
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Sequence
@@ -241,8 +249,65 @@ def replacing(path):
         raise
 
 
+# the bytes that a JSON string holds as they are: printable ASCII but
+# the quote and the backslash
+_PLAIN = bytes(range(32, 127)).translate(None, b'"\\')
+# the floats that json writes other than as repr writes them
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _quote(text: str) -> str:
+    """text as a JSON string literal, as json.dumps writes it."""
+    if text.isascii() and not text.encode().translate(None, _PLAIN):
+        return f'"{text}"'
+    from json.encoder import encode_basestring_ascii
+    return encode_basestring_ascii(text)
+
+
 def dump(doc: Dict[str, object]) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    """doc, whose keys are all str, as json.dumps(doc, indent=2) writes
+    it, and a newline."""
+    parts: List[str] = []
+    put = parts.append
+    quoted: Dict[str, str] = {}
+
+    def write(value, indent: str) -> None:
+        if isinstance(value, str):
+            put(quoted.get(value) or quoted.setdefault(value, _quote(value)))
+        elif value is None or isinstance(value, bool):
+            put("null" if value is None else "true" if value else "false")
+        elif isinstance(value, int):
+            put(int.__repr__(value))
+        elif isinstance(value, float):
+            text = float.__repr__(value)
+            put(_NON_FINITE.get(text, text))
+        elif isinstance(value, dict) and value:
+            inner = indent + "  "
+            put("{")
+            for key, item in value.items():
+                put(inner)
+                put(quoted.get(key) or quoted.setdefault(key, _quote(key)))
+                put(": ")
+                write(item, inner)
+                put(",")
+            parts[-1] = indent + "}"
+        elif isinstance(value, list) and value:
+            inner = indent + "  "
+            put("[")
+            for item in value:
+                put(inner)
+                write(item, inner)
+                put(",")
+            parts[-1] = indent + "]"
+        elif isinstance(value, (dict, list)):
+            put("{}" if isinstance(value, dict) else "[]")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            "is not JSON serializable")
+
+    write(doc, "\n")
+    put("\n")
+    return "".join(parts)
 
 
 def strip_timing(doc: Dict[str, object]) -> Dict[str, object]:

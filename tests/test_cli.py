@@ -179,6 +179,18 @@ class TestPepinCheckpointFlow:
         # success must clear the file or it would shadow the next run
         assert not (tmp_path / checkpoint_filename(10, 3)).exists()
 
+    def test_paused_record_escapes_the_directory_as_json_does(self,
+                                                             tmp_path):
+        target = tmp_path / 'ck"é'
+        paused = run_cli("pepin", "5", "--checkpoint-dir", str(target),
+                         "--stop-after", "3")
+        assert paused.code == 0
+        assert paused.json()["checkpoint"] \
+            == str(target / checkpoint_filename(5, 3))
+        assert '\\"\\u00e9' in paused.stdout
+        assert paused.stdout \
+            == json.dumps(json.loads(paused.stdout), indent=2) + "\n"
+
     def test_chain_at_one_writes_as_if_squared(self, tmp_path, monkeypatch):
         # base 2's chain is 1 from index 13 on and squares nothing past
         # its first block, yet paused at 10 and at 1000 and then resumed

@@ -538,3 +538,16 @@ class TestCommandImports:
     def test_no_command_loads_dataclasses(self, args, tmp_path):
         args = [arg.format(tmp=tmp_path) for arg in args]
         assert "dataclasses" not in loaded(probe("allow", *args))
+
+    @pytest.mark.parametrize("args", [
+        ("classify", "12", "--base", "7"), ("order", "12", "--base", "5"),
+        ("factor", "9", "--k-max", "100"), ("audit", "--n-range", "5..8"),
+        ("audit", "--n-range", "5..8", "--report", "{tmp}/report.json"),
+        ("pepin", "10"), ("pepin", "14"), ("selftest",)],
+        ids=["classify-12", "order-12", "factor-9", "audit-5-8",
+             "audit-report", "pepin-10", "pepin-14", "selftest"])
+    def test_records_load_no_json(self, args, tmp_path):
+        # records.dump writes them; only the checkpoint files use json
+        args = [arg.format(tmp=tmp_path) for arg in args]
+        assert {name for name in loaded(probe("allow", *args))
+                if name.partition(".")[0] == "json"} == set()

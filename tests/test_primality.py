@@ -696,6 +696,25 @@ class TestKnownFactorRefutation:
             assert len(row.verdict.rules) == (4 if row.base == 3 else 2)
         assert not audit_violations(report)
 
+    def test_grid_constants_are_computed_once_per_index(self, monkeypatch):
+        # F_n once per n, and 2^(2^n) mod p - 1 once per known factor p
+        # of F_n, however many bases the grid has
+        values, powers = [], []
+        real = primality.fermat_value
+        monkeypatch.setattr(primality, "fermat_value",
+                            lambda n: values.append(n) or real(n))
+
+        def spy(base, exponent, modulus):
+            if base == 2 and modulus % 2 == 0:  # not divides_fermat's
+                powers.append((exponent, modulus))
+            return pow(base, exponent, modulus)
+
+        monkeypatch.setattr(factors, "pow", spy, raising=False)
+        audit_range([21, 22, 23, 21], [3, 7, 11])
+        assert sorted(values) == [21, 22, 23]
+        assert sorted(powers) == sorted((1 << n, p - 1) for n in (21, 22, 23)
+                                        for p in factors.KNOWN_FACTORS[n])
+
 
 # Every public way into a chain or the divisor search, with base 5, which
 # shares the factor 5 = F_1: n = 1 must fail on the index, not the base.

@@ -6,8 +6,9 @@ For each named call (default: all of CALLS) it runs N fresh
 `python3 -m fermatlab ...` processes, each followed by a bare
 interpreter (`python3 -c pass`), and prints the median wall time of
 both, from spawn to exit, their difference, and the fermatlab modules
-the call loaded.  The `import` call only imports fermatlab.cli.  The
-package is taken from src/ beside this script.
+the call loaded, with those of json, hashlib, datetime and numpy that
+it loaded.  The `import` call only imports fermatlab.cli.  The package
+is taken from src/ beside this script.
 
 Whether the interpreter may read and write a bytecode cache
 (__pycache__) is left to the environment, and printed first: with
@@ -46,14 +47,17 @@ CALLS = {
 BARE = ["-c", "pass"]
 
 # Runs the command given as arguments in-process, or only imports
-# fermatlab.cli, then writes the fermatlab modules loaded to stderr.
+# fermatlab.cli, then writes to stderr the fermatlab modules loaded and
+# which of json, hashlib, datetime and numpy were.
 _PROBE = """\
 import sys
 from fermatlab.cli import main
 if len(sys.argv) > 1:
     main(sys.argv[1:])
-print(" ".join(sorted(name for name in sys.modules
-                      if name.startswith("fermatlab."))), file=sys.stderr)
+ours = sorted(name for name in sys.modules if name.startswith("fermatlab."))
+print(" ".join(ours + [name for name in ("json", "hashlib", "datetime",
+                                         "numpy") if name in sys.modules]),
+      file=sys.stderr)
 """
 
 
