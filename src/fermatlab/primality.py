@@ -24,13 +24,11 @@ quarter tag, congruence, verdict and rules.
 from __future__ import annotations
 
 import enum
-import os
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .arith import FermatResidue, _check_base, chain_backend, \
-    check_chain_index, check_index, fermat_value, require_coprime, \
-    square_blocks
+from .arith import FermatResidue, _check_base, check_chain_index, \
+    check_index, fermat_value, require_coprime, square_blocks
 from .errors import NonAdmissibleBaseError
 from .factors import _odd_primes, proven_factors, refuted_bases
 
@@ -43,25 +41,6 @@ PEPIN_ADMISSIBLE_BASES = frozenset({3, 5, 10})
 PEPIN_BASE = 3
 
 AUDIT_MIN_INDEX = 5
-
-# Least estimated cost of an audit whose chains run on a process pool, in
-# squarings times bits of F_n: 4^n per chain at index n, and (n + 1) *
-# 2^n in a batch of power-of-two bases, whose chains are 1 from index
-# n + 1 on (_run_chains).  One squaring cost 1.1-1.8 ns per bit at n =
-# 9..12 (best of 5, 2 cores), and the pool 7-11 ms to import
-# multiprocessing plus 14-20 ms to fork 2 workers, map and close.
-# Whole `audit` processes over 50 bases, each index's chains in two
-# round-robin batches on the pool vs one batch in one process (medians
-# of 21 alternating runs, 2 cores, shared host): n = 10
-# (2^25.6) 197 vs 207 ms, n = 5..10 (2^26.1) 252 vs 263 ms, n = 10..11
-# (2^28.0) 474 vs 622 ms.  So the pool breaks even near here; n = 5..8
-# is 2^22.  The model prices integer chains; batches on the FFT cost
-# less (arith.FFT_MIN_BATCH) but only start at 2^28 (n = 12 over 16
-# chains, n = 13 over 4).  There, two batches on the pool against one
-# batch alone (medians of 7, numpy loaded) took 0.56 vs 0.58 s and 0.84
-# vs 0.84 s, and n = 12 over 50 bases 0.85 vs 1.22 s: even at the
-# smallest batched audit, then ahead.
-_POOL_MIN_COST = 1 << 26
 
 
 class QuarterTag(enum.Enum):
@@ -367,9 +346,9 @@ def audit_range(n_values, bases) -> AuditReport:
     its base-3 chain, which then runs even when 3 is not among the
     bases (and gives no row).  A pair whose congruence a known factor
     refutes (factors.refuted_bases) is decided with no chain, and
-    its verdict holds no taps.  The chains are the only other work, and
-    they run on a process pool (see _run_chains); the verdicts and rows
-    are built here, in n_values then bases order.
+    its verdict holds no taps.  The chains are the only other work,
+    each n's squared together in this process (_run_chains); the rows
+    come in n_values then bases order.
 
     Non-coprime bases do not abort the sweep and run no chain: the row
     records the gcd (a factor of F_n!).  A failed rule stays in its
@@ -384,12 +363,11 @@ def audit_range(n_values, bases) -> AuditReport:
     primes = {n: proven_factors(n) for n in values}
     refuted = {n: refuted_bases(n, bases, primes[n]) for n in values}
     chain_bases = list(dict.fromkeys([*bases, PEPIN_BASE]))
-    # largest n first, so that the last chains to start are short ones
     chains = _run_chains({
         n: [base for base in chain_bases
             if gcds.get((n, base)) == 1 and base not in refuted[n]
             or base == PEPIN_BASE and not primes[n]]
-        for n in sorted(primes, reverse=True)})
+        for n in sorted(primes)})
     rows: List[AuditRow] = []
     for n in n_values:
         pepin_prime = not primes[n] \
@@ -413,69 +391,10 @@ def check_audit_grid(n_values, bases) -> None:
         _check_base(base)
 
 
-def _chain_task(task: Tuple[int, Tuple[int, ...]]) -> List[ChainTaps]:
-    """_batch_taps of one (n, bases) task.  At module level, so that a
-    pool pickles it by name and forked workers see a patched
-    _batch_taps."""
-    return _batch_taps(*task)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
 def _run_chains(bases_by_n: Dict[int, List[int]]
                 ) -> Dict[Tuple[int, int], ChainTaps]:
     """The taps of each chain, keyed by (n, base), from the chain bases
-    of each n, largest n first.
-
-    The chains at one n are independent and, but for any that reach 1
-    early (arith.square_blocks), equally long, so they are split
-    round-robin into min(usable CPUs, chains) batches, and
-    _chain_task runs each batch as one task, on min(usable CPUs, tasks)
-    processes.  A single CPU, or chains that cost less than starting the
-    pool (_POOL_MIN_COST), run here instead.  multiprocessing is
-    imported only when the pool is used: the import alone costs 7-11
-    ms.  arith.mod_square_chains picks each batch's backend.
-    """
-    cpus = _usable_cpus()
-    tasks = [(n, tuple(bases[i::cpus])) for n, bases in bases_by_n.items()
-             for i in range(min(cpus, len(bases)))]
-    workers = min(cpus, len(tasks))
-    # a power of two has an order that divides 2^(n+1), the order of 2,
-    # and a batch squares no further once all its chains are at 1: the
-    # rule lives in arith.square_blocks
-    cost = sum(len(bases) * (n + 1 if all(b & (b - 1) == 0 for b in bases)
-                             else 1 << n) << n
-               for n, bases in tasks)
-    if workers < 2 or cost < _POOL_MIN_COST:
-        done = [_chain_task(task) for task in tasks]
-    else:
-        import multiprocessing
-        import signal
-        import threading
-        # numpy, for a batch that will run on the FFT, is imported here,
-        # before the fork, so that the workers inherit it.
-        for n, bases in tasks:
-            chain_backend(n, len(bases))
-        # Pinned, not the platform default: fork starts 2 workers in
-        # 14-20 ms, against about 80 ms for spawn or forkserver, and they
-        # begin with this process's modules loaded.  A fork copies no
-        # other thread, and a lock one of them held stays held in the
-        # child, so a process with threads (or without fork) spawns its
-        # workers.
-        fork = threading.active_count() == 1 \
-            and "fork" in multiprocessing.get_all_start_methods()
-        # Workers ignore Ctrl-C; the parent gets it, and leaving the with
-        # block terminates them, as it does when a task raises.
-        with multiprocessing.get_context("fork" if fork else "spawn").Pool(
-                workers, initializer=signal.signal,
-                initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-            # one task per message, so that no worker idles while
-            # another holds a queue of long chains
-            done = pool.map(_chain_task, tasks, chunksize=1)
-    return {(n, base): chain for (n, bases), chains in zip(tasks, done)
-            for base, chain in zip(bases, chains)}
+    of each n.  Each n's chains are squared together, as one
+    _batch_taps batch, whose backend arith.mod_square_chains picks."""
+    return {(n, base): taps for n, bases in bases_by_n.items() if bases
+            for base, taps in zip(bases, _batch_taps(n, bases))}

@@ -65,11 +65,30 @@ class TestHex:
         assert to_hex(1 << 32) == "100000000"
 
     def test_rejections(self):
-        for bad in ("", "0x1", "G", "A1", " 1", "01x"):
+        for bad in ("", "0x1", "G", "A1", " 1", "01x", "1_0", "+1",
+                    "\u0661", "\u00e9"):
             with pytest.raises(ValueError):
                 from_hex(bad)
         with pytest.raises(ValueError):
             to_hex(-1)
+
+    @given(st.one_of(st.integers(min_value=0),
+                     st.integers(0, 20).map(lambda n: 1 << (1 << n))))
+    def test_to_hex_is_format(self, x):
+        assert to_hex(x) == format(x, "x")
+
+    @given(st.one_of(
+        st.text("0123456789abcdef"), st.text("0123456789abcdefABCDEFx"),
+        st.text(), st.integers(min_value=0).map(lambda x: f"0x{x:x}"),
+        st.integers(0, 16).map(lambda n: format(1 << (1 << n), "x"))))
+    def test_from_hex_takes_lowercase_digits_only(self, text):
+        # int(text, 16) also takes uppercase, a 0x prefix, signs,
+        # underscores, spaces and non-ASCII digits
+        if text and set(text) <= set("0123456789abcdef"):
+            assert from_hex(text) == int(text, 16)
+        else:
+            with pytest.raises(ValueError, match="not a lowercase hex"):
+                from_hex(text)
 
 
 class TestFermatResidue:

@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: records, exit codes, checkpoint flows."""
 
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -30,8 +29,7 @@ pytestmark = pytest.mark.usefixtures("fresh_prime_cache")
 
 
 def fault_at(monkeypatch, step, fault):
-    """Replace the step-th integer squaring x of each process by
-    fault(x)."""
+    """Replace the step-th integer squaring x by fault(x)."""
     real = arith._mulmod
     calls = []
 
@@ -44,7 +42,7 @@ def fault_at(monkeypatch, step, fault):
 
 
 def flip_bit_at(monkeypatch, step):
-    """Flip bit 0 of the step-th integer squaring of each process."""
+    """Flip bit 0 of the step-th integer squaring."""
     fault_at(monkeypatch, step, lambda x: x ^ 1)
 
 
@@ -534,35 +532,25 @@ class TestAuditCommand:
         assert doc["violation_count"] == 2
         assert target.read_text(encoding="utf-8") == res.stdout
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the workers see the patched multiply only when forked")
-    def test_chain_fault_in_a_worker_refused(self, monkeypatch):
-        # four chains at n = 12 cost 2^26, enough for a pool, and each
-        # forked worker squares one integer batch of two.  Each adds 2
-        # to its 1000th squaring: these bases are 1 modulo every known
-        # factor of F_12, and so is every residue of their chains, so
-        # the fault leaves 3 there, which no squaring brings back to 1.
-        # (Base 2's chain is 1 from index 13 on and squares no further,
-        # so it neither opens a pool nor reaches a 1000th squaring.)
+    def test_chain_fault_in_an_integer_batch_refused(self, monkeypatch):
+        # the four chains at n = 12 square as one batch on integers,
+        # checked only at its taps, and the first one's 1000th squaring
+        # adds 2.  These bases are 1 modulo every known factor of F_12,
+        # and so is every residue of their chains, so the fault leaves 3
+        # there, which no squaring brings back to 1.
         fault_at(monkeypatch, 1000, lambda x: x + 2)
-        monkeypatch.setattr(primality, "_usable_cpus", lambda: 2)
         assert_refused(run_cli("audit", "--n-range", "12", "--bases",
                                ",".join(map(str, unrefuted_bases(12, 4)))))
-        assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the workers see the patched carry only when forked")
-    def test_fft_fault_in_a_batched_worker_refused(self, tmp_path,
-                                                   monkeypatch):
-        # each forked worker squares one batch of the n = 12 chains on
-        # the FFT, and adds 2 to digit 0 of every row at its 100th carry.
-        # These bases are 1 modulo every known factor of F_12, so no
-        # factor refutes them and their chains run, and so is every
-        # residue of them.  The fault leaves 3 there, whose order has an
-        # odd part, so no squaring brings it back to 1; adding 1 would
-        # leave 2, of order 2^13, and the check would not see it.
+    def test_fft_fault_in_every_row_of_a_batch_refused(self, tmp_path,
+                                                       monkeypatch):
+        # the 16 chains at n = 12 square as one batch on the FFT, which
+        # adds 2 to digit 0 of every row at its 100th carry.  These
+        # bases are 1 modulo every known factor of F_12, so no factor
+        # refutes them and their chains run, and so is every residue of
+        # them.  The fault leaves 3 there, whose order has an odd part,
+        # so no squaring brings it back to 1; adding 1 would leave 2, of
+        # order 2^13, and the check would not see it.
         fft = pytest.importorskip("fermatlab._fft")
         real = fft._carry
         steps = []
@@ -575,20 +563,18 @@ class TestAuditCommand:
             return out
 
         monkeypatch.setattr(fft, "_carry", faulty)
-        monkeypatch.setattr(primality, "_usable_cpus", lambda: 2)
         bases = unrefuted_bases(12, 2 * arith.FFT_MIN_BATCH[12])
         report = tmp_path / "r.json"
         assert_refused(run_cli("audit", "--n-range", "12", "--bases",
                                ",".join(map(str, bases)),
                                "--report", str(report)))
         assert not report.exists()
-        assert multiprocessing.active_children() == []
 
     def test_fft_fault_in_one_row_refused_at_the_quarter_tap(self,
                                                              monkeypatch):
-        # one CPU: the 8 chains at n = 12 square here as one FFT batch,
-        # checked only at its taps; row 3 is off from step 100, by 2 for
-        # the reason the test above gives
+        # the 8 chains at n = 12 square as one FFT batch, checked only
+        # at its taps; row 3 is off from step 100, by 2 for the reason
+        # the test above gives
         fft = pytest.importorskip("fermatlab._fft")
         real = fft._carry
         rows = []
@@ -601,7 +587,6 @@ class TestAuditCommand:
             return out
 
         monkeypatch.setattr(fft, "_carry", faulty)
-        monkeypatch.setattr(primality, "_usable_cpus", lambda: 1)
         bases = unrefuted_bases(12, arith.FFT_MIN_BATCH[12])
         res = run_cli("audit", "--n-range", "12", "--bases",
                       ",".join(map(str, bases)))

@@ -1,4 +1,5 @@
-"""Every library exception survives pickling, as a process pool needs."""
+"""Every library exception survives pickling, as a caller's process pool
+needs: the library starts none, but may run in one."""
 
 import inspect
 import pickle

@@ -11,7 +11,6 @@ the production call.
 """
 
 import json
-import multiprocessing
 import os
 import random
 import subprocess
@@ -341,8 +340,8 @@ class TestBatches:
 
 
 # Run a CLI command in a fresh interpreter, then report on the last line
-# of stderr which of numpy and multiprocessing were loaded, as JSON; a
-# first argument of "block" makes numpy unimportable.
+# of stderr which modules it loaded, as JSON; a first argument of
+# "block" makes numpy unimportable.
 _PROBE = """\
 import sys
 bare = set(sys.modules)
@@ -373,22 +372,6 @@ sys.exit(code)
 """
 
 
-# Run a CLI command in a fresh interpreter with 2 usable CPUs, then
-# report on the last line of stderr, as JSON, whether numpy was loaded
-# at each fork.
-_FORK_PROBE = """\
-import json, os, sys
-forks = []
-os.register_at_fork(before=lambda: forks.append("numpy" in sys.modules))
-from fermatlab import primality
-primality._usable_cpus = lambda: 2
-from fermatlab.cli import main
-code = main(sys.argv[1:])
-print(json.dumps(forks), file=sys.stderr)
-sys.exit(code)
-"""
-
-
 def probe(mode: str, *args: str) -> subprocess.CompletedProcess:
     proc = subprocess.run([sys.executable, "-c", _PROBE, mode, *args],
                           capture_output=True, text=True, timeout=600)
@@ -415,46 +398,15 @@ class TestImportHygiene:
                                   "order-12", "factor-9", "audit-5-8",
                                   "audit-5-12"])
     def test_below_crossover_numpy_stays_unloaded(self, args):
-        # and so does multiprocessing, outside an audit worth a pool; a
-        # known factor of F_13 decides its primality, so classify 13
-        # runs one chain and starts no pool.  Known factors refute every
-        # default base but 2 at n = 5..12, so that audit squares 8
-        # chains, one at each index.
+        # and so does multiprocessing; a known factor of F_13 decides
+        # its primality, so classify 13 runs one chain, below the batch
+        # of 2 that the FFT squares.  Known factors refute every default
+        # base but 2 at n = 5..12, so that audit squares 8 chains, one
+        # at each index.
         assert loaded(probe("allow", *args)) & POOL_AND_NUMPY == set()
 
-    @pytest.mark.skipif(primality._usable_cpus() < 2,
-                        reason="one usable CPU: no audit is pooled")
-    def test_pooled_audit_loads_multiprocessing_only(self):
-        # four chains at n = 12, in two integer batches, cost 2^26
-        bases = ",".join(map(str, unrefuted_bases(12, 4)))
-        assert loaded(probe("allow", "audit", "--n-range", "10..12",
-                            "--bases", bases)) & POOL_AND_NUMPY \
-            == {"multiprocessing"}
-
-    def test_audit_of_base_two_starts_no_pool(self):
-        # base 2's chain is 1 by index n + 1, so it is priced at n + 1
-        # squarings, not 2^n: the four chains cost under 2^21, not over 2^32
-        assert "multiprocessing" not in loaded(probe(
-            "allow", "audit", "--n-range", "13..16", "--bases", "2"))
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="without fork, each worker imports numpy itself")
-    def test_batched_audit_loads_numpy_before_the_fork(self):
-        # the n = 12 chains run in two batches of 8, on the FFT; the
-        # workers inherit numpy from the parent instead of each
-        # importing it
-        bases = unrefuted_bases(12, 2 * arith.FFT_MIN_BATCH[12])
-        proc = subprocess.run(
-            [sys.executable, "-c", _FORK_PROBE, "audit", "--n-range",
-             "5..12", "--bases", ",".join(map(str, bases))],
-            capture_output=True, text=True, timeout=600)
-        assert proc.returncode == 0, proc.stderr
-        forks = json.loads(proc.stderr.splitlines()[-1])
-        assert forks and all(forks)
-
     @pytest.mark.skipif(not sys.platform.startswith("linux")
-                        or primality._usable_cpus() < 2,
+                        or len(os.sched_getaffinity(0)) < 2,
                         reason="no /proc/self/task, or one usable CPU: "
                                "no BLAS thread pool to start")
     def test_pepin_starts_no_blas_threads(self):
@@ -533,7 +485,7 @@ class TestCommandImports:
         ("audit", "--n-range", "10..12", "--bases", "2,3,5,7"),
         ("selftest",)],
         ids=["import", "pepin-14", "pepin-checkpoint", "classify-12",
-             "order-12", "factor-9", "audit-5-8", "audit-pooled",
+             "order-12", "factor-9", "audit-5-8", "audit-10-12",
              "selftest"])
     def test_no_command_loads_dataclasses(self, args, tmp_path):
         args = [arg.format(tmp=tmp_path) for arg in args]

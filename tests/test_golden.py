@@ -5,10 +5,9 @@ timing removed and serialised as the CLI prints it, with a value taken
 from the implementation before the chain engine was unified; the n = 14
 and 15 cases, which now run on the FFT backend, were taken before it
 existed, on the integer multiply, the n = 12 and 19 factor cases
-before the divisor search was sieved, and the n = 10..12 audits, which
-run their chains on a process pool when two CPUs are usable, before
-there was a pool.  A change in any verdict, residue, count or field
-order shows here.
+before the divisor search was sieved, and the n = 10..12 audits before
+their chains ran, for a time, on a process pool.  A change in any
+verdict, residue, count or field order shows here.
 """
 
 import hashlib

@@ -1,7 +1,5 @@
 """Half-residue test, quarter classification, congruence and verdicts."""
 
-import multiprocessing
-import threading
 from math import gcd
 from pathlib import Path
 
@@ -420,12 +418,9 @@ class TestFullCrtPseudoprimeBases:
                 verdict["classification"], verdict["audit_rules"])
 
 
-FORK = "fork" in multiprocessing.get_all_start_methods()
-
-
 def spy_on_chains(monkeypatch, fail_at=None):
-    """Record the (n, base) of every chain this process runs, alone or
-    in a batch; a batch with the chain of fail_at raises instead."""
+    """Record the (n, base) of every chain run, alone or in a batch; a
+    batch with the chain of fail_at raises instead."""
     calls = []
     real = primality._batch_taps
 
@@ -440,25 +435,8 @@ def spy_on_chains(monkeypatch, fail_at=None):
     return calls
 
 
-def usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(primality, "_usable_cpus", lambda: count)
-
-
-def spy_on_start_methods(monkeypatch):
-    """Record the start method of every pool made."""
-    methods = []
-    real = multiprocessing.get_context
-
-    def spy(method):
-        methods.append(method)
-        return real(method)
-
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
-    return methods
-
-
-class TestAuditPool:
-    # 114689 = 7*2^14 + 1 divides F_12, so one gcd row crosses the pool
+class TestAuditChains:
+    # 114689 = 7*2^14 + 1 divides F_12, so one row there is a gcd row
     GRID = range(10, 13)
 
     @pytest.fixture(autouse=True)
@@ -467,63 +445,11 @@ class TestAuditPool:
         # chain; primality then comes from a base-3 chain at every n
         monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
 
-    # three or four chains at n = 12, enough for a pool (_POOL_MIN_COST)
-    @pytest.mark.parametrize("bases", [[2, 3, 5, 114689], [2, 5, 7, 114689]],
-                             ids=["with-base-3", "without-base-3"])
-    def test_pool_gives_the_same_report(self, monkeypatch, fresh_prime_cache,
-                                        bases):
-        calls = spy_on_chains(monkeypatch)
-        usable_cpus(monkeypatch, 1)
-        alone = audit_range(self.GRID, bases)
-        # one chain per coprime (n, base); the gcd pair runs none, and
-        # each n runs a base-3 chain, which gives a row only where 3 is
-        # a base
-        assert sorted(calls) == sorted(
-            (n, b) for n in self.GRID for b in {*bases, 3}
-            if (n, b) != (12, 114689))
-        calls.clear()
-        fresh_prime_cache()
-        methods = spy_on_start_methods(monkeypatch)
-        usable_cpus(monkeypatch, 2)
-        pooled = audit_range(self.GRID, bases)
-        assert calls == []  # every chain ran in a worker
-        assert methods == ["fork" if FORK else "spawn"]
-        assert pooled == alone
-        assert [(row.n, row.base) for row in pooled.rows] \
-            == [(n, b) for n in self.GRID for b in bases]
-        assert (pooled.rows[-1].coprime, pooled.rows[-1].gcd) \
-            == (False, 114689)
-        assert all(primality._PRIME_CACHE[n] is False for n in self.GRID)
-
-    def test_process_with_threads_spawns_its_workers(self, monkeypatch,
-                                                     fresh_prime_cache):
-        calls = spy_on_chains(monkeypatch)
-        methods = spy_on_start_methods(monkeypatch)
-        usable_cpus(monkeypatch, 2)
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait)
-        thread.start()
-        try:
-            pooled = audit_range(self.GRID, [2, 3, 5, 114689])
-        finally:
-            stop.set()
-            thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert methods == ["spawn"]
-        assert calls == []
-        fresh_prime_cache()
-        usable_cpus(monkeypatch, 1)
-        assert audit_range(self.GRID, [2, 3, 5, 114689]) == pooled
-
-    def test_cheap_audit_runs_without_a_pool(self, monkeypatch):
-        calls = spy_on_chains(monkeypatch)
-        usable_cpus(monkeypatch, 2)
-        audit_range(range(5, 9), default_audit_bases())
-        assert len(calls) == 4 * 50
-
-    def test_each_index_splits_its_chains_round_robin(self, monkeypatch):
-        # one task per batch of min(CPUs, chains) at every index, whatever
-        # the backend; the base-3 chain for primality comes last
+    def test_each_index_squares_its_chains_as_one_batch(
+            self, monkeypatch, fresh_prime_cache):
+        # in index order, whatever the backend: one chain per coprime
+        # (n, base), the gcd pair none, and the base-3 chain for
+        # primality last, though 3 is not a base and gives no row
         batches = []
         real = primality._batch_taps
 
@@ -532,23 +458,23 @@ class TestAuditPool:
             return real(n, bases)
 
         monkeypatch.setattr(primality, "_batch_taps", spy)
-        usable_cpus(monkeypatch, 2)
-        audit_range(range(5, 9), [2, 5, 7, 11])
-        assert batches == [(n, bases) for n in (8, 7, 6, 5)
-                           for bases in ((2, 7, 3), (5, 11))]
+        bases = [2, 5, 7, 114689]
+        report = audit_range(self.GRID, bases)
+        assert batches == [(10, (2, 5, 7, 114689, 3)),
+                           (11, (2, 5, 7, 114689, 3)), (12, (2, 5, 7, 3))]
+        assert [(row.n, row.base) for row in report.rows] \
+            == [(n, b) for n in self.GRID for b in bases]
+        assert (report.rows[-1].coprime, report.rows[-1].gcd) \
+            == (False, 114689)
+        assert all(primality._PRIME_CACHE[n] is False for n in self.GRID)
 
-    @pytest.mark.skipif(
-        not FORK, reason="the workers see the patched chain only when forked")
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
+    def test_chain_error_reaches_the_caller(self, monkeypatch):
         spy_on_chains(monkeypatch, fail_at=(11, 5))
-        usable_cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match=r"chain \(11, 5\) broke"):
             audit_range(self.GRID, [2, 3, 5, 114689])
-        assert multiprocessing.active_children() == []
 
     def test_bad_index_is_refused_before_any_chain(self, monkeypatch):
         calls = spy_on_chains(monkeypatch)
-        usable_cpus(monkeypatch, 1)  # so that the spy sees every chain
         monkeypatch.setenv("FERMAT_LAB_MAX_N", "11")
         res = run_cli("audit", "--n-range", "5..12")
         assert res.code == 2
@@ -584,25 +510,16 @@ class TestClassifyIsAnAuditRow:
                 == [quarter, quarter ** 2 % m, quarter ** 4 % m]
             assert verdict.quarter_tag is verdict.quarter.tag
 
-    def test_pooled_classify_gives_the_same_verdict(self, monkeypatch):
-        # with no known factor, primality takes a base-3 chain, as at
-        # n = 20, and the two chains are worth a pool
-        monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
-        calls = spy_on_chains(monkeypatch)
-        usable_cpus(monkeypatch, 2)
-        pooled = classify_report(13, 7)
-        assert calls == []  # both chains ran in workers
-        usable_cpus(monkeypatch, 1)
-        assert classify_report(13, 7) == pooled
-        assert sorted(calls) == [(13, 3), (13, 7)]
-
     def test_known_factor_leaves_one_chain(self, monkeypatch):
         calls = spy_on_chains(monkeypatch)
-        usable_cpus(monkeypatch, 2)
         verdict = classify_report(13, 7)
-        assert calls == [(13, 7)]  # here: one job starts no pool
+        assert calls == [(13, 7)]
+        # with no known factor, primality takes a base-3 chain, as at
+        # n = 20, squared in one batch with the base's own
         monkeypatch.setattr(factors, "KNOWN_FACTORS", {})
+        calls.clear()
         assert classify_report(13, 7) == verdict
+        assert calls == [(13, 7), (13, 3)]
 
     def test_non_coprime_base_raises_before_any_chain(self, monkeypatch):
         calls = spy_on_chains(monkeypatch)

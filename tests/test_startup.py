@@ -11,9 +11,10 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "startup.py"
 
 
-def run(*args: str) -> subprocess.CompletedProcess:
+def run(*args: str, env=None) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, str(SCRIPT), *args],
-                          capture_output=True, text=True, timeout=600)
+                          capture_output=True, text=True, timeout=600,
+                          env=env)
 
 
 def test_one_cheap_call():
@@ -28,6 +29,18 @@ def test_one_cheap_call():
     assert name == "factor"
     assert float(ms) > 0 and float(bare_ms) > 0
     assert {"cli", "factors", "records"} <= set(modules)
+
+
+def test_checkpointed_pepin_loads_the_checkpoint_code(tmp_path):
+    # each of its processes writes to a temporary directory of its own,
+    # under TMPDIR, and leaves none behind
+    proc = run("--runs", "2", "checkpoint",
+               env=dict(os.environ, TMPDIR=str(tmp_path)))
+    assert proc.returncode == 0, proc.stderr
+    name, _, _, _, *modules = proc.stdout.splitlines()[2].split()
+    assert name == "checkpoint"
+    assert {"checkpoint", "json", "hashlib", "datetime"} <= set(modules)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_call_is_refused():

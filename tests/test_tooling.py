@@ -213,6 +213,22 @@ def test_no_module_keeps_global_state():
             for node in ast.walk(tree) if isinstance(node, ast.Global)] == []
 
 
+def test_no_module_imports_multiprocessing():
+    # every chain squares in the calling process; a process pool comes
+    # back only with a workload that shows it pays
+    def imports_multiprocessing(node):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            return False
+        return any(name.partition(".")[0] == "multiprocessing"
+                   for name in names)
+
+    assert _scopes(imports_multiprocessing) == set()
+
+
 def _imports_fermatlab(node) -> bool:
     if isinstance(node, ast.ImportFrom):
         return node.level > 0 \

@@ -14,8 +14,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import run_cli
+import pytest
 
+from conftest import run_cli, unrefuted_bases
+
+from fermatlab import arith
 from fermatlab.records import strip_timing
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,9 +70,13 @@ def test_checkpointed_pepin_slice_is_counted(tmp_path):
     assert len(saves) == 1
 
 
-def test_pooled_audit_gives_the_same_record(tmp_path):
-    # the chains of this audit run on worker processes
-    args = ("audit", "--n-range", "10..12", "--bases", "2,3,5,7,114689")
+def test_batched_fft_audit_gives_the_same_record(tmp_path):
+    # no known factor refutes these bases, so their chains run, and
+    # there are enough of them to square as one batch on the FFT
+    pytest.importorskip("numpy")
+    bases = unrefuted_bases(12, arith.FFT_MIN_BATCH[12])
+    args = ("audit", "--n-range", "12", "--bases",
+            ",".join(map(str, bases)))
     proc, _ = run_traced(tmp_path, *args)
     assert strip_timing(json.loads(proc.stdout)) \
         == strip_timing(run_cli(*args).json())

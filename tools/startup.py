@@ -7,8 +7,10 @@ For each named call (default: all of CALLS) it runs N fresh
 interpreter (`python3 -c pass`), and prints the median wall time of
 both, from spawn to exit, their difference, and the fermatlab modules
 the call loaded, with those of json, hashlib, datetime and numpy that
-it loaded.  The `import` call only imports fermatlab.cli.  The package
-is taken from src/ beside this script.
+it loaded.  The `import` call only imports fermatlab.cli.  The
+`checkpoint` call writes its checkpoints to a fresh temporary directory,
+made for each process and removed after it.  The package is taken from
+src/ beside this script.
 
 Whether the interpreter may read and write a bytecode cache
 (__pycache__) is left to the environment, and printed first: with
@@ -27,16 +29,21 @@ import statistics
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "fermatlab"
 
-# one cheap call of each command
+# stands for a fresh temporary directory in a call's arguments
+TMP = "{tmp}"
+
+# one cheap call of each command, and pepin's with checkpoints
 CALLS = {
     "import": ["-c", "import fermatlab.cli"],
     "pepin": ["-m", "fermatlab", "pepin", "10"],
+    "checkpoint": ["-m", "fermatlab", "pepin", "10", "--checkpoint-dir", TMP],
     "classify": ["-m", "fermatlab", "classify", "12", "--base", "7"],
     "order": ["-m", "fermatlab", "order", "12", "--base", "5"],
     "factor": ["-m", "fermatlab", "factor", "9", "--k-max", "100"],
@@ -85,18 +92,26 @@ def _env() -> dict:
                 else f"{SRC}{os.pathsep}{path}")
 
 
+def _python(args, tmp: str) -> list:
+    """The command line that runs python3 on args, with TMP as tmp."""
+    return [sys.executable, *(tmp if arg == TMP else arg for arg in args)]
+
+
 def _wall(args, env) -> float:
-    t0 = time.perf_counter()
-    subprocess.run([sys.executable, *args], env=env, check=True,
-                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return time.perf_counter() - t0
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _python(args, tmp)
+        t0 = time.perf_counter()
+        subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL,
+                       stderr=subprocess.DEVNULL)
+        return time.perf_counter() - t0
 
 
 def _modules(args, env) -> str:
     command = args[2:] if args[0] == "-m" else []
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *command],
-                          env=env, capture_output=True, text=True,
-                          check=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(_python(["-c", _PROBE, *command], tmp),
+                              env=env, capture_output=True, text=True,
+                              check=True)
     return proc.stderr.splitlines()[-1].replace("fermatlab.", "")
 
 
