@@ -396,5 +396,5 @@ def _run_chains(bases_by_n: Dict[int, List[int]]
     """The taps of each chain, keyed by (n, base), from the chain bases
     of each n.  Each n's chains are squared together, as one
     _batch_taps batch, whose backend arith.mod_square_chains picks."""
-    return {(n, base): taps for n, bases in bases_by_n.items() if bases
+    return {(n, base): taps for n, bases in bases_by_n.items()
             for base, taps in zip(bases, _batch_taps(n, bases))}
