@@ -34,11 +34,10 @@ more chains from an index through the stops its caller names, in
 squaring calls that end at each stop and at each multiple of
 CHAIN_BLOCK, and yields between calls, where the caller acts (reads a
 tap, tests for 1, writes a checkpoint) or leaves.  Chains that have
-all reached 1 square no further, since every later entry is 1.  Before
-it yields it checks the residues against the known factors of F_n
-(factors.check_known_factor): every chain at each stop, and a lone
-chain at every block end it yields, so no caller reads an unchecked
-residue.
+all reached 1 square no further, since every later entry is 1.  It
+yields only residues it has checked against the known factors of F_n
+(factors.check_known_factor): a lone chain at every block end and
+stop, a batch at its stops only.
 One check cost 0.015 ms against 0.049 ms for a block of 64 squarings
 at n = 8, 0.082 vs 1.19 ms at n = 12, 0.062 vs 5.3 ms at n = 14, 0.29
 vs 24 ms at n = 18 and 4.2 vs 739 ms at n = 22: about 1% from n = 14
@@ -357,15 +356,17 @@ def square_blocks(bases: Sequence[int], residues: Sequence[FermatResidue],
                   index: int, stops: Iterable[int]
                   ) -> Iterator[Tuple[int, List[FermatResidue]]]:
     """Square residues, the entries at `index` of the chains of `bases`
-    at one n, through each of the ascending `stops`, and yield (index,
-    residues) after each squaring call: mod_square_chain for a lone
-    chain, mod_square_chains for a batch.  Bases and residues pair one
-    to one; lists of two lengths raise ValueError before any squaring.
+    at one n, through each of the ascending `stops`, in squaring calls:
+    mod_square_chain for a lone chain, mod_square_chains for a batch.
+    Bases and residues pair one to one; lists of two lengths raise
+    ValueError before any squaring.
 
     A call ends at every stop and at every multiple of CHAIN_BLOCK, so
     none is longer than CHAIN_BLOCK squarings; stops at or below index
-    are skipped.  Callers act between yields and end the chain by
-    leaving the loop: nothing is squared past the last yield taken.
+    are skipped.  A lone chain yields (index, residues) after every
+    call, a batch after each call that ends on a stop.  Callers act
+    between yields and end the chain by leaving the loop: nothing is
+    squared past the last yield taken.
 
     1 squares to 1, so once every chain is at 1 no later entry can
     differ: nothing more is squared, and the index jumps to the next
@@ -374,15 +375,14 @@ def square_blocks(bases: Sequence[int], residues: Sequence[FermatResidue],
     chain not at 1 is squared whole, so that it keeps the backend that
     chain_backend picked for its size.
 
-    Before a yield, factors.check_known_factor raises CheckpointError
-    for a residue that is not its base^(2^index) modulo a known factor
-    of F_n.  It checks every chain at each stop, and a lone chain at
-    every block end it yields as well: every caller that reads between
-    stops runs a lone chain, whose checks cost a few ms in all below
-    n = 14 and about 1% of each block from n = 14 up (figures above).
-    A batch is read only at its stops (the audit's taps), and checking
-    25 chains at every block end cost 13-100% of their block at n =
-    7..13.
+    Before each yield, factors.check_known_factor raises
+    CheckpointError for a residue that is not its base^(2^index)
+    modulo a known factor of F_n, so every residue yielded has been
+    checked.  A lone chain's checks cost a few ms in all below n = 14
+    and about 1% of each block from n = 14 up (figures above).  A batch
+    is checked and yielded only at its stops (the audit's taps):
+    checking 25 chains at every block end cost 13-100% of their block
+    at n = 7..13.
     """
     # factors imports this module
     from .factors import check_known_factor
@@ -406,4 +406,4 @@ def square_blocks(bases: Sequence[int], residues: Sequence[FermatResidue],
                 for base, x in zip(bases, residues):
                     check_known_factor(x.n, base, index, x.value,
                                        f"chain residue of base 0x{base:x}")
-            yield index, residues
+                yield index, residues

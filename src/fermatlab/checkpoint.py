@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -62,9 +61,9 @@ class Checkpoint(NamedTuple):
     @classmethod
     def capture(cls, n: int, base: int, index: int,
                 residue: int) -> "Checkpoint":
-        stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         return cls(n=n, base=base, squaring_index=index, residue=residue,
-                   created_at=stamp)
+                   created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ",
+                                            time.gmtime()))
 
     def to_json(self) -> str:
         base_hex = to_hex(self.base)

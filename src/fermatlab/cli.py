@@ -83,9 +83,9 @@ def _parse_base(text: str) -> int:
     """A base in decimal, or in hex after 0x or 0X as the records print
     bases; only hex gets past int()'s cap of 4300 decimal digits."""
     if text[:2] in ("0x", "0X"):
-        digits = text[2:]
-        if digits and set(digits) <= set("0123456789abcdefABCDEF"):
-            return int(digits, 16)
+        from .arith import from_hex
+        with contextlib.suppress(ValueError):
+            return from_hex(text[2:].lower())
     else:
         with contextlib.suppress(ValueError):
             return int(text)
@@ -147,7 +147,7 @@ def cmd_pepin(args: argparse.Namespace) -> int:
         half = pepin_test(args.n, args.base,
                           allow_any_base=args.allow_any_base)[1]
     else:
-        # the checkpoint code, with hashlib and datetime, loads only here
+        # the checkpoint code, with hashlib, loads only here
         from .checkpoint import ChainPaused, CheckpointWriter
         # a refused n or base exits 2 before the writer makes the
         # directory or loads a file from it

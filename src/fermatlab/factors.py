@@ -115,12 +115,6 @@ def refuted_bases(n: int, bases: Sequence[int],
             if any(pow(base, e, p) != 1 for p, e in exponents)}
 
 
-def refutes_congruence(n: int, base: int, primes: Sequence[int]) -> bool:
-    """Whether one of primes refutes the congruence of base
-    (refuted_bases)."""
-    return bool(refuted_bases(n, [base], primes))
-
-
 # The fields; a NamedTuple cannot define __new__, so the subclass checks.
 class _Candidate(NamedTuple):
     n: int

@@ -9,7 +9,7 @@ pass costs fewer than CHAIN_BLOCK squarings and calls.  If 2^n
 squarings never reach 1 the order has an odd part and the marker
 result NotTotallyEven is returned.  A known factor p of F_n often
 proves that with no chain: base^(2^(2^n)) = 1 mod F_n implies it mod
-p, which factors.refutes_congruence checks.
+p, which factors.refuted_bases checks.
 
 On a composite F_n whose congruence holds, alpha is provably at most
 2^n - 2; order_alpha records whether that bound held in bound_satisfied
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .arith import require_coprime, square_blocks
-from .factors import proven_factors, refutes_congruence
+from .factors import proven_factors, refuted_bases
 
 ORDER_BOUND_SLACK = 2  # composite + congruence: alpha <= 2^n - 2
 
@@ -64,7 +64,7 @@ def order_alpha(n: int, base: int) -> OrderResult:
     """Least alpha with base^(2^alpha) = 1 mod F_n, or NotTotallyEven.
 
     A known factor p of F_n with base^(2^(2^n)) != 1 mod p proves
-    NotTotallyEven (factors.refutes_congruence), and then no chain
+    NotTotallyEven (factors.refuted_bases), and then no chain
     runs.  Otherwise the chain of at most 2^n squarings runs on
     arith.square_blocks with a stop at each power of two, so its
     blocks double from 1 up to arith.CHAIN_BLOCK and then keep that
@@ -82,7 +82,7 @@ def order_alpha(n: int, base: int) -> OrderResult:
     by square_blocks, which raises CheckpointError for a wrong one.
     """
     start = require_coprime(n, base)
-    if refutes_congruence(n, base, proven_factors(n)):
+    if refuted_bases(n, [base], proven_factors(n)):
         return OrderResult(n, base, None)
     if start.is_one:
         return OrderResult(n, base, 0, _bound(n, 0))

@@ -178,8 +178,9 @@ def _batch_taps(n: int, bases: Sequence[int]) -> List[ChainTaps]:
     """chain_taps of each base, the chains squared together
     (arith.square_blocks), keeping only the three tapped states.
 
-    The three taps are the stops, so square_blocks has checked each of
-    them, in every chain, before it is read."""
+    The three taps are the stops, and square_blocks checks every
+    residue it yields; a lone chain also yields at its block ends,
+    which the index filter passes over."""
     check_chain_index(n)
     last = 1 << n
     quarters, halves, fulls = [
@@ -191,10 +192,9 @@ def _batch_taps(n: int, bases: Sequence[int]) -> List[ChainTaps]:
             for quarter, half, full in zip(quarters, halves, fulls)]
 
 
-def check_pepin(n: int, base: int, allow_any_base: bool) -> FermatResidue:
+def check_pepin(n: int, base: int, allow_any_base: bool) -> None:
     """Raise for the index or base that pepin_test would refuse, in its
-    order: the index, the base's sign, admissibility, coprimality.
-    Else the start of the chain, base modulo F_n (require_coprime)."""
+    order: the index, the base's sign, admissibility, coprimality."""
     check_chain_index(n)
     _check_base(base)
     if base not in PEPIN_ADMISSIBLE_BASES and not allow_any_base:
@@ -202,7 +202,7 @@ def check_pepin(n: int, base: int, allow_any_base: bool) -> FermatResidue:
             f"base 0x{base:x} is not in the admissible set "
             f"{sorted(PEPIN_ADMISSIBLE_BASES)}; the any-base override "
             f"runs it anyway but the result carries no primality claim")
-    return require_coprime(n, base)
+    require_coprime(n, base)
 
 
 def pepin_test(n: int, base: int = 3,
@@ -212,14 +212,14 @@ def pepin_test(n: int, base: int = 3,
     Valid for n >= 2 with base in PEPIN_ADMISSIBLE_BASES; other bases
     are rejected unless allow_any_base is set, because for them the
     equivalence with primality is not established (and for base 2 it is
-    plainly false).  The chain is one lone chain of arith.square_blocks,
-    which checks every block's end against the known factors of F_n and
-    raises CheckpointError for a wrong residue.  A resumable run of the
-    same chain is checkpoint.CheckpointWriter's run().
+    plainly false).  The half residue is the middle tap of chain_taps,
+    whose chain squares on to the full residue, one squaring more; its
+    residues are checked against the known factors of F_n, and a wrong
+    one raises CheckpointError.  A resumable run of the half-residue
+    chain is checkpoint.CheckpointWriter's run().
     """
-    start = check_pepin(n, base, allow_any_base)
-    for _, (half,) in square_blocks([base], [start], 0, [(1 << n) - 1]):
-        pass
+    check_pepin(n, base, allow_any_base)
+    half = chain_taps(n, base).half
     return half.is_minus_one, half
 
 
@@ -347,8 +347,9 @@ def audit_range(n_values, bases) -> AuditReport:
     bases (and gives no row).  A pair whose congruence a known factor
     refutes (factors.refuted_bases) is decided with no chain, and
     its verdict holds no taps.  The chains are the only other work,
-    each n's squared together in this process (_run_chains); the rows
-    come in n_values then bases order.
+    each n's squared together in this process as one _batch_taps
+    batch, whose backend arith.mod_square_chains picks; the rows come
+    in n_values then bases order.
 
     Non-coprime bases do not abort the sweep and run no chain: the row
     records the gcd (a factor of F_n!).  A failed rule stays in its
@@ -363,11 +364,12 @@ def audit_range(n_values, bases) -> AuditReport:
     primes = {n: proven_factors(n) for n in values}
     refuted = {n: refuted_bases(n, bases, primes[n]) for n in values}
     chain_bases = list(dict.fromkeys([*bases, PEPIN_BASE]))
-    chains = _run_chains({
-        n: [base for base in chain_bases
-            if gcds.get((n, base)) == 1 and base not in refuted[n]
-            or base == PEPIN_BASE and not primes[n]]
-        for n in sorted(primes)})
+    chains: Dict[Tuple[int, int], ChainTaps] = {}
+    for n in sorted(primes):
+        batch = [base for base in chain_bases
+                 if gcds.get((n, base)) == 1 and base not in refuted[n]
+                 or base == PEPIN_BASE and not primes[n]]
+        chains.update(zip([(n, b) for b in batch], _batch_taps(n, batch)))
     rows: List[AuditRow] = []
     for n in n_values:
         pepin_prime = not primes[n] \
@@ -390,11 +392,3 @@ def check_audit_grid(n_values, bases) -> None:
     for base in bases:
         _check_base(base)
 
-
-def _run_chains(bases_by_n: Dict[int, List[int]]
-                ) -> Dict[Tuple[int, int], ChainTaps]:
-    """The taps of each chain, keyed by (n, base), from the chain bases
-    of each n.  Each n's chains are squared together, as one
-    _batch_taps batch, whose backend arith.mod_square_chains picks."""
-    return {(n, base): taps for n, bases in bases_by_n.items()
-            for base, taps in zip(bases, _batch_taps(n, bases))}

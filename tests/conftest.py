@@ -97,7 +97,7 @@ def full_crt_base(n: int) -> int:
 def unrefuted_bases(n: int, count: int) -> List[int]:
     """count bases coprime to F_n that are 1 modulo every known factor
     of F_n, so that no factor refutes their Fermat congruence
-    (factors.refutes_congruence) and an audit squares their chains."""
+    (factors.refuted_bases) and an audit squares their chains."""
     step = prod(factors.KNOWN_FACTORS[n])
     bases = [1 + i * step for i in range(1, count + 1)]
     assert all(gcd(b, (1 << (1 << n)) + 1) == 1 for b in bases)

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import full_crt_base, pseudoprime_base, spy_on_squarings
+from conftest import full_crt_base, pseudoprime_base, spy_on_squarings, \
+    unrefuted_bases
 
-from fermatlab import arith, oracle
+from fermatlab import arith, factors, oracle
 from fermatlab.arith import (
     FermatResidue,
     fermat_value,
@@ -276,6 +277,33 @@ class TestSquareBlocks:
         assert counts == [3, 3, 2, 2, 35, 35]
         assert [index for index, _ in got] == [3, 5, 40, 100]
         assert got[-1][1] == [FermatResidue(5, 1)] * 2
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "lone"])
+    def test_yields_only_residues_it_has_checked(self, monkeypatch, batch):
+        # a batch yields at its three stops alone, a lone chain at every
+        # block end as well, and each residue only once the known-factor
+        # check has passed it
+        monkeypatch.setattr(arith, "CHAIN_BLOCK", 4)
+        checked = []
+        real = factors.check_known_factor
+
+        def spy(n, base, index, residue, what):
+            real(n, base, index, residue, what)
+            checked.append((index, base, residue))
+
+        monkeypatch.setattr(factors, "check_known_factor", spy)
+        n, last = 12, 1 << 12
+        stops = [last - 2, last - 1, last]
+        bases = unrefuted_bases(n, 8) if batch else [3]
+        yielded = []
+        for index, residues in arith.square_blocks(
+                bases, [reduce_fold(b, n) for b in bases], 0, stops):
+            got = [(index, b, x.value) for b, x in zip(bases, residues)]
+            assert set(got) <= set(checked), index
+            yielded += got
+        assert checked == yielded
+        ends = sorted({index for index, _, _ in yielded})
+        assert ends == (stops if batch else [*range(4, last - 2, 4), *stops])
 
     @pytest.mark.parametrize("bases, values", [([3, 5], [3]), ([3], [3, 5])],
                              ids=["base-without-chain", "chain-without-base"])

@@ -1,8 +1,10 @@
 """Checkpoint persistence: atomic writes, strict loads, pause/resume."""
 
+import calendar
 import json
 import os
 import re
+import time
 
 import pytest
 
@@ -96,6 +98,14 @@ class TestRoundTrip:
         # F_20 has no known factor, so only the digest vouches for it
         cp = Checkpoint.capture(20, 3, 3, 3 ** 8)
         assert load_checkpoint(save_checkpoint(cp, tmp_path)) == cp
+
+    def test_capture_stamps_utc_to_the_second(self):
+        before = int(time.time())
+        stamp = make_checkpoint().created_at
+        after = time.time()
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamp)
+        seconds = calendar.timegm(time.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ"))
+        assert before <= seconds <= after
 
     def test_no_temp_leftovers(self, tmp_path):
         save_checkpoint(make_checkpoint(), tmp_path)

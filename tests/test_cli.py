@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: records, exit codes, checkpoint flows."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ import pytest
 from conftest import SELFTEST_CHECKS, pseudoprime_base, run_cli, \
     run_cli_subprocess, spy_on_squarings, unrefuted_bases
 
-from fermatlab import arith, checkpoint, factors, orders, primality, \
+from fermatlab import arith, checkpoint, cli, factors, orders, primality, \
     records
 from fermatlab.arith import FermatResidue, fermat_value
 from fermatlab.checkpoint import (
@@ -814,6 +816,27 @@ class TestHexBases:
         assert run_cli("audit", "--n-range", "5", "--bases",
                        f"2,{text}").code == 2
 
+    @pytest.mark.parametrize("text, value", [
+        ("0XAbC", 0xabc), ("0x00ff", 255), ("12", 12),
+        ("0x" + "f" * (1 << 22), (1 << (1 << 24)) - 1)],
+        ids=["mixed-case", "leading-zeros", "decimal", "4M-hex-digits"])
+    def test_parse_base_reads(self, text, value):
+        # 4M hex digits is the size of a constructed base at n = 24
+        assert cli._parse_base(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "0x", "0x_1", "0x 1", "0x1 ", "0x\u0661", "0x\u212a", "0x\uff11",
+        "1" * 4301],
+        ids=["empty", "underscore", "space", "trailing-space",
+             "arabic-indic-digit", "kelvin-sign", "fullwidth-digit",
+             "4301-decimal-digits"])
+    def test_parse_base_refuses(self, text):
+        # int(digits, 16) would take the non-ASCII digits, and
+        # "\u212a".lower() is "k"; the message is the same for all
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match="^expected an integer, in decimal"):
+            cli._parse_base(text)
+
     def test_pseudoprime_base_past_the_decimal_cap(self):
         n = 14
         base = pseudoprime_base(n, factors.KNOWN_FACTORS[n][0])
@@ -892,6 +915,13 @@ class TestUsageSurface:
         assert res.stderr.count("\n") == 1
         assert len(res.stderr.encode("utf-8")) < 200
 
+    def test_pepin_help_names_the_admissible_bases(self):
+        help_text = " ".join(run_cli("pepin", "--help").stdout.split())
+        named = re.search(r"admissible bases: ([\d, ]+) \(default",
+                          help_text).group(1)
+        assert [int(b) for b in named.split(", ")] \
+            == sorted(primality.PEPIN_ADMISSIBLE_BASES)
+
     def test_env_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv("FERMAT_LAB_MAX_N", "soon")
         assert run_cli("pepin", "5").code == 2
@@ -950,7 +980,8 @@ class TestFileSystemErrors:
     def test_unwritable_report_fails_before_the_chains(self, blocker,
                                                        monkeypatch):
         jobs = []
-        monkeypatch.setattr(primality, "_run_chains", jobs.append)
+        monkeypatch.setattr(primality, "_batch_taps",
+                            lambda *job: jobs.append(job))
         res = run_cli("audit", "--n-range", "5..12",
                       "--report", str(blocker / "r.json"))
         assert (res.code, res.stdout, jobs) == (2, "", [])
@@ -961,7 +992,8 @@ class TestFileSystemErrors:
         target = tmp_path / "reports"
         target.mkdir()
         jobs = []
-        monkeypatch.setattr(primality, "_run_chains", jobs.append)
+        monkeypatch.setattr(primality, "_batch_taps",
+                            lambda *job: jobs.append(job))
         res = run_cli("audit", "--n-range", "12..13",
                       "--report", str(target))
         assert (res.code, res.stdout, jobs) == (2, "", [])

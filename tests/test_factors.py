@@ -19,7 +19,7 @@ from fermatlab.factors import (
     divides_fermat,
     lucas_search,
     proven_factors,
-    refutes_congruence,
+    refuted_bases,
     validate_divisor_form,
 )
 from fermatlab.oracle import is_probable_prime, naive_mod, trial_division
@@ -55,25 +55,28 @@ class TestKnownFactorTable:
 
 
 class TestRefutesCongruence:
+    """factors.refuted_bases: the bases whose congruence a known factor
+    refutes."""
+
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_decides_the_congruence_where_f_n_is_factored(self, n):
         # the known factors of F_5..F_7 are all of their prime factors,
         # so a refutation is exactly a failed congruence
         assert prod(KNOWN_FACTORS[n]) == fermat_value(n)
         m = fermat_value(n)
-        for base in range(2, 200):
-            assert refutes_congruence(n, base, proven_factors(n)) \
-                is (pow(base, m - 1, m) != 1), base
+        bases = range(2, 200)
+        assert refuted_bases(n, bases, proven_factors(n)) \
+            == {base for base in bases if pow(base, m - 1, m) != 1}
 
     def test_no_factor_refutes_nothing(self):
-        assert not refutes_congruence(20, 3, ())
-        assert not refutes_congruence(12, 3, [])
+        assert refuted_bases(20, [3], ()) == set()
+        assert refuted_bases(12, [3], []) == set()
 
     def test_one_factor_may_refute_where_another_does_not(self):
         # 641 = 5 * 2^7 + 1, so 5 = -2^-7 has a 2-power order modulo
         # 641; modulo 6700417 its order has an odd part
-        assert [refutes_congruence(5, 5, [p]) for p in KNOWN_FACTORS[5]] \
-            == [False, True]
+        assert [refuted_bases(5, [5], [p]) for p in KNOWN_FACTORS[5]] \
+            == [set(), {5}]
 
 
 class TestDividesFermat:

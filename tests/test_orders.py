@@ -170,10 +170,12 @@ class TestBlocks:
                 == [pow(7, 1 << k, m) for k in (last - 2, last - 1, last)]
             self.assert_ends_on_stops(counts, block,
                                       {last - 2, last - 1, last})
+            # pepin reads the half residue from the same three taps
             counts.clear()
             half = primality.pepin_test(n, 3)[1]
             assert half.value == pow(3, 1 << (last - 1), m)
-            self.assert_ends_on_stops(counts, block, {last - 1})
+            assert self.assert_ends_on_stops(
+                counts, block, {last - 2, last - 1, last})[-1] == last
 
     @pytest.mark.parametrize("block", [1, 3, 4, CHAIN_BLOCK])
     def test_batched_audit_row_agrees_with_pow(self, monkeypatch, block):

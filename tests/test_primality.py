@@ -43,6 +43,19 @@ from fermatlab.primality import (
 pytestmark = pytest.mark.usefixtures("fresh_prime_cache")
 
 
+def half_residue(n: int, base: int) -> int:
+    """base^(2^(2^n - 1)) mod F_n, each builtin square reduced by
+    2^(2^n) = -1: at n = 14 builtin pow's long divisions take 5 s, this
+    1 s."""
+    width = 1 << n
+    m = (1 << width) + 1
+    x = base % m
+    for _ in range(width - 1):
+        p = x * x
+        x = ((p & (1 << width) - 1) - (p >> width)) % m
+    return x
+
+
 class TestPepin:
     def test_prime_fixtures(self):
         prime, half = pepin_test(2, 3)
@@ -100,6 +113,22 @@ class TestPepin:
             require_coprime(12, multiple * m)
         assert info.value.gcd == m
         assert str(info.value) == "base is a multiple of F_12"
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 14])
+    def test_pepin_taps_and_writer_agree_with_pow(self, tmp_path, n):
+        # one chain gives the half residue, whichever way it is run
+        m = fermat_value(n)
+        bases = [3, 5, 10, 2, 7]
+        if n == 12:
+            bases.append(pseudoprime_base(12, 114689))
+        for base in bases:
+            want = half_residue(n, base)
+            if n <= 12:
+                assert want == pow(base, 1 << ((1 << n) - 1), m)
+            assert pepin_test(n, base, True)[1].value == want, base
+            assert chain_taps(n, base).half.value == want, base
+            assert CheckpointWriter(n, base, tmp_path).run().value \
+                == want, base
 
     def test_non_admissible_base_past_the_decimal_digit_cap(self):
         # 7^5300 has more than the 4300 decimal digits an int may be

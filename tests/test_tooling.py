@@ -108,11 +108,12 @@ def test_one_squaring_routine():
 
 
 def test_block_driver_is_driven_once_per_chain():
-    # the four callers each take one pass of square_blocks per chain (two
-    # for an order that finds alpha), and none restarts it from a loop
+    # the three callers, one per module, each take one pass of
+    # square_blocks per chain (two for an order that finds alpha), and
+    # none restarts it from a loop
     assert _callers("square_blocks") == {
-        "primality._batch_taps", "primality.pepin_test",
-        "orders.order_alpha", "checkpoint.CheckpointWriter.run"}
+        "primality._batch_taps", "orders.order_alpha",
+        "checkpoint.CheckpointWriter.run"}
     in_while = set()
     for module, tree in _syntax_trees():
         for loop in ast.walk(tree):
@@ -143,7 +144,7 @@ def test_only_the_block_driver_tests_a_residue_for_one():
 
 
 def test_chain_layers_take_no_power_modulo_a_factor():
-    # factors.refutes_congruence alone asks a known factor whether the
+    # factors.refuted_bases alone asks a known factor whether the
     # congruence fails, for the orders and the audit alike
     assert {scope for scope in _scopes(
         lambda node: _calls("pow")(node) and len(node.args) == 3)
